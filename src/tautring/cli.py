@@ -54,6 +54,8 @@ def _class_arg(text: str):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise DomainError("class payload must be a JSON object")
     if "parts" in payload:
         return MixedClass.from_payload(payload)
     return TautClass.from_payload(payload)

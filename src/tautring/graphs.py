@@ -26,6 +26,7 @@ a loop, or interchanging parallel edges, are nontrivial automorphisms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -314,6 +315,7 @@ def _half_edge_map(graph: StableGraph, perm: Sequence[int],
     return edge_map, hemap
 
 
+# A dict, not functools.cache: a miss also stores the canonical graph's identity map.
 _CANON_CACHE: dict[tuple, tuple[StableGraph, tuple[int, ...], tuple[int, ...]]] = {}
 
 
@@ -362,30 +364,22 @@ def make_graph(genera: Sequence[int], legs: Sequence[Sequence[int]],
 # automorphisms and isomorphisms
 
 
-def _vertex_automorphisms(graph: StableGraph) -> list[list[int]]:
-    base = _relabel(graph, list(range(graph.num_vertices)))
-    return [list(p) for p in _candidate_perms(graph) if _relabel(graph, p) == base]
-
-
-_AUT_CACHE: dict[tuple, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-
-
-def automorphisms(graph: StableGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@functools.cache
+def automorphisms(graph: StableGraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """All automorphisms of a canonical graph as (vertex_perm, half_edge_map).
 
     Includes edge-level symmetry: permutations of parallel edges and the two
     half-edge orderings of each loop.
     """
-    key = (graph.genera, graph.legs, graph.edges)
-    hit = _AUT_CACHE.get(key)
-    if hit is not None:
-        return hit
     E = graph.num_edges
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     buckets: dict[tuple[int, int], list[int]] = {}
     for j, pair in enumerate(graph.edges):
         buckets.setdefault(pair, []).append(j)
-    for perm in _vertex_automorphisms(graph):
+    base = _relabel(graph, list(range(graph.num_vertices)))
+    for perm in _candidate_perms(graph):
+        if _relabel(graph, perm) != base:
+            continue
         # originals grouped by image pair
         groups: dict[tuple[int, int], list[int]] = {}
         for i, (a, b) in enumerate(graph.edges):
@@ -421,30 +415,12 @@ def automorphisms(graph: StableGraph) -> list[tuple[tuple[int, ...], tuple[int, 
                         hemap[2 * i] = 2 * j + 1
                         hemap[2 * i + 1] = 2 * j
             out.append((tuple(perm), tuple(hemap)))
-    _AUT_CACHE[key] = out
-    return out
+    return tuple(out)
 
 
 def automorphism_count(graph: StableGraph) -> int:
     """Order of the automorphism group (vertices and half-edges)."""
-    n_vertex = len(_vertex_automorphisms(graph))
-    factor = 1
-    counted: dict[tuple[int, int], int] = {}
-    for pair in graph.edges:
-        counted[pair] = counted.get(pair, 0) + 1
-    for (a, b), m in counted.items():
-        if a == b:
-            factor *= _factorial(m) * 2 ** m
-        else:
-            factor *= _factorial(m)
-    return n_vertex * factor
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
+    return len(automorphisms(canonical(graph)[0]))
 
 
 def isomorphisms(src: StableGraph, dst: StableGraph
@@ -583,9 +559,7 @@ def _splits(graph: StableGraph, v: int) -> Iterator[StableGraph]:
                         yield StableGraph(tuple(genera), tuple(legs), edges)
 
 
-_ENUM_CACHE: dict[tuple[int, int, int], tuple[StableGraph, ...]] = {}
-
-
+@functools.cache
 def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> tuple[StableGraph, ...]:
     """All canonical stable graphs of type (g, n) with at most max_edges
     edges, sorted by (edge count, encoding).
@@ -599,10 +573,6 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> tuple[StableGraph
         raise DomainError("unstable type (g, n) = (%d, %d)" % (g, n))
     if g < 0 or n < 0 or max_edges < 0:
         raise DomainError("negative parameter")
-    key = (g, n, max_edges)
-    hit = _ENUM_CACHE.get(key)
-    if hit is not None:
-        return hit
     main = make_graph([g], [tuple(range(1, n + 1))], [])
     levels: list[dict[str, StableGraph]] = [{main.encode(): main}]
     for _ in range(max_edges):
@@ -624,6 +594,4 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> tuple[StableGraph
     out: list[StableGraph] = []
     for level in levels:
         out.extend(level[k] for k in sorted(level))
-    result = tuple(out)
-    _ENUM_CACHE[key] = result
-    return result
+    return tuple(out)

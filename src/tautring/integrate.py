@@ -19,11 +19,14 @@ contributes coeff / |Aut(graph)| times the product of local vertex integrals.
 from __future__ import annotations
 
 import atexit
+import contextlib
+import functools
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import DomainError, automorphism_count
 from .strata import DecoratedStratum, TautClass, generators
@@ -63,12 +66,12 @@ class _WKCache:
         self._loaded_from: str | None = None
         self._dirty = False
 
-    def _path(self) -> str | None:
+    def _path(self) -> str:
         return os.path.join(cache_dir(), "wk_integrals.txt")
 
     def _ensure_loaded(self) -> None:
         path = self._path()
-        if path is None or path == self._loaded_from:
+        if path == self._loaded_from:
             return
         self._loaded_from = path
         if not os.path.exists(path):
@@ -103,22 +106,30 @@ class _WKCache:
         self._dirty = True
 
     def flush(self) -> None:
-        path = self._path()
-        if path is None or not self._dirty:
+        """Best-effort write through a unique temp file, so concurrent
+        flushes never interleave and a stray file cannot block the write."""
+        if not self._dirty:
             return
+        path = self._path()
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="ascii") as fh:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                       prefix="wk_integrals.", suffix=".tmp")
+        except OSError:
+            return
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
                 fh.write(_WK_HEADER + "\n")
                 for (g, exps), value in sorted(self.mem.items()):
                     fh.write("%d;%s;%s\n" % (g, ",".join(map(str, exps)), value))
             os.replace(tmp, path)
             self._dirty = False
         except OSError:
-            pass
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
+# A dict behind a class, not functools.cache: the memo is mirrored to disk.
 _WK = _WKCache()
 atexit.register(_WK.flush)
 
@@ -127,7 +138,7 @@ def wk_cache_status() -> dict:
     """Entry counts for the persistent and in-process caches."""
     path = _WK._path()
     disk = 0
-    if path and os.path.exists(path):
+    if os.path.exists(path):
         try:
             with open(path, "r", encoding="ascii") as fh:
                 lines = fh.read().splitlines()
@@ -151,7 +162,7 @@ def wk_cache_clear() -> None:
     _WK._dirty = False
     _WK._loaded_from = None
     path = _WK._path()
-    if path and os.path.exists(path):
+    if os.path.exists(path):
         try:
             os.remove(path)
         except OSError:
@@ -203,9 +214,6 @@ def psi_integral(g: int, exps: Sequence[int]) -> Fraction:
     return value
 
 
-_KP_CACHE: dict[tuple[int, tuple[int, ...], tuple[int, ...]], Fraction] = {}
-
-
 def kappa_psi_integral(g: int, psi_exps: Sequence[int],
                        kappa_parts: Sequence[int]) -> Fraction:
     """Integral of psi_1^{e_1}..psi_n^{e_n} * prod_a kappa_a over Mbar_{g,n},
@@ -215,11 +223,13 @@ def kappa_psi_integral(g: int, psi_exps: Sequence[int],
     kappa_parts = tuple(sorted(kappa_parts))
     if not kappa_parts:
         return psi_integral(g, psi_exps)
-    psi_key = tuple(sorted(psi_exps, reverse=True))
-    key = (g, psi_key, kappa_parts)
-    hit = _KP_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _kappa_psi_integral(g, tuple(sorted(psi_exps, reverse=True)),
+                               kappa_parts)
+
+
+@functools.cache
+def _kappa_psi_integral(g: int, psi_key: tuple[int, ...],
+                        kappa_parts: tuple[int, ...]) -> Fraction:
     last = kappa_parts[-1]
     others = kappa_parts[:-1]
     total = Fraction(0)
@@ -229,7 +239,6 @@ def kappa_psi_integral(g: int, psi_exps: Sequence[int],
         sign = -1 if len(chosen) % 2 else 1
         new_exp = last + 1 + sum(chosen)
         total += sign * kappa_psi_integral(g, psi_key + (new_exp,), kept)
-    _KP_CACHE[key] = total
     return total
 
 
@@ -264,46 +273,36 @@ def evaluate(x: TautClass) -> Fraction:
                Fraction(0))
 
 
-_PAIR_CACHE: dict[tuple[DecoratedStratum, DecoratedStratum], Fraction] = {}
-
-
 def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
     """Integral of the product of two stratum classes of complementary degree."""
     if t.sort_key() < s.sort_key():
         s, t = t, s
-    hit = _PAIR_CACHE.get((s, t))
-    if hit is not None:
-        return hit
+    return _pair_strata(s, t)
+
+
+@functools.cache
+def _pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
     from .product import multiply_strata
-    value = evaluate(multiply_strata(s, t))
-    _PAIR_CACHE[(s, t)] = value
-    return value
+    return evaluate(multiply_strata(s, t))
 
 
-def pairing_vector(s: DecoratedStratum,
-                   cogens: Iterable[DecoratedStratum]) -> tuple[Fraction, ...]:
-    return tuple(pair_strata(s, t) for t in cogens)
+def pair_with(x: TautClass, t: DecoratedStratum) -> Fraction:
+    """Pairing of a class with one stratum: the sum of c * <s, t> over the
+    terms c * s of x.  Every class-against-stratum pairing goes through here."""
+    return sum((c * pair_strata(s, t) for s, c in x.terms.items()), Fraction(0))
 
 
 def class_pairing_vector(x: TautClass,
                          cogens: Sequence[DecoratedStratum]) -> tuple[Fraction, ...]:
     """Pairing of a class against a list of complementary-degree generators."""
-    out = [Fraction(0)] * len(cogens)
-    for s, c in x.terms.items():
-        for j, t in enumerate(cogens):
-            out[j] += c * pair_strata(s, t)
-    return tuple(out)
+    return tuple(pair_with(x, t) for t in cogens)
 
 
 def pair_classes(x: TautClass, y: TautClass) -> Fraction:
     """Bilinear extension of the stratum pairing."""
     if (x.g, x.n) != (y.g, y.n):
         raise DomainError("pairing type mismatch")
-    total = Fraction(0)
-    for s, c in x.terms.items():
-        for t, d in y.terms.items():
-            total += c * d * pair_strata(s, t)
-    return total
+    return sum((d * pair_with(x, t) for t, d in y.terms.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -397,40 +396,27 @@ class PairingMatrix:
     cols: tuple[DecoratedStratum, ...]
     entries: tuple[tuple[Fraction, ...], ...]
 
+    @functools.cached_property
     def echelon(self) -> tuple[int, tuple[int, ...], list[list[int]]]:
-        key = (self.g, self.n, self.d)
-        hit = _ECHELON_CACHE.get(key)
-        if hit is None:
-            if self.entries:
-                hit = fraction_free_echelon(self.entries)
-            else:
-                hit = (0, (), [])
-            _ECHELON_CACHE[key] = hit
-        return hit
+        """(rank, pivot columns, integer echelon rows) of the entries."""
+        if not self.entries:
+            return (0, (), [])
+        return fraction_free_echelon(self.entries)
 
     @property
     def rank(self) -> int:
-        return self.echelon()[0]
+        return self.echelon[0]
 
 
-_ECHELON_CACHE: dict[tuple[int, int, int], tuple] = {}
-_PAIRING_MATRIX_CACHE: dict[tuple[int, int, int], PairingMatrix] = {}
-
-
+@functools.cache
 def pairing_matrix(g: int, n: int, d: int) -> PairingMatrix:
     """Rows are degree-d generators, columns the complementary generators,
     entries the integrals of the products; cached by (g, n, d)."""
     dim = 3 * g - 3 + n
-    key = (g, n, d)
-    hit = _PAIRING_MATRIX_CACHE.get(key)
-    if hit is not None:
-        return hit
     if d < 0 or d > dim:
-        out = PairingMatrix(g, n, d, (), (), ())
-    else:
-        rows = generators(g, n, d)
-        cols = generators(g, n, dim - d)
-        out = PairingMatrix(g, n, d, rows, cols,
-                            tuple(pairing_vector(s, cols) for s in rows))
-    _PAIRING_MATRIX_CACHE[key] = out
-    return out
+        return PairingMatrix(g, n, d, (), (), ())
+    rows = generators(g, n, d)
+    cols = generators(g, n, dim - d)
+    return PairingMatrix(g, n, d, rows, cols,
+                         tuple(tuple(pair_strata(s, t) for t in cols)
+                               for s in rows))

@@ -21,11 +21,12 @@ modulo the pairing fix every normalization choice here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import DomainError, StableGraph, enumerate_stable_graphs, make_graph
 from .strata import MixedClass, TautClass, fundamental_stratum, make_stratum, single, unit
@@ -168,27 +169,6 @@ def _weight_forms(G: StableGraph, data: RamificationData
     return nfree, out
 
 
-def count_admissible(G: StableGraph, data: RamificationData, r: int) -> int:
-    """Number of admissible weightings mod r (equals r^{h1})."""
-    if r <= data.residue_bound():
-        raise DomainError("modulus r=%d not above residue bound %d"
-                          % (r, data.residue_bound()))
-    nfree, forms = _weight_forms(G, data)
-    targets = _vertex_targets(G, data)
-    count = 0
-    for xs in itertools.product(range(r), repeat=nfree):
-        ok = True
-        for v in range(G.num_vertices):
-            s = sum((forms[h][0] + sum(e * x for e, x in zip(forms[h][1], xs)))
-                    for h in G.half_edges_at(v))
-            if (s - targets[v]) % r:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
 def direct_weighting_value(G: StableGraph, data: RamificationData,
                            mvec: Sequence[int], r: int) -> Fraction:
     """Oracle: sum of prod_e (w(h)w(h'))^{m_e+1} over all r^{h1} admissible
@@ -220,18 +200,12 @@ def direct_weighting_value(G: StableGraph, data: RamificationData,
 
 # -- closed-form free-weight summation --------------------------------------
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-
-
+@functools.cache
 def _bernoulli(j: int) -> Fraction:
     """Bernoulli numbers, B_1 = -1/2 convention."""
-    while len(_BERNOULLI) <= j:
-        m = len(_BERNOULLI)
-        acc = Fraction(0)
-        for i in range(m):
-            acc += comb(m + 1, i) * _BERNOULLI[i]
-        _BERNOULLI.append(-acc / (m + 1))
-    return _BERNOULLI[j]
+    if j == 0:
+        return Fraction(1)
+    return -sum(comb(j + 1, i) * _bernoulli(i) for i in range(j)) / (j + 1)
 
 
 def _power_sum(p: int, N: int) -> Fraction:
@@ -346,36 +320,6 @@ def closed_weighting_value(G: StableGraph, data: RamificationData,
     return const * total / r ** 2
 
 
-def weighting_sum(G: StableGraph, d: int, data: RamificationData,
-                  r: int) -> dict[tuple[tuple[int, int], ...], Fraction]:
-    """Per-decoration normalized edge coefficients at modulus r.
-
-    Keys assign (m_h, m_h') psi powers to the two halves of each edge, over
-    all assignments with total psi power at most d.  The value is the
-    weighting sum of prod_e (w(h)w(h'))^{m_e+1}, divided by r^{h1}, times the
-    series normalization prod_e (-1)^{m_e} C(m_e, m_h) / (m_e+1)!.
-    """
-    if (G.genus(), G.num_legs) != (data.g, data.n):
-        raise DomainError("graph type does not match ramification data")
-    if r <= data.residue_bound():
-        raise DomainError("modulus r=%d not above residue bound %d"
-                          % (r, data.residue_bound()))
-    E = G.num_edges
-    out: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    for mvec in _compositions(max(d, 0), E):
-        raw = closed_weighting_value(G, data, mvec, r)
-        base = raw
-        for m in mvec:
-            base *= Fraction((-1) ** m, factorial(m + 1))
-        for split in itertools.product(*[range(m + 1) for m in mvec]):
-            mult = 1
-            for m, mh in zip(mvec, split):
-                mult *= comb(m, mh)
-            key = tuple((mh, m - mh) for m, mh in zip(mvec, split))
-            out[key] = base * mult
-    return out
-
-
 def _compositions(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative ints with sum <= total_max."""
     if parts == 0:
@@ -426,17 +370,10 @@ def interpolate_constant_term(samples: Sequence[tuple[int, Fraction]],
     return eval_at(0)
 
 
-_CT_CACHE: dict[tuple, Fraction] = {}
-
-
+@functools.cache
 def _weighting_ct(G: StableGraph, data: RamificationData,
                   mvec: tuple[int, ...], sample_offset: int = 0) -> Fraction:
     """r-constant term of the weighting sum for fixed edge powers."""
-    key = (G, data.A, data.k, mvec)
-    if sample_offset == 0:
-        hit = _CT_CACHE.get(key)
-        if hit is not None:
-            return hit
     bound = sum(2 * (m + 1) for m in mvec) + G.h1 + 2
     r0 = 2 * (sum(abs(x) for x in data.A)
               + abs(data.k) * (2 * data.g - 2 + data.n)) + 3
@@ -451,8 +388,6 @@ def _weighting_ct(G: StableGraph, data: RamificationData,
         except ThresholdError as exc:
             last_err = exc
             continue
-        if sample_offset == 0:
-            _CT_CACHE[key] = value
         return value
     raise last_err if last_err is not None else DomainError("unreachable")
 
@@ -461,12 +396,10 @@ def _weighting_ct(G: StableGraph, data: RamificationData,
 # the cycles
 
 
-_PIXTON_CACHE: dict[tuple, TautClass] = {}
-
-
+@functools.cache
 def pixton_class(data: RamificationData, d: int, *,
                  sample_offset: int = 0) -> TautClass:
-    """The degree-d cycle P_g^{d,k}(A) as a TautClass.
+    """The degree-d cycle P_g^{d,k}(A) as a TautClass (shared; do not mutate).
 
     Degrees above 3g-3+n give the zero class (the cycle group vanishes
     there), which the degree-(g+1) vanishing checks rely on at small (g,n).
@@ -474,11 +407,6 @@ def pixton_class(data: RamificationData, d: int, *,
     if d < 0:
         raise DomainError("negative degree")
     g, n = data.g, data.n
-    key = (g, data.A, data.k, d)
-    if sample_offset == 0:
-        hit = _PIXTON_CACHE.get(key)
-        if hit is not None:
-            return hit.copy()
     out = TautClass(g, n, d)
     if d <= data.dim:
         A = data.A
@@ -524,8 +452,6 @@ def pixton_class(data: RamificationData, d: int, *,
                         if m - mh:
                             ph[2 * ei + 1] = m - mh
                     out.iadd_term(make_stratum(G, pl, ph, kp), coeff * mult)
-    if sample_offset == 0:
-        _PIXTON_CACHE[key] = out.copy()
     return out
 
 

@@ -23,9 +23,9 @@ moduli dimension vanish and are pruned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
-from typing import Iterator
 
 from .graphs import (
     DomainError,
@@ -43,16 +43,11 @@ from .strata import DecoratedStratum, MixedClass, TautClass, \
 #    per-GA-vertex tuple of preimage vertices of G)
 Structure = tuple[frozenset[int], dict[int, int], tuple[tuple[int, ...], ...]]
 
-_STRUCT_CACHE: dict[tuple[StableGraph, StableGraph], tuple[Structure, ...]] = {}
 
-
+@functools.cache
 def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structure, ...]:
     """All ways G contracts onto ``target``: choices of kept edges K with
     G/(E-K) isomorphic to target, times the isomorphisms."""
-    key = (G, target)
-    hit = _STRUCT_CACHE.get(key)
-    if hit is not None:
-        return hit
     out: list[Structure] = []
     E = G.num_edges
     eT = target.num_edges
@@ -71,21 +66,18 @@ def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structu
                           if vmap[w] == vperm[v])
                     for v in range(target.num_vertices))
                 out.append((frozenset(kept), he_transport, vpre))
-    result = tuple(out)
-    _STRUCT_CACHE[key] = result
-    return result
-
-
-_PRODUCT_CACHE: dict[tuple[DecoratedStratum, DecoratedStratum], TautClass] = {}
+    return tuple(out)
 
 
 def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
-    """Product of two stratum classes as a TautClass."""
+    """Product of two stratum classes as a TautClass (shared; do not mutate)."""
     if sb.sort_key() < sa.sort_key():
         sa, sb = sb, sa
-    hit = _PRODUCT_CACHE.get((sa, sb))
-    if hit is not None:
-        return hit.copy()
+    return _multiply_strata(sa, sb)
+
+
+@functools.cache
+def _multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
     GA, GB = sa.graph, sb.graph
     g, n = GA.genus(), GA.num_legs
     if (GB.genus(), GB.num_legs) != (g, n):
@@ -93,8 +85,7 @@ def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
     dim = 3 * g - 3 + n
     out = TautClass(g, n, sa.degree + sb.degree)
     if out.degree > dim:
-        _PRODUCT_CACHE[(sa, sb)] = out
-        return out.copy()
+        return out
     eA, eB = GA.num_edges, GB.num_edges
     pref = Fraction(1, automorphism_count(GA) * automorphism_count(GB))
     pl = dict(sa.psi_leg)
@@ -141,8 +132,7 @@ def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
                     for (a, _), w in zip(factors, choice[:nk]):
                         kp.setdefault(w, []).append(a)
                     out.iadd_term(make_stratum(G, pl, ph, kp), coeff)
-    _PRODUCT_CACHE[(sa, sb)] = out
-    return out.copy()
+    return out
 
 
 def multiply(x: TautClass, y: TautClass) -> TautClass:

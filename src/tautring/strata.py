@@ -22,7 +22,7 @@ insertion.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -97,6 +97,7 @@ class DecoratedStratum:
         return "[%s | %s]" % (self.graph.encode(), deco)
 
 
+# A dict, not functools.cache: it interns strata under raw and minimized keys.
 _STRATUM_CACHE: dict[tuple, DecoratedStratum] = {}
 
 
@@ -169,7 +170,11 @@ def fundamental_stratum(g: int, n: int) -> DecoratedStratum:
 
 
 class TautClass:
-    """Fraction-linear combination of decorated strata of one codimension."""
+    """Fraction-linear combination of decorated strata of one codimension.
+
+    Returned classes may be shared (cached products, cycles, mixed parts):
+    never mutate them.  ``iadd_term`` is only for classes the caller built.
+    """
 
     __slots__ = ("g", "n", "degree", "terms")
 
@@ -203,11 +208,6 @@ class TautClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def copy(self) -> "TautClass":
-        out = TautClass(self.g, self.n, self.degree)
-        out.terms = dict(self.terms)
-        return out
-
     def scale(self, c: Fraction) -> "TautClass":
         c = Fraction(c)
         out = TautClass(self.g, self.n, self.degree)
@@ -218,7 +218,8 @@ class TautClass:
     def add(self, other: "TautClass") -> "TautClass":
         if (self.g, self.n, self.degree) != (other.g, other.n, other.degree):
             raise DomainError("cannot add classes of different type/degree")
-        out = self.copy()
+        out = TautClass(self.g, self.n, self.degree)
+        out.terms = dict(self.terms)
         for s, c in other.terms.items():
             out.iadd_term(s, c)
         return out
@@ -230,10 +231,6 @@ class TautClass:
         return (isinstance(other, TautClass)
                 and (self.g, self.n, self.degree) == (other.g, other.n, other.degree)
                 and self.terms == other.terms)
-
-    def __hash__(self):  # pragma: no cover - classes are not dict keys
-        return hash((self.g, self.n, self.degree,
-                     tuple(sorted((s.sort_key(), c) for s, c in self.terms.items()))))
 
     def sorted_terms(self) -> list[tuple[DecoratedStratum, Fraction]]:
         return sorted(self.terms.items(), key=lambda sc: sc[0].sort_key())
@@ -274,6 +271,7 @@ class TautClass:
             raise DomainError("malformed class payload: %s" % exc) from None
         if not isinstance(raw_terms, list):
             raise DomainError("payload terms must be a list")
+        _check_payload_type(g, n)
         out = TautClass(g, n, degree)
         for t in raw_terms:
             if not isinstance(t, Mapping) or "graph" not in t or "coeff" not in t:
@@ -283,10 +281,14 @@ class TautClass:
                 raise DomainError("term graph has wrong type")
             pl: dict[int, int] = {}
             ph: dict[int, int] = {}
-            for k, e in dict(t.get("psi", {})).items():
+            psi = t.get("psi", {})
+            kappa = t.get("kappa", {})
+            if not isinstance(psi, Mapping) or not isinstance(kappa, Mapping):
+                raise DomainError("term psi and kappa must be JSON objects")
+            for k, e in psi.items():
                 m = re.match(r"^m(\d+)$", k)
                 h = re.match(r"^h(\d+)$", k)
-                e = int(e)
+                e = _payload_int(e)
                 if e < 0:
                     raise DomainError("negative psi exponent")
                 if m:
@@ -302,14 +304,16 @@ class TautClass:
                 else:
                     raise DomainError("bad psi key %r" % k)
             kp: dict[int, tuple[int, ...]] = {}
-            for k, parts in dict(t.get("kappa", {})).items():
+            for k, parts in kappa.items():
                 v = re.match(r"^v(\d+)$", k)
                 if not v:
                     raise DomainError("bad kappa key %r" % k)
                 vid = int(v.group(1))
                 if vid >= graph.num_vertices:
                     raise DomainError("kappa on unknown vertex %d" % vid)
-                parts = tuple(int(a) for a in parts)
+                if not isinstance(parts, list):
+                    raise DomainError("kappa parts must be a list")
+                parts = tuple(_payload_int(a) for a in parts)
                 if any(a < 1 for a in parts):
                     raise DomainError("kappa indices must be positive")
                 kp[vid] = parts
@@ -330,15 +334,16 @@ class TautClass:
         return TautClass.from_payload(payload)
 
 
-def combine(classes: Iterable[TautClass]) -> TautClass:
-    """Sum of same-type, same-degree classes."""
-    classes = list(classes)
-    if not classes:
-        raise DomainError("combine needs at least one class")
-    out = classes[0].copy()
-    for x in classes[1:]:
-        out = out.add(x)
-    return out
+def _payload_int(x) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise DomainError("expected an integer, got %r" % (x,)) from None
+
+
+def _check_payload_type(g: int, n: int) -> None:
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise DomainError("unstable type (g, n) = (%d, %d)" % (g, n))
 
 
 def single(g: int, n: int, stratum: DecoratedStratum,
@@ -379,7 +384,7 @@ class MixedClass:
 
     def part(self, degree: int) -> TautClass:
         hit = self.parts.get(degree)
-        return hit.copy() if hit is not None else TautClass(self.g, self.n, degree)
+        return hit if hit is not None else TautClass(self.g, self.n, degree)
 
     def degrees(self) -> list[int]:
         return sorted(d for d, x in self.parts.items() if not x.is_zero())
@@ -418,6 +423,7 @@ class MixedClass:
             raise DomainError("malformed mixed-class payload: %s" % exc) from None
         if not isinstance(raw, list):
             raise DomainError("payload parts must be a list")
+        _check_payload_type(g, n)
         out = MixedClass(g, n)
         for p in raw:
             out.set_part(TautClass.from_payload(p))
@@ -503,9 +509,7 @@ def _decorations(graph: StableGraph, budget: int) -> Iterator[
     yield from rec(0, budget, [0] * graph.num_vertices, {}, {})
 
 
-_GENERATORS_CACHE: dict[tuple[int, int, int], tuple[DecoratedStratum, ...]] = {}
-
-
+@functools.cache
 def generators(g: int, n: int, d: int) -> tuple[DecoratedStratum, ...]:
     """All canonical decorated strata of codimension d on Mbar_{g,n},
     deduplicated across Aut-equivalent decorations, sorted."""
@@ -515,10 +519,6 @@ def generators(g: int, n: int, d: int) -> tuple[DecoratedStratum, ...]:
         raise DomainError("negative codimension")
     if d > 3 * g - 3 + n:
         return ()
-    key = (g, n, d)
-    hit = _GENERATORS_CACHE.get(key)
-    if hit is not None:
-        return hit
     seen: dict[DecoratedStratum, None] = {}
     for graph in enumerate_stable_graphs(g, n, d):
         rem = d - graph.num_edges
@@ -527,9 +527,7 @@ def generators(g: int, n: int, d: int) -> tuple[DecoratedStratum, ...]:
         for pl, ph, kp in _decorations(graph, rem):
             s = make_stratum(graph, pl, ph, kp)
             seen.setdefault(s)
-    out = tuple(sorted(seen, key=lambda s: s.sort_key()))
-    _GENERATORS_CACHE[key] = out
-    return out
+    return tuple(sorted(seen, key=lambda s: s.sort_key()))
 
 
 _LOCI: dict[str, Callable[[StableGraph], bool]] = {

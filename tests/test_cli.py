@@ -134,6 +134,14 @@ def test_malformed_payload_shapes_exit_two(capsys):
         '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"x"}]}',
         '{"g":1,"n":1,"parts":3}',
         '{"g":1,"n":1,"parts":[{"g":2,"n":1,"degree":0,"terms":[]}]}',
+        '5',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":{"m1":"a"}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":[1]}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"kappa":{"v0":5}}]}',
+        '{"g":-1,"n":1,"degree":0,"terms":[]}',
     ]
     for text in bad:
         assert main(["evaluate", text]) == 2, text

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -55,6 +58,33 @@ def test_automorphism_counts():
     # two loops on one vertex
     two_loops = make_graph([0], [(1,)], [(0, 0), (0, 0)])
     assert automorphism_count(two_loops) == 8
+
+
+def closed_form_automorphism_count(G):
+    """|Aut G| as the number of vertex permutations preserving genera, legs
+    and the edge multiset, times m! 2^m per bundle of m loops at a vertex and
+    m! per bundle of m parallel edges."""
+    V = G.num_vertices
+    edges = sorted(G.edges)
+    count = sum(
+        1 for p in itertools.permutations(range(V))
+        if all(G.genera[p[v]] == G.genera[v] and G.legs[p[v]] == G.legs[v]
+               for v in range(V))
+        and sorted((min(p[a], p[b]), max(p[a], p[b]))
+                   for a, b in G.edges) == edges)
+    for (a, b), m in Counter(G.edges).items():
+        count *= math.factorial(m) * (2 ** m if a == b else 1)
+    return count
+
+
+def test_automorphism_count_matches_closed_form():
+    checked = 0
+    for g, n in [(0, 5), (0, 6), (1, 3), (1, 4), (2, 1), (2, 2), (3, 0)]:
+        for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
+            assert automorphism_count(G) == \
+                closed_form_automorphism_count(G), G.encode()
+            checked += 1
+    assert checked == 581
 
 
 def test_canonical_is_idempotent_and_label_invariant():

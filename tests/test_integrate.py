@@ -222,6 +222,22 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     assert wk_cache_status()["wk_disk_entries"] == 0
 
 
+def test_disk_cache_flush_ignores_stale_temp_path(tmp_path, monkeypatch):
+    # a directory at the fixed temp name an older flush used must not block
+    # the write
+    monkeypatch.setenv("TAUTRING_CACHE_DIR", str(tmp_path))
+    wk_cache_clear()
+    os.mkdir(os.path.join(str(tmp_path), "wk_integrals.txt.tmp"))
+    value = psi_integral(2, (4,))
+    _WK.flush()
+    with open(os.path.join(str(tmp_path), "wk_integrals.txt"),
+              encoding="ascii") as fh:
+        assert "2;4;%s" % value in fh.read().splitlines()
+    assert sorted(os.listdir(str(tmp_path))) == ["wk_integrals.txt",
+                                                 "wk_integrals.txt.tmp"]
+    wk_cache_clear()
+
+
 def test_disk_cache_survives_corruption(tmp_path, monkeypatch):
     monkeypatch.setenv("TAUTRING_CACHE_DIR", str(tmp_path))
     wk_cache_clear()

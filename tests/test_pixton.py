@@ -9,7 +9,6 @@ from tautring.pixton import (
     RamificationData,
     ThresholdError,
     closed_weighting_value,
-    count_admissible,
     delta_factor,
     direct_weighting_value,
     exp_class,
@@ -18,7 +17,6 @@ from tautring.pixton import (
     pixton_class,
     pixton_mixed,
     q_form,
-    weighting_sum,
 )
 from tautring.strata import MixedClass, generators, restrict, single, unit
 
@@ -41,25 +39,7 @@ def test_weighting_sum_loop_frozen():
     # sum of w(r-w) over residues w, divided by r
     expected = {5: 4, 7: 8, 11: 20}
     for r, val in expected.items():
-        table = weighting_sum(loop, 0, data, r)
-        assert table == {((0, 0),): Fraction(val)}
-
-
-def test_admissible_count_is_r_to_h1():
-    rng = random.Random(2026)
-    pool = []
-    for g, n, c in [(1, 1, 1), (1, 2, 2), (2, 1, 2), (0, 4, 1)]:
-        pool.extend(enumerate_stable_graphs(g, n, c))
-    for _ in range(15):
-        G = rng.choice(pool)
-        g, n = G.genus(), G.num_legs
-        k = rng.randint(0, 2)
-        total = k * (2 * g - 2 + n)
-        A = [rng.randint(-3, 3) for _ in range(n - 1)]
-        A.append(total - sum(A))
-        data = RamificationData(g, n, k, tuple(A))
-        r = data.residue_bound() + rng.randint(1, 5)
-        assert count_admissible(G, data, r) == r ** G.h1
+        assert closed_weighting_value(loop, data, (0,), r) == Fraction(val)
 
 
 def test_closed_matches_direct_weighting():
