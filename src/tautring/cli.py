@@ -5,7 +5,8 @@ listings, the graded ramification cycle and its quadratic divisor, products,
 integrals, pairings, the named check bundles, and cache management.  JSON
 output (--json) is the machine interface and re-parses into the identical
 internal value; the human view is lossy and never parsed.  Exit codes:
-0 success / all checks passed, 1 a check failed, 2 usage or domain error.
+0 success / all checks passed, 1 a check failed, 2 usage or domain error,
+3 internal error (a defect, reported on stderr without a traceback).
 """
 
 from __future__ import annotations
@@ -318,12 +319,13 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
+    except (DomainError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except Exception as exc:  # a defect, not a failed check: never exit 1
+        print("error: internal: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ pushing kappa classes to an extra marked point, one kappa factor at a time:
 
 evaluate integrates a top-degree TautClass: each decorated stratum
 contributes coeff / |Aut(graph)| times the product of local vertex integrals.
+pair_strata integrates each monomial of a product the same way, on its
+graph, without building the product class.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .graphs import DomainError, automorphism_count
+from .graphs import DomainError, StableGraph, automorphism_count
+from .product import product_monomials
 from .strata import DecoratedStratum, TautClass, generators
 
 
@@ -246,14 +249,9 @@ def _kappa_psi_integral(g: int, psi_key: tuple[int, ...],
 # evaluation of classes
 
 
-def stratum_integral(s: DecoratedStratum) -> Fraction:
-    """Integral of the stratum class over Mbar_{g,n} (top degree only)."""
-    G = s.graph
-    if s.degree != 3 * G.genus() - 3 + G.num_legs:
-        return Fraction(0)
-    pl = dict(s.psi_leg)
-    ph = dict(s.psi_he)
-    kp = dict(s.kappa)
+def _decoration_integral(G: StableGraph, pl: dict, ph: dict, kp: dict) -> Fraction:
+    """1/|Aut G| times the product over vertices of the local kappa-psi
+    integrals of a decoration of G (zero where a vertex degree is off)."""
     value = Fraction(1, automorphism_count(G))
     for v in range(G.num_vertices):
         exps = [pl.get(m, 0) for m in G.legs[v]]
@@ -265,6 +263,15 @@ def stratum_integral(s: DecoratedStratum) -> Fraction:
     return value
 
 
+def stratum_integral(s: DecoratedStratum) -> Fraction:
+    """Integral of the stratum class over Mbar_{g,n} (top degree only)."""
+    G = s.graph
+    if s.degree != 3 * G.genus() - 3 + G.num_legs:
+        return Fraction(0)
+    return _decoration_integral(G, dict(s.psi_leg), dict(s.psi_he),
+                                dict(s.kappa))
+
+
 def evaluate(x: TautClass) -> Fraction:
     """Integral of a top-degree class; zero when the degree is not top."""
     if x.degree != 3 * x.g - 3 + x.n:
@@ -274,7 +281,9 @@ def evaluate(x: TautClass) -> Fraction:
 
 
 def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
-    """Integral of the product of two stratum classes of complementary degree."""
+    """Integral of the product of two stratum classes of complementary degree.
+    Each monomial of the product is integrated in place on its graph, with no
+    stratum built; it equals ``evaluate(multiply_strata(s, t))``."""
     if t.sort_key() < s.sort_key():
         s, t = t, s
     return _pair_strata(s, t)
@@ -282,8 +291,9 @@ def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
 
 @functools.cache
 def _pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
-    from .product import multiply_strata
-    return evaluate(multiply_strata(s, t))
+    return sum((coeff * _decoration_integral(G, pl, ph, kp)
+                for G, pl, ph, kp, coeff in product_monomials(s, t)),
+               Fraction(0))
 
 
 def pair_with(x: TautClass, t: DecoratedStratum) -> Fraction:

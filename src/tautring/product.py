@@ -1,9 +1,10 @@
 """Multiplication of decorated stratum classes.
 
 The product of two stratum classes [S_A], [S_B] on Mbar_{g,n} is computed by
-excess intersection on common degenerations.  For each stable graph G with at
-most e_A + e_B edges, a generic structure is a pair of edge subsets
-K_A, K_B of E(G) with K_A union K_B = E(G), together with isomorphisms
+excess intersection on common degenerations (Graber-Pandharipande,
+"Constructions of nontautological classes", Appendix A).  A generic
+structure on a stable graph G is a pair of edge subsets K_A, K_B of E(G)
+with K_A union K_B = E(G), together with isomorphisms
 
     phi_A : graph(S_A) -> G / (E - K_A),    phi_B : graph(S_B) -> G / (E - K_B)
 
@@ -19,6 +20,12 @@ expanded into monomials.  With stratum classes normalized by 1/|Aut|, the
 total product is 1/(|Aut A| * |Aut B|) times the sum over all structures of
 the resulting canonical decorated strata.  Monomials exceeding a vertex
 moduli dimension vanish and are pruned.
+
+Each edge subset of each graph is contracted and canonicalized once
+(``_contractions``); ``_degenerations`` lists the graphs over a target, so a
+product visits only common degenerations.  ``product_monomials`` yields the
+monomials, which ``multiply_strata`` collects into strata and
+``integrate.pair_strata`` integrates in place.
 """
 
 from __future__ import annotations
@@ -26,11 +33,13 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from typing import Iterator
 
 from .graphs import (
     DomainError,
     StableGraph,
     automorphism_count,
+    canonical,
     contract,
     enumerate_stable_graphs,
     isomorphisms,
@@ -45,63 +54,68 @@ Structure = tuple[frozenset[int], dict[int, int], tuple[tuple[int, ...], ...]]
 
 
 @functools.cache
-def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structure, ...]:
-    """All ways G contracts onto ``target``: choices of kept edges K with
-    G/(E-K) isomorphic to target, times the isomorphisms."""
-    out: list[Structure] = []
+def _contractions(G: StableGraph) -> dict[StableGraph, tuple[Structure, ...]]:
+    """Every contraction structure of G, filed under its canonical target;
+    kept-edge subsets are visited by size, then in combinations order."""
+    out: dict[StableGraph, list[Structure]] = {}
     E = G.num_edges
-    eT = target.num_edges
-    if eT <= E and target.genus() == G.genus() and target.markings() == G.markings():
-        for kept in itertools.combinations(range(E), eT):
-            dropped = frozenset(range(E)) - frozenset(kept)
-            H, vmap, hemap_c = contract(G, dropped)
-            if sorted(H.genera) != sorted(target.genera):
-                continue
+    for size in range(E + 1):
+        for kept in itertools.combinations(range(E), size):
+            H, vmap, hemap_c = contract(G, frozenset(range(E)) - frozenset(kept))
+            target = canonical(H)[0]
             inv_c = {w: h for h, w in hemap_c.items()}
             for vperm, hemap_phi in isomorphisms(target, H):
-                he_transport = {h: inv_c[hemap_phi[h]]
-                                for h in range(2 * eT)}
+                he_transport = {h: inv_c[hemap_phi[h]] for h in range(2 * size)}
                 vpre = tuple(
                     tuple(w for w in range(G.num_vertices)
                           if vmap[w] == vperm[v])
                     for v in range(target.num_vertices))
-                out.append((frozenset(kept), he_transport, vpre))
-    return tuple(out)
+                out.setdefault(target, []).append(
+                    (frozenset(kept), he_transport, vpre))
+    return {T: tuple(structs) for T, structs in out.items()}
 
 
-def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
-    """Product of two stratum classes as a TautClass (shared; do not mutate)."""
-    if sb.sort_key() < sa.sort_key():
-        sa, sb = sb, sa
-    return _multiply_strata(sa, sb)
+def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structure, ...]:
+    """All ways G contracts onto the canonical graph ``target``: choices of
+    kept edges K with G/(E-K) isomorphic to target, times the isomorphisms."""
+    return _contractions(G).get(target, ())
 
 
 @functools.cache
-def _multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
+def _degenerations(target: StableGraph, max_edges: int
+                   ) -> dict[StableGraph, tuple[Structure, ...]]:
+    """The graphs with at most max_edges edges that contract onto
+    ``target``, in enumeration order, each with its structures."""
+    out = {}
+    for G in enumerate_stable_graphs(target.genus(), target.num_legs, max_edges):
+        if G.num_edges >= target.num_edges:
+            structs = contraction_structures(G, target)
+            if structs:
+                out[G] = structs
+    return out
+
+
+def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tuple]:
+    """The monomials (G, psi_leg, psi_he, kappa, coeff) whose sum is
+    [sa] * [sb]: read-only dicts indexed on G, none above the dimension."""
     GA, GB = sa.graph, sb.graph
     g, n = GA.genus(), GA.num_legs
     if (GB.genus(), GB.num_legs) != (g, n):
         raise DomainError("cannot multiply classes on different moduli spaces")
     dim = 3 * g - 3 + n
-    out = TautClass(g, n, sa.degree + sb.degree)
-    if out.degree > dim:
-        return out
-    eA, eB = GA.num_edges, GB.num_edges
+    if sa.degree + sb.degree > dim:
+        return
+    max_edges = min(GA.num_edges + GB.num_edges, dim)
+    degens_b = _degenerations(GB, max_edges)
     pref = Fraction(1, automorphism_count(GA) * automorphism_count(GB))
     pl = dict(sa.psi_leg)
     for m, e in sb.psi_leg:
         pl[m] = pl.get(m, 0) + e
-    for G in enumerate_stable_graphs(g, n, min(eA + eB, dim)):
-        E = G.num_edges
-        if E < eA or E < eB:
+    for G, structs_a in _degenerations(GA, max_edges).items():
+        structs_b = degens_b.get(G)
+        if structs_b is None:
             continue
-        structs_a = contraction_structures(G, GA)
-        if not structs_a:
-            continue
-        structs_b = contraction_structures(G, GB)
-        if not structs_b:
-            continue
-        all_edges = frozenset(range(E))
+        all_edges = frozenset(range(G.num_edges))
         for ka, he_a, vpre_a in structs_a:
             need = all_edges - ka
             for kb, he_b, vpre_b in structs_b:
@@ -109,17 +123,12 @@ def _multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
                     continue
                 shared = sorted(ka & kb)
                 ph0: dict[int, int] = {}
-                for h, e in sa.psi_he:
-                    h2 = he_a[h]
-                    ph0[h2] = ph0.get(h2, 0) + e
-                for h, e in sb.psi_he:
-                    h2 = he_b[h]
-                    ph0[h2] = ph0.get(h2, 0) + e
                 factors: list[tuple[int, tuple[int, ...]]] = []
-                for v, parts in sa.kappa:
-                    factors.extend((a, vpre_a[v]) for a in parts)
-                for v, parts in sb.kappa:
-                    factors.extend((a, vpre_b[v]) for a in parts)
+                for st, he, vpre in ((sa, he_a, vpre_a), (sb, he_b, vpre_b)):
+                    for h, e in st.psi_he:
+                        ph0[he[h]] = ph0.get(he[h], 0) + e
+                    for v, parts in st.kappa:
+                        factors.extend((a, vpre[v]) for a in parts)
                 coeff = pref * (-1 if len(shared) % 2 else 1)
                 options = [opts for _, opts in factors]
                 options += [(2 * e, 2 * e + 1) for e in shared]
@@ -131,7 +140,21 @@ def _multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
                     kp: dict[int, list[int]] = {}
                     for (a, _), w in zip(factors, choice[:nk]):
                         kp.setdefault(w, []).append(a)
-                    out.iadd_term(make_stratum(G, pl, ph, kp), coeff)
+                    yield G, pl, ph, kp, coeff
+
+
+def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
+    """Product of two stratum classes as a TautClass (shared; do not mutate)."""
+    if sb.sort_key() < sa.sort_key():
+        sa, sb = sb, sa
+    return _multiply_strata(sa, sb)
+
+
+@functools.cache
+def _multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
+    out = TautClass(sa.graph.genus(), sa.graph.num_legs, sa.degree + sb.degree)
+    for G, pl, ph, kp, coeff in product_monomials(sa, sb):
+        out.iadd_term(make_stratum(G, pl, ph, kp), coeff)
     return out
 
 

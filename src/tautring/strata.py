@@ -267,7 +267,7 @@ class TautClass:
             n = int(payload["n"])
             degree = int(payload["degree"])
             raw_terms = payload["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError("malformed class payload: %s" % exc) from None
         if not isinstance(raw_terms, list):
             raise DomainError("payload terms must be a list")
@@ -320,7 +320,8 @@ class TautClass:
             stratum = make_stratum(graph, pl, ph, kp)
             try:
                 coeff = Fraction(t["coeff"])
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+            except (ValueError, TypeError, ZeroDivisionError,
+                    OverflowError) as exc:
                 raise DomainError("bad coefficient: %s" % exc) from None
             out.iadd_term(stratum, coeff)
         return out
@@ -337,7 +338,7 @@ class TautClass:
 def _payload_int(x) -> int:
     try:
         return int(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError("expected an integer, got %r" % (x,)) from None
 
 
@@ -419,7 +420,7 @@ class MixedClass:
             g = int(payload["g"])
             n = int(payload["n"])
             raw = payload["parts"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError("malformed mixed-class payload: %s" % exc) from None
         if not isinstance(raw, list):
             raise DomainError("payload parts must be a list")

@@ -142,11 +142,29 @@ def test_malformed_payload_shapes_exit_two(capsys):
         '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
         '"kappa":{"v0":5}}]}',
         '{"g":-1,"n":1,"degree":0,"terms":[]}',
+        # json parses 1e400 and Infinity to float inf
+        '{"g":1e400,"n":1,"degree":1,"terms":[]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":1e400}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":{"m1":1e400}}]}',
+        '{"g":1,"n":Infinity,"parts":[]}',
     ]
     for text in bad:
         assert main(["evaluate", text]) == 2, text
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err, text
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    # exit 1 is reserved for a failed check; a defect must not look like one
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tautring.cli._cmd_graphs", broken)
+    assert main(["graphs", "--g", "1", "--n", "1", "--codim", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "error: internal: RuntimeError: boom" in err
+    assert "Traceback" not in err
 
 
 def test_cache_lifecycle_subprocess(tmp_path):

@@ -22,6 +22,7 @@ from tautring.integrate import (
     wk_cache_clear,
     wk_cache_status,
 )
+from tautring.product import multiply_strata
 from tautring.strata import generators, make_stratum, single
 
 
@@ -139,6 +140,22 @@ def test_pairing_symmetry_random():
         s = rng.choice(gens1)
         t = rng.choice(gens1)
         assert pair_strata(s, t) == pair_strata(t, s)
+
+
+def test_fused_pairing_matches_product_route():
+    # pair_strata integrates product monomials in place; the oracle builds
+    # the product class and evaluates it
+    pairs = nonzero = 0
+    for g, n in [(0, 5), (1, 2), (1, 3), (2, 0)]:
+        dim = 3 * g - 3 + n
+        for d in range(dim + 1):
+            for s in generators(g, n, d):
+                for t in generators(g, n, dim - d):
+                    value = pair_strata(s, t)
+                    assert value == evaluate(multiply_strata(s, t)), (s, t)
+                    pairs += 1
+                    nonzero += value != 0
+    assert (pairs, nonzero) == (1553, 1118)
 
 
 def test_pair_classes_type_check():

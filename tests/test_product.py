@@ -1,11 +1,20 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tautring.graphs import DomainError, make_graph
+from tautring.graphs import (
+    DomainError,
+    contract,
+    enumerate_stable_graphs,
+    isomorphisms,
+    make_graph,
+)
 from tautring.integrate import evaluate, pair_classes
 from tautring.product import (
+    contraction_structures,
     kappa1_times,
     multiply,
     multiply_mixed,
@@ -154,3 +163,34 @@ def test_multiply_mixed_grading():
     assert ab.part(2) == expect2
     one = unit(g, n)
     assert multiply_mixed(one, a) == a
+
+
+def _structures_by_target(G, target):
+    """The per-target search the contraction index replaced: contract each
+    choice of |E(target)| kept edges of G, then list the isomorphisms from
+    target onto the result.  Structures are made hashable for comparison."""
+    out = []
+    E, eT = G.num_edges, target.num_edges
+    for kept in itertools.combinations(range(E), eT):
+        H, vmap, hemap_c = contract(G, frozenset(range(E)) - frozenset(kept))
+        inv_c = {w: h for h, w in hemap_c.items()}
+        for vperm, hemap_phi in isomorphisms(target, H):
+            transport = tuple((h, inv_c[hemap_phi[h]]) for h in range(2 * eT))
+            vpre = tuple(tuple(w for w in range(G.num_vertices)
+                               if vmap[w] == vperm[v])
+                         for v in range(target.num_vertices))
+            out.append((frozenset(kept), transport, vpre))
+    return Counter(out)
+
+
+def test_contraction_index_matches_per_target_search():
+    pairs = 0
+    for g, n, e in [(0, 5, 2), (1, 3, 3), (2, 1, 3)]:
+        graphs = enumerate_stable_graphs(g, n, e)
+        for G in graphs:
+            for T in graphs:
+                got = Counter((kept, tuple(sorted(he.items())), vpre)
+                              for kept, he, vpre in contraction_structures(G, T))
+                assert got == _structures_by_target(G, T), (G, T)
+                pairs += 1
+    assert pairs == 1374
