@@ -10,9 +10,9 @@ with at most d edges.  Decorations come from the exponential factors
 where w ranges over weightings mod r (legs carry A_i, edge halves sum to 0,
 vertex sums hit k(2g(v)-2+n(v))).  For each edge-power vector the weighting
 sum, averaged by r^{-h1}, is a polynomial in r above an explicit threshold;
-its constant term enters the coefficient.  Sampling uses a chambered
-closed-form power-sum evaluation over the free weights; a direct enumeration
-of all r^{h1} weightings serves as the oracle.
+its constant term enters the coefficient.  Each sample enumerates all r^{h1}
+weightings in integer arithmetic (closed_weighting_value), and the constant
+term is interpolated from samples at finitely many r.
 
 The degree-1 part on tree graphs must reproduce twice Hain's divisor
 (hain_divisor below); that pin plus the vanishing of the degree-(g+1) cycle
@@ -169,155 +169,36 @@ def _weight_forms(G: StableGraph, data: RamificationData
     return nfree, out
 
 
-def direct_weighting_value(G: StableGraph, data: RamificationData,
-                           mvec: Sequence[int], r: int) -> Fraction:
-    """Oracle: sum of prod_e (w(h)w(h'))^{m_e+1} over all r^{h1} admissible
-    weightings, divided by r^{h1}; weights enumerated by direct numeric
-    propagation and re-verified against every vertex condition."""
-    if r <= data.residue_bound():
-        raise DomainError("modulus r=%d not above residue bound %d"
-                          % (r, data.residue_bound()))
-    V, E = G.num_vertices, G.num_edges
-    if len(mvec) != E:
-        raise DomainError("edge power vector length mismatch")
-    targets = _vertex_targets(G, data)
-    nfree, forms = _weight_forms(G, data)
-    total = 0
-    for xs in itertools.product(range(r), repeat=nfree):
-        weights = [(forms[h][0] + sum(e * x for e, x in zip(forms[h][1], xs))) % r
-                   for h in range(2 * E)]
-        admissible = all(
-            (sum(weights[h] for h in G.half_edges_at(v)) - targets[v]) % r == 0
-            for v in range(V))
-        if not admissible:
-            continue
-        term = 1
-        for ei in range(E):
-            term *= (weights[2 * ei] * weights[2 * ei + 1]) ** (mvec[ei] + 1)
-        total += term
-    return Fraction(total, r ** nfree)
-
-
-# -- closed-form free-weight summation --------------------------------------
-
-@functools.cache
-def _bernoulli(j: int) -> Fraction:
-    """Bernoulli numbers, B_1 = -1/2 convention."""
-    if j == 0:
-        return Fraction(1)
-    return -sum(comb(j + 1, i) * _bernoulli(i) for i in range(j)) / (j + 1)
-
-
-def _power_sum(p: int, N: int) -> Fraction:
-    """Sum of x^p for x = 0..N (0 when N < 0), by Faulhaber's formula."""
-    if N < 0:
-        return Fraction(0)
-    if p == 0:
-        return Fraction(N + 1)
-    M = N + 1
-    acc = Fraction(0)
-    for j in range(p + 1):
-        acc += comb(p + 1, j) * _bernoulli(j) * M ** (p + 1 - j)
-    return acc / (p + 1)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _chamber_sum_1d(var_factors: list[tuple[int, int, int]], r: int) -> Fraction:
-    """Sum over x in [0, r) of prod ((y(r-y))^{m+1}) with y = (c + s*x) mod r,
-    for factors (s, c, m) with s = +-1.  Piecewise-polynomial in x on chambers
-    cut where a form wraps mod r; each chamber is summed by Faulhaber."""
-    cuts = {0, r}
-    pieces = []
-    for s, c, m in var_factors:
-        c = c % r
-        if s == 1:
-            # y = c + x for x < r - c, else c + x - r
-            if c:
-                cuts.add(r - c)
-        else:
-            # y = c - x for x <= c, else c - x + r
-            if c + 1 < r:
-                cuts.add(c + 1)
-        pieces.append((s, c, m))
-    bounds = sorted(cuts)
-    total = Fraction(0)
-    for lo, hi in zip(bounds, bounds[1:]):
-        poly = [Fraction(1)]
-        for s, c, m in pieces:
-            if s == 1:
-                a = c if lo < r - c or c == 0 else c - r
-            else:
-                a = c if lo <= c else c + r
-            # y = a + s x, factor (y (r - y))^{m+1}
-            base = _poly_mul([Fraction(a), Fraction(s)],
-                             [Fraction(r - a), Fraction(-s)])
-            for _ in range(m + 1):
-                poly = _poly_mul(poly, base)
-        total += sum(cf * (_power_sum(p, hi - 1) - _power_sum(p, lo - 1))
-                     for p, cf in enumerate(poly) if cf)
-    return total
-
-
 def closed_weighting_value(G: StableGraph, data: RamificationData,
                            mvec: Sequence[int], r: int) -> Fraction:
-    """Same value as direct_weighting_value, via closed-form power sums over
-    the free weights (h1 <= 2; larger first Betti numbers fall back)."""
+    """r^{-h1} times the sum of prod_e (w(h)w(h'))^{m_e+1} over the r^{h1}
+    weightings mod r of G, for edge powers mvec and a modulus r above the
+    residue bound.
+
+    Each weighting is fixed by its free weights x in [0, r)^{h1}, which
+    _weight_forms turns into w(h) = (c_h + eps_h . x) mod r.  Since
+    w(h') = r - w(h) mod r, an edge contributes (y(r-y))^{m_e+1} with
+    y = w(h) for its even half-edge h.  The sum runs over Python ints,
+    divided once at the end.
+    """
     if r <= data.residue_bound():
         raise DomainError("modulus r=%d not above residue bound %d"
                           % (r, data.residue_bound()))
-    E = G.num_edges
-    if len(mvec) != E:
+    if len(mvec) != G.num_edges:
         raise DomainError("edge power vector length mismatch")
     nfree, forms = _weight_forms(G, data)
-    if nfree > 2:
-        return direct_weighting_value(G, data, mvec, r)
-    # collapse per edge: factor determined by the half-edge with smaller id,
-    # since w(h') = (r - w(h)) mod r makes w(h)w(h') = y(r-y)
-    edge_forms = [(forms[2 * ei][0], forms[2 * ei][1], mvec[ei])
-                  for ei in range(E)]
-    const = Fraction(1)
-    f1: list[tuple[int, int, int]] = []   # depend on x0 only
-    f2: list[tuple[int, int, int]] = []   # depend on x1 (maybe both)
-    mixed: list[tuple[int, int, int, int]] = []  # (e0, e1, c, m)
-    for c, eps, m in edge_forms:
-        active = [j for j, e in enumerate(eps) if e]
-        if not active:
-            y = c % r
-            const *= Fraction(y * (r - y)) ** (m + 1)
-        elif active == [0]:
-            f1.append((eps[0], c, m))
-        elif active == [1]:
-            f2.append((eps[1], c, m))
-        else:
-            mixed.append((eps[0], eps[1], c, m))
-    if not const:
-        return Fraction(0)
-    if nfree == 0:
-        return const
-    if nfree == 1:
-        return const * _chamber_sum_1d(f1, r) / r
-    # nfree == 2: outer numeric sum over x0, inner closed form in x1
-    total = Fraction(0)
-    for x0 in range(r):
-        inner_const = Fraction(1)
-        for s, c, m in f1:
-            y = (c + s * x0) % r
-            inner_const *= Fraction(y * (r - y)) ** (m + 1)
-        if not inner_const:
-            continue
-        inner = [(s1, c + s0 * x0, m) for s0, s1, c, m in mixed]
-        inner += f2
-        total += inner_const * _chamber_sum_1d(inner, r)
-    return const * total / r ** 2
+    edges = []
+    for ei, m in enumerate(mvec):
+        c, eps = forms[2 * ei]
+        values = [(y * (r - y)) ** (m + 1) for y in range(r)]
+        edges.append((c, [(j, e) for j, e in enumerate(eps) if e], values))
+    total = 0
+    for xs in itertools.product(range(r), repeat=nfree):
+        term = 1
+        for c, active, values in edges:
+            term *= values[(c + sum(e * xs[j] for j, e in active)) % r]
+        total += term
+    return Fraction(total, r ** nfree)
 
 
 def _compositions(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -372,12 +253,12 @@ def interpolate_constant_term(samples: Sequence[tuple[int, Fraction]],
 
 @functools.cache
 def _weighting_ct(G: StableGraph, data: RamificationData,
-                  mvec: tuple[int, ...], sample_offset: int = 0) -> Fraction:
+                  mvec: tuple[int, ...]) -> Fraction:
     """r-constant term of the weighting sum for fixed edge powers."""
     bound = sum(2 * (m + 1) for m in mvec) + G.h1 + 2
     r0 = 2 * (sum(abs(x) for x in data.A)
               + abs(data.k) * (2 * data.g - 2 + data.n)) + 3
-    start = r0 + 1 + sample_offset
+    start = r0 + 1
     last_err: ThresholdError | None = None
     for attempt in range(3):
         rs = range(start + attempt * (bound + 3),
@@ -397,8 +278,7 @@ def _weighting_ct(G: StableGraph, data: RamificationData,
 
 
 @functools.cache
-def pixton_class(data: RamificationData, d: int, *,
-                 sample_offset: int = 0) -> TautClass:
+def pixton_class(data: RamificationData, d: int) -> TautClass:
     """The degree-d cycle P_g^{d,k}(A) as a TautClass (shared; do not mutate).
 
     Degrees above 3g-3+n give the zero class (the cycle group vanishes
@@ -424,7 +304,7 @@ def pixton_class(data: RamificationData, d: int, *,
                 p = comp[:len(active_legs)]
                 q = comp[len(active_legs):len(active_legs) + nverts]
                 mvec = comp[len(active_legs) + nverts:]
-                ct = _weighting_ct(G, data, tuple(mvec), sample_offset)
+                ct = _weighting_ct(G, data, tuple(mvec))
                 if not ct:
                     continue
                 coeff = ct

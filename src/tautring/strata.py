@@ -263,11 +263,11 @@ class TautClass:
     @staticmethod
     def from_payload(payload: Mapping) -> "TautClass":
         try:
-            g = int(payload["g"])
-            n = int(payload["n"])
-            degree = int(payload["degree"])
+            g = _payload_int(payload["g"])
+            n = _payload_int(payload["n"])
+            degree = _payload_int(payload["degree"])
             raw_terms = payload["terms"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DomainError("malformed class payload: %s" % exc) from None
         if not isinstance(raw_terms, list):
             raise DomainError("payload terms must be a list")
@@ -318,10 +318,14 @@ class TautClass:
                     raise DomainError("kappa indices must be positive")
                 kp[vid] = parts
             stratum = make_stratum(graph, pl, ph, kp)
+            coeff = t["coeff"]
+            if isinstance(coeff, (bool, float)):
+                # a JSON float is a binary approximation, not the exact value
+                raise DomainError("coefficient must be a string or an "
+                                  "integer, got %r" % (coeff,))
             try:
-                coeff = Fraction(t["coeff"])
-            except (ValueError, TypeError, ZeroDivisionError,
-                    OverflowError) as exc:
+                coeff = Fraction(coeff)
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise DomainError("bad coefficient: %s" % exc) from None
             out.iadd_term(stratum, coeff)
         return out
@@ -336,9 +340,13 @@ class TautClass:
 
 
 def _payload_int(x) -> int:
+    """An integer field of a payload; JSON floats and booleans are refused
+    rather than truncated or read as 0/1."""
+    if isinstance(x, (bool, float)):
+        raise DomainError("expected an integer, got %r" % (x,))
     try:
         return int(x)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise DomainError("expected an integer, got %r" % (x,)) from None
 
 
@@ -417,10 +425,10 @@ class MixedClass:
     @staticmethod
     def from_payload(payload: Mapping) -> "MixedClass":
         try:
-            g = int(payload["g"])
-            n = int(payload["n"])
+            g = _payload_int(payload["g"])
+            n = _payload_int(payload["n"])
             raw = payload["parts"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DomainError("malformed mixed-class payload: %s" % exc) from None
         if not isinstance(raw, list):
             raise DomainError("payload parts must be a list")
@@ -546,11 +554,17 @@ _LOCUS_ALIASES = {
 }
 
 
-def locus_predicate(locus: str) -> Callable[[StableGraph], bool]:
+def locus_name(locus: str) -> str:
+    """The canonical name ("all", "tl", "ct" or "sm") of a locus given by
+    any alias, in any letter case."""
     key = _LOCUS_ALIASES.get(locus.lower())
     if key is None:
         raise DomainError("unknown locus %r" % locus)
-    return _LOCI[key]
+    return key
+
+
+def locus_predicate(locus: str) -> Callable[[StableGraph], bool]:
+    return _LOCI[locus_name(locus)]
 
 
 def restrict(x: TautClass, locus: str) -> TautClass:

@@ -38,6 +38,7 @@ from .strata import (
     MixedClass,
     TautClass,
     generators,
+    locus_name,
     make_stratum,
     off_locus_strata,
     restrict,
@@ -194,6 +195,7 @@ def check_multiplicativity(data_a: RamificationData, data_b: RamificationData,
     g, n = data_a.g, data_a.n
     if 2 * g > 3 * g - 3 + n:
         raise DomainError("dimension too small for a degree-2g product")
+    locus = locus_name(locus)
     params = {
         "g": g, "n": n, "locus": locus,
         "k_a": data_a.k, "A": list(data_a.A),
@@ -204,7 +206,7 @@ def check_multiplicativity(data_a: RamificationData, data_b: RamificationData,
     lhs = multiply(_drc(data_a), _drc(data_b))
     rhs = multiply(_drc(data_a), _drc(data_ab))
     diff = lhs.sub(rhs)
-    if locus in ("all", "full"):
+    if locus == "all":
         inner = is_zero_mod_pairing(diff)
     else:
         strata = off_locus_strata(g, n, 2 * g, locus)

@@ -148,11 +148,33 @@ def test_malformed_payload_shapes_exit_two(capsys):
         '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
         '"psi":{"m1":1e400}}]}',
         '{"g":1,"n":Infinity,"parts":[]}',
+        # floats and booleans are refused, not truncated or read as 0/1
+        '{"g":1.9,"n":1,"degree":1,"terms":[]}',
+        '{"g":1,"n":1.0,"degree":1,"terms":[]}',
+        '{"g":1,"n":1,"degree":1.5,"terms":[]}',
+        '{"g":true,"n":1,"degree":1,"terms":[]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":{"m1":1.7}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":{"m1":true}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"kappa":{"v0":[1.0]}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"kappa":{"v0":[true]}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":0.1}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":true}]}',
+        '{"g":1.5,"n":1,"parts":[]}',
+        '{"g":1,"n":true,"parts":[]}',
     ]
     for text in bad:
         assert main(["evaluate", text]) == 2, text
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err, text
+    # exact coefficients stay accepted as JSON strings and integers
+    for coeff in ('"1/2"', '3'):
+        text = ('{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#",'
+                '"coeff":%s}]}' % coeff)
+        assert main(["evaluate", text]) == 0, text
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

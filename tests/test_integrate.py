@@ -177,6 +177,36 @@ def test_pairing_matrix_values_and_rank():
     assert pairing_matrix(1, 1, -1).rows == ()
 
 
+def keel_betti(n):
+    """Even Betti numbers of Mbar_{0,n} by Keel's recursion (Trans. AMS 330,
+    1992): P_{m+1} = (1+t) P_m + (t/2) sum_{j=2}^{m-2} C(m,j) P_{j+1} P_{m-j+1}
+    with P_3 = 1."""
+    P = {3: [1]}
+    for m in range(3, n):
+        twice = [0] * (m - 1)
+        for i, c in enumerate(P[m]):
+            twice[i] += 2 * c
+            twice[i + 1] += 2 * c
+        for j in range(2, m - 1):
+            for a, x in enumerate(P[j + 1]):
+                for b, y in enumerate(P[m - j + 1]):
+                    twice[a + b + 1] += math.comb(m, j) * x * y
+        P[m + 1] = [c // 2 for c in twice]
+    return P[n]
+
+
+def test_pairing_ranks_match_betti_numbers():
+    # the pairing is perfect on R*(Mbar_{0,n}) = H^{2*}(Mbar_{0,n})
+    for n in (5, 6):
+        betti = keel_betti(n)
+        assert betti[1] == 2 ** (n - 1) - math.comb(n, 2) - 1
+        assert [pairing_matrix(0, n, d).rank for d in range(n - 2)] == betti
+    # h^2(Mbar_{1,n}) = 2^n - n, and rank_d = rank_{dim-d}
+    ranks = [pairing_matrix(1, 3, d).rank for d in range(4)]
+    assert ranks[1] == 2 ** 3 - 3
+    assert ranks == ranks[::-1]
+
+
 def gauss_rank_oracle(rows):
     rows = [list(map(Fraction, r)) for r in rows]
     rank, col = 0, 0

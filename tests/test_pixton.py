@@ -10,7 +10,6 @@ from tautring.pixton import (
     ThresholdError,
     closed_weighting_value,
     delta_factor,
-    direct_weighting_value,
     exp_class,
     hain_divisor,
     interpolate_constant_term,
@@ -19,6 +18,8 @@ from tautring.pixton import (
     q_form,
 )
 from tautring.strata import MixedClass, generators, restrict, single, unit
+
+from oracles import brute_force_weighting_value
 
 
 def test_ramification_data_validation():
@@ -48,6 +49,7 @@ def test_closed_matches_direct_weighting():
     for g, n, c in [(1, 1, 1), (1, 2, 2), (2, 1, 2)]:
         pool.extend(G for G in enumerate_stable_graphs(g, n, c)
                     if G.num_edges > 0)
+    cases = []
     for _ in range(10):
         G = rng.choice(pool)
         g, n = G.genus(), G.num_legs
@@ -57,9 +59,19 @@ def test_closed_matches_direct_weighting():
         A.append(total - sum(A))
         data = RamificationData(g, n, k, tuple(A))
         mvec = tuple(rng.randint(0, 2) for _ in range(G.num_edges))
-        r = data.residue_bound() + rng.randint(1, 4)
+        cases.append((G, data, mvec, data.residue_bound() + rng.randint(1, 4)))
+    # genus 3, first Betti number 3: the h1 >= 3 graphs of P_3^{d,k}(A)
+    three = [G for G in enumerate_stable_graphs(3, 1, 4) if G.h1 == 3]
+    assert any(G.num_vertices > 1 for G in three)
+    for G in three:
+        for data in (RamificationData(3, 1, 0, (0,)),
+                     RamificationData(3, 1, 1, (5,))):
+            mvec = tuple(rng.randint(0, 1) for _ in range(G.num_edges))
+            r = data.residue_bound() + rng.randint(4, 7)
+            cases.append((G, data, mvec, r))
+    for G, data, mvec, r in cases:
         assert closed_weighting_value(G, data, mvec, r) == \
-            direct_weighting_value(G, data, mvec, r)
+            brute_force_weighting_value(G, data, mvec, r), (G, data, mvec, r)
 
 
 def test_interpolation_recovers_constant_term():
@@ -145,11 +157,22 @@ def test_delta_factor_frozen():
     assert t2 == {"[(0|1,2)#((0,0),(0,1)) | psi(h0)]": Fraction(1, 30)}
 
 
-def test_sample_window_independence():
-    data = RamificationData(1, 2, 0, (1, -1))
-    a = pixton_class(data, 1, sample_offset=0)
-    b = pixton_class(data, 1, sample_offset=1)
-    assert a == b
+def test_disjoint_sample_windows_agree():
+    # above the polynomiality threshold any window of moduli interpolates
+    # the same polynomial, so two disjoint windows give one constant term
+    data = RamificationData(2, 1, 1, (3,))
+    r0 = data.residue_bound() + 1
+    for G in enumerate_stable_graphs(2, 1, 2):
+        if not G.num_edges:
+            continue
+        for mvec in {(0,) * G.num_edges, (1,) + (0,) * (G.num_edges - 1)}:
+            bound = sum(2 * (m + 1) for m in mvec) + G.h1 + 2
+            size = bound + 3
+            cts = [interpolate_constant_term(
+                       [(r, closed_weighting_value(G, data, mvec, r))
+                        for r in range(start, start + size)], bound)
+                   for start in (r0, r0 + size)]
+            assert cts[0] == cts[1], (G, mvec)
 
 
 def test_pixton_mixed_collects_all_degrees():

@@ -107,6 +107,16 @@ def test_multiplicativity_passes_on_treelike_locus():
     assert rep.verdict == "pass-mod-pairing-kernel"
 
 
+def test_locus_aliases_give_identical_reports():
+    # the counterexample data, which fails on the full space
+    da = RamificationData(1, 3, 0, (2, 4, -6))
+    db = RamificationData(1, 3, 0, (-3, -1, 4))
+    reports = [check_multiplicativity(da, db, locus).to_payload(False)
+               for locus in ("all", "ALL", "Full")]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["witness"]["pairing"] == "27/2"
+
+
 def test_exp_identities_smallest_case():
     rep = check_exp_identities(RamificationData(1, 1, 0, (0,)))
     assert rep.passed
