@@ -42,14 +42,7 @@ from .integrate import (
     solve_linear_system,
     stratum_integral,
 )
-from .product import (
-    kappa1_times,
-    multiply,
-    multiply_mixed,
-    multiply_strata,
-    power,
-    psi_times,
-)
+from .product import multiply, multiply_mixed, multiply_strata
 from .pixton import (
     RamificationData,
     ThresholdError,
@@ -100,7 +93,6 @@ __all__ = [
     "in_span_mod_pairing",
     "is_zero_mod_pairing",
     "isomorphisms",
-    "kappa1_times",
     "kappa_psi_integral",
     "make_graph",
     "make_stratum",
@@ -114,9 +106,7 @@ __all__ = [
     "pairing_matrix",
     "pixton_class",
     "pixton_mixed",
-    "power",
     "psi_integral",
-    "psi_times",
     "q_form",
     "restrict",
     "single",

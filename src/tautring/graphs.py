@@ -37,6 +37,12 @@ class DomainError(ValueError):
     """Raised for inputs outside the supported domain (unstable, malformed)."""
 
 
+def check_stable_type(g: int, n: int) -> None:
+    """Refuse (g, n) unless g, n >= 0 and 2g - 2 + n > 0."""
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise DomainError("unstable type (g, n) = (%d, %d)" % (g, n))
+
+
 # ---------------------------------------------------------------------------
 # the graph record
 
@@ -287,32 +293,30 @@ def _candidate_perms(graph: StableGraph) -> Iterator[list[int]]:
 
 
 def _half_edge_map(graph: StableGraph, perm: Sequence[int],
-                   new_edges: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int]]:
-    """Edge and half-edge maps induced by a vertex relabeling.
+                   new_edges: tuple[tuple[int, int], ...]) -> list[int]:
+    """Half-edge map induced by a vertex relabeling: hemap[h] is the image
+    half-edge id.
 
     Parallel originals are matched to consecutive new slots in original edge
     order; any other matching differs by an automorphism of the target.
-    Returns (edge_map, hemap) with hemap[h] the image half-edge id.
     """
     buckets: dict[tuple[int, int], list[int]] = {}
     for j, pair in enumerate(new_edges):
         buckets.setdefault(pair, []).append(j)
     taken: dict[tuple[int, int], int] = {}
-    edge_map = [0] * graph.num_edges
     hemap = [0] * (2 * graph.num_edges)
     for i, (a, b) in enumerate(graph.edges):
         pair = (min(perm[a], perm[b]), max(perm[a], perm[b]))
         k = taken.get(pair, 0)
         taken[pair] = k + 1
         j = buckets[pair][k]
-        edge_map[i] = j
         if a == b or perm[a] <= perm[b]:
             hemap[2 * i] = 2 * j
             hemap[2 * i + 1] = 2 * j + 1
         else:
             hemap[2 * i] = 2 * j + 1
             hemap[2 * i + 1] = 2 * j
-    return edge_map, hemap
+    return hemap
 
 
 # A dict, not functools.cache: a miss also stores the canonical graph's identity map.
@@ -338,7 +342,7 @@ def canonical(graph: StableGraph) -> tuple[StableGraph, tuple[int, ...], tuple[i
             best_perm = perm
     assert best is not None and best_perm is not None
     cgraph = StableGraph(*best)
-    _, hemap = _half_edge_map(graph, best_perm, cgraph.edges)
+    hemap = _half_edge_map(graph, best_perm, cgraph.edges)
     result = (cgraph, tuple(best_perm), tuple(hemap))
     _CANON_CACHE[key] = result
     if key != (cgraph.genera, cgraph.legs, cgraph.edges):
@@ -364,57 +368,42 @@ def make_graph(genera: Sequence[int], legs: Sequence[Sequence[int]],
 # automorphisms and isomorphisms
 
 
-@functools.cache
-def automorphisms(graph: StableGraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All automorphisms of a canonical graph as (vertex_perm, half_edge_map).
-
-    Includes edge-level symmetry: permutations of parallel edges and the two
-    half-edge orderings of each loop.
-    """
-    E = graph.num_edges
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+def _edge_symmetries(graph: StableGraph) -> list[tuple[int, ...]]:
+    """Half-edge maps that fix every vertex: permutations of parallel
+    edges, and flips of loops."""
     buckets: dict[tuple[int, int], list[int]] = {}
     for j, pair in enumerate(graph.edges):
         buckets.setdefault(pair, []).append(j)
+    choices = []
+    for (a, b), js in buckets.items():
+        flips = [fl for fl in itertools.product((0, 1), repeat=len(js))
+                 if a == b or not any(fl)]
+        choices.append([(js, tgt, fl) for tgt in itertools.permutations(js)
+                        for fl in flips])
+    out = []
+    for combo in itertools.product(*choices):
+        sym = list(range(2 * graph.num_edges))
+        for js, tgt, fl in combo:
+            for i, j, f in zip(js, tgt, fl):
+                sym[2 * i] = 2 * j + f
+                sym[2 * i + 1] = 2 * j + 1 - f
+        out.append(tuple(sym))
+    return out
+
+
+@functools.cache
+def automorphisms(graph: StableGraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """All automorphisms of a canonical graph as (vertex_perm, half_edge_map):
+    each vertex permutation that fixes the graph, composed with every edge
+    symmetry."""
     base = _relabel(graph, list(range(graph.num_vertices)))
+    syms = _edge_symmetries(graph)
+    out = []
     for perm in _candidate_perms(graph):
-        if _relabel(graph, perm) != base:
-            continue
-        # originals grouped by image pair
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, (a, b) in enumerate(graph.edges):
-            pair = (min(perm[a], perm[b]), max(perm[a], perm[b]))
-            groups.setdefault(pair, []).append(i)
-        pairs = sorted(groups)
-        choices = []
-        for pair in pairs:
-            src = groups[pair]
-            dst = buckets[pair]
-            is_loop = pair[0] == pair[1]
-            assignments = []
-            for tgt in itertools.permutations(dst):
-                if is_loop:
-                    for flips in itertools.product((False, True), repeat=len(src)):
-                        assignments.append((tgt, flips))
-                else:
-                    assignments.append((tgt, (False,) * len(src)))
-            choices.append((src, assignments))
-        for combo in itertools.product(*(a for (_, a) in choices)):
-            hemap = [0] * (2 * E)
-            for (src, _), (tgt, flips) in zip(choices, combo):
-                for i, j, flip in zip(src, tgt, flips):
-                    a, b = graph.edges[i]
-                    if a == b:
-                        lo, hi = (2 * j + 1, 2 * j) if flip else (2 * j, 2 * j + 1)
-                        hemap[2 * i] = lo
-                        hemap[2 * i + 1] = hi
-                    elif perm[a] <= perm[b]:
-                        hemap[2 * i] = 2 * j
-                        hemap[2 * i + 1] = 2 * j + 1
-                    else:
-                        hemap[2 * i] = 2 * j + 1
-                        hemap[2 * i + 1] = 2 * j
-            out.append((tuple(perm), tuple(hemap)))
+        if _relabel(graph, perm) == base:
+            hemap = _half_edge_map(graph, perm, graph.edges)
+            out.extend((tuple(perm), tuple(sym[h] for h in hemap))
+                       for sym in syms)
     return tuple(out)
 
 
@@ -569,9 +558,8 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> tuple[StableGraph
     a vertex or dropping a loop from the level-e list reaches all of level
     e+1.
     """
-    if 2 * g - 2 + n <= 0:
-        raise DomainError("unstable type (g, n) = (%d, %d)" % (g, n))
-    if g < 0 or n < 0 or max_edges < 0:
+    check_stable_type(g, n)
+    if max_edges < 0:
         raise DomainError("negative parameter")
     main = make_graph([g], [tuple(range(1, n + 1))], [])
     levels: list[dict[str, StableGraph]] = [{main.encode(): main}]

@@ -397,7 +397,7 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
 @dataclass(frozen=True)
 class PairingMatrix:
     """Intersection pairing of degree-d generators against the complementary
-    generators, with an echelon certificate for rank queries."""
+    generators."""
 
     g: int
     n: int
@@ -407,15 +407,8 @@ class PairingMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     @functools.cached_property
-    def echelon(self) -> tuple[int, tuple[int, ...], list[list[int]]]:
-        """(rank, pivot columns, integer echelon rows) of the entries."""
-        if not self.entries:
-            return (0, (), [])
-        return fraction_free_echelon(self.entries)
-
-    @property
     def rank(self) -> int:
-        return self.echelon[0]
+        return matrix_rank(self.entries)
 
 
 @functools.cache

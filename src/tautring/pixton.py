@@ -26,10 +26,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .graphs import DomainError, StableGraph, enumerate_stable_graphs, make_graph
-from .strata import MixedClass, TautClass, fundamental_stratum, make_stratum, single, unit
+from .graphs import DomainError, StableGraph, check_stable_type, \
+    enumerate_stable_graphs, make_graph
+from .strata import MixedClass, TautClass, compositions, fundamental_stratum, \
+    make_stratum, single, unit
 from .product import multiply_mixed
 
 
@@ -52,8 +54,7 @@ class RamificationData:
         object.__setattr__(self, "A", tuple(int(x) for x in self.A))
         if self.n != len(self.A):
             raise DomainError("A must have length n")
-        if 2 * self.g - 2 + self.n <= 0:
-            raise DomainError("unstable type (g, n) = (%d, %d)" % (self.g, self.n))
+        check_stable_type(self.g, self.n)
         if sum(self.A) != self.k * (2 * self.g - 2 + self.n):
             raise DomainError("sum(A) = %d != k(2g-2+n) = %d"
                               % (sum(self.A), self.k * (2 * self.g - 2 + self.n)))
@@ -201,16 +202,6 @@ def closed_weighting_value(G: StableGraph, data: RamificationData,
     return Fraction(total, r ** nfree)
 
 
-def _compositions(total_max: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative ints with sum <= total_max."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in _compositions(total_max - first, parts - 1):
-            yield (first,) + rest
-
-
 # ---------------------------------------------------------------------------
 # interpolation
 
@@ -254,11 +245,10 @@ def interpolate_constant_term(samples: Sequence[tuple[int, Fraction]],
 @functools.cache
 def _weighting_ct(G: StableGraph, data: RamificationData,
                   mvec: tuple[int, ...]) -> Fraction:
-    """r-constant term of the weighting sum for fixed edge powers."""
+    """r-constant term of the weighting sum for fixed edge powers, sampled
+    from the first modulus above the residue bound."""
     bound = sum(2 * (m + 1) for m in mvec) + G.h1 + 2
-    r0 = 2 * (sum(abs(x) for x in data.A)
-              + abs(data.k) * (2 * data.g - 2 + data.n)) + 3
-    start = r0 + 1
+    start = data.residue_bound() + 1
     last_err: ThresholdError | None = None
     for attempt in range(3):
         rs = range(start + attempt * (bound + 3),
@@ -298,9 +288,7 @@ def pixton_class(data: RamificationData, d: int) -> TautClass:
             active_legs = [m for m in legs_all if A[m - 1] != 0]
             nverts = G.num_vertices if data.k != 0 else 0
             slots = len(active_legs) + nverts + E
-            for comp in _compositions(budget, slots):
-                if sum(comp) != budget:
-                    continue
+            for comp in compositions(budget, slots):
                 p = comp[:len(active_legs)]
                 q = comp[len(active_legs):len(active_legs) + nverts]
                 mvec = comp[len(active_legs) + nverts:]

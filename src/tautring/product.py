@@ -44,8 +44,7 @@ from .graphs import (
     enumerate_stable_graphs,
     isomorphisms,
 )
-from .strata import DecoratedStratum, MixedClass, TautClass, \
-    fundamental_stratum, make_stratum, single
+from .strata import DecoratedStratum, MixedClass, TautClass, make_stratum
 
 # A contraction structure of G onto a target graph GA:
 #   (kept edge subset K, half-edge transport GA-he -> G-he,
@@ -191,44 +190,4 @@ def multiply_mixed(x: MixedClass, y: MixedClass) -> MixedClass:
                 acc[d] = p
     for part in acc.values():
         out.set_part(part)
-    return out
-
-
-def power(x: TautClass, k: int) -> TautClass:
-    """k-th power; the zeroth power is the fundamental class."""
-    if k < 0:
-        raise DomainError("power expects k >= 0")
-    if k == 0:
-        return single(x.g, x.n, fundamental_stratum(x.g, x.n))
-    out = x
-    for _ in range(k - 1):
-        out = multiply(out, x)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# fast divisor actions (agree with the general product; kept for speed)
-
-
-def psi_times(i: int, x: TautClass) -> TautClass:
-    """Product with the psi class at marking i."""
-    out = TautClass(x.g, x.n, x.degree + 1)
-    for s, c in x.terms.items():
-        pl = dict(s.psi_leg)
-        pl[i] = pl.get(i, 0) + 1
-        out.iadd_term(make_stratum(s.graph, pl, dict(s.psi_he),
-                                   {v: parts for v, parts in s.kappa}), c)
-    return out
-
-
-def kappa1_times(x: TautClass) -> TautClass:
-    """Product with kappa_1: the kappa factor distributes over vertices."""
-    out = TautClass(x.g, x.n, x.degree + 1)
-    for s, c in x.terms.items():
-        kp0 = {v: parts for v, parts in s.kappa}
-        for v in range(s.graph.num_vertices):
-            kp = dict(kp0)
-            kp[v] = tuple(kp.get(v, ())) + (1,)
-            out.iadd_term(make_stratum(s.graph, dict(s.psi_leg),
-                                       dict(s.psi_he), kp), c)
     return out

@@ -23,6 +23,7 @@ insertion.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .graphs import (
     StableGraph,
     automorphisms,
     canonical,
+    check_stable_type,
     decode_graph,
     enumerate_stable_graphs,
 )
@@ -271,7 +273,7 @@ class TautClass:
             raise DomainError("malformed class payload: %s" % exc) from None
         if not isinstance(raw_terms, list):
             raise DomainError("payload terms must be a list")
-        _check_payload_type(g, n)
+        check_stable_type(g, n)
         out = TautClass(g, n, degree)
         for t in raw_terms:
             if not isinstance(t, Mapping) or "graph" not in t or "coeff" not in t:
@@ -348,11 +350,6 @@ def _payload_int(x) -> int:
         return int(x)
     except (TypeError, ValueError):
         raise DomainError("expected an integer, got %r" % (x,)) from None
-
-
-def _check_payload_type(g: int, n: int) -> None:
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
-        raise DomainError("unstable type (g, n) = (%d, %d)" % (g, n))
 
 
 def single(g: int, n: int, stratum: DecoratedStratum,
@@ -432,7 +429,7 @@ class MixedClass:
             raise DomainError("malformed mixed-class payload: %s" % exc) from None
         if not isinstance(raw, list):
             raise DomainError("payload parts must be a list")
-        _check_payload_type(g, n)
+        check_stable_type(g, n)
         out = MixedClass(g, n)
         for p in raw:
             out.set_part(TautClass.from_payload(p))
@@ -467,63 +464,49 @@ def _partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``parts`` nonnegative ints summing to ``total``, in
+    lexicographic order (stars and bars: choose the parts - 1 bars)."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+
+
 def _decorations(graph: StableGraph, budget: int) -> Iterator[
         tuple[dict[int, int], dict[int, int], dict[int, tuple[int, ...]]]]:
     """All decorations of total degree ``budget`` on a canonical graph,
-    pruned by the per-vertex dimension bound."""
-    dims = [graph.vertex_dim(v) for v in range(graph.num_vertices)]
-    leg_slots = [(m, v) for v in range(graph.num_vertices) for m in graph.legs[v]]
-    he_slots = [(h, graph.vertex_of(h)) for h in range(2 * graph.num_edges)]
-
-    def rec(idx: int, rest: int, local: list[int],
-            pl: dict[int, int], ph: dict[int, int]):
-        if idx == len(leg_slots) + len(he_slots):
-            # distribute the remainder as kappa weight over vertices
-            yield from kappa_rec(0, rest, local, pl, ph, {})
-            return
-        if idx < len(leg_slots):
-            slot, v = leg_slots[idx]
-        else:
-            slot, v = he_slots[idx - len(leg_slots)]
-        room = min(rest, dims[v] - local[v])
-        for e in range(room + 1):
-            local[v] += e
-            if idx < len(leg_slots):
-                if e:
-                    pl[slot] = e
-                yield from rec(idx + 1, rest - e, local, pl, ph)
-                pl.pop(slot, None)
-            else:
-                if e:
-                    ph[slot] = e
-                yield from rec(idx + 1, rest - e, local, pl, ph)
-                ph.pop(slot, None)
-            local[v] -= e
-
-    def kappa_rec(v: int, rest: int, local: list[int],
-                  pl: dict[int, int], ph: dict[int, int],
-                  kp: dict[int, tuple[int, ...]]):
-        if v == graph.num_vertices:
-            if rest == 0:
-                yield dict(pl), dict(ph), dict(kp)
-            return
-        room = min(rest, dims[v] - local[v])
-        for w in range(room + 1):
-            for parts in _partitions(w):
-                if parts:
-                    kp[v] = parts
-                yield from kappa_rec(v + 1, rest - w, local, pl, ph, kp)
-                kp.pop(v, None)
-
-    yield from rec(0, budget, [0] * graph.num_vertices, {}, {})
+    pruned by the per-vertex dimension bound.  The budget is spread over leg
+    psi, half-edge psi and per-vertex kappa weight; each kappa weight is
+    then split into partitions."""
+    V = graph.num_vertices
+    dims = [graph.vertex_dim(v) for v in range(V)]
+    legs = [m for v in range(V) for m in graph.legs[v]]
+    owners = ([v for v in range(V) for _ in graph.legs[v]]
+              + [graph.vertex_of(h) for h in range(2 * graph.num_edges)]
+              + list(range(V)))
+    nl, nh = len(legs), 2 * graph.num_edges
+    for comp in compositions(budget, len(owners)):
+        local = [0] * V
+        for v, e in zip(owners, comp):
+            if e:
+                local[v] += e
+        if any(x > dim for x, dim in zip(local, dims)):
+            continue
+        pl = {m: e for m, e in zip(legs, comp) if e}
+        ph = {h: e for h, e in enumerate(comp[nl:nl + nh]) if e}
+        for parts in itertools.product(*map(_partitions, comp[nl + nh:])):
+            yield pl, ph, {v: p for v, p in enumerate(parts) if p}
 
 
 @functools.cache
 def generators(g: int, n: int, d: int) -> tuple[DecoratedStratum, ...]:
     """All canonical decorated strata of codimension d on Mbar_{g,n},
     deduplicated across Aut-equivalent decorations, sorted."""
-    if 2 * g - 2 + n <= 0:
-        raise DomainError("unstable type (g, n) = (%d, %d)" % (g, n))
+    check_stable_type(g, n)
     if d < 0:
         raise DomainError("negative codimension")
     if d > 3 * g - 3 + n:

@@ -1,9 +1,33 @@
 """Reference computations for the tests, kept independent of the code they
 check: nothing here calls into the weighting-sum machinery of
-tautring.pixton."""
+tautring.pixton or the excess-intersection product of tautring.product."""
 
 import itertools
 from fractions import Fraction
+
+from tautring.strata import TautClass, make_stratum
+
+
+def psi_times(i, x):
+    """Product with the psi class at marking i: raise its exponent on every
+    term, with no common degeneration involved."""
+    out = TautClass(x.g, x.n, x.degree + 1)
+    for s, c in x.terms.items():
+        pl = dict(s.psi_leg)
+        pl[i] = pl.get(i, 0) + 1
+        out.iadd_term(make_stratum(s.graph, pl, s.psi_he, s.kappa), c)
+    return out
+
+
+def kappa1_times(x):
+    """Product with kappa_1: one kappa_1 factor on each vertex in turn."""
+    out = TautClass(x.g, x.n, x.degree + 1)
+    for s, c in x.terms.items():
+        for v in range(s.graph.num_vertices):
+            kp = dict(s.kappa)
+            kp[v] = kp.get(v, ()) + (1,)
+            out.iadd_term(make_stratum(s.graph, s.psi_leg, s.psi_he, kp), c)
+    return out
 
 
 def brute_force_weighting_value(G, data, mvec, r):

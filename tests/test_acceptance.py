@@ -22,7 +22,7 @@ from tautring.pixton import (
     pixton_class,
     q_form,
 )
-from tautring.product import kappa1_times, multiply, psi_times
+from tautring.product import multiply
 from tautring.strata import generators, make_stratum, restrict, single
 from tautring.verify import (
     check_exp_identities,
@@ -31,7 +31,7 @@ from tautring.verify import (
     check_section7,
 )
 
-from oracles import brute_force_weighting_value
+from oracles import brute_force_weighting_value, kappa1_times, psi_times
 
 
 _CAPMAN = None

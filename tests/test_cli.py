@@ -122,6 +122,12 @@ def test_usage_errors_exit_two(capsys):
                  "--A", "1,1"]) == 2  # bad sum
     assert main(["evaluate", "not json"]) == 2
     assert main(["check", "exp-identities", "--k", "0", "--A", "0"]) == 2
+    # 2g - 2 + n > 0 holds for (g, n) = (-1, 5); the type is still invalid
+    assert main(["check", "gplus1", "--g", "-1", "--n", "5",
+                 "--A", "0,0,0,0,0"]) == 2
+    assert main(["pixton", "--g", "-1", "--n", "5", "--k", "0",
+                 "--A", "0,0,0,0,0"]) == 2
+    assert main(["generators", "--g", "-1", "--n", "5", "--d", "0"]) == 2
 
 
 def test_malformed_payload_shapes_exit_two(capsys):

@@ -9,6 +9,7 @@ from tautring.graphs import (
     DomainError,
     StableGraph,
     automorphism_count,
+    automorphisms,
     canonical,
     contract,
     decode_graph,
@@ -83,6 +84,17 @@ def test_automorphism_count_matches_closed_form():
         for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
             assert automorphism_count(G) == \
                 closed_form_automorphism_count(G), G.encode()
+            # each (perm, hemap) is a distinct symmetry of the incidence
+            auts = automorphisms(G)
+            assert len(set(auts)) == len(auts), G.encode()
+            for perm, hemap in auts:
+                assert all(G.legs[perm[v]] == G.legs[v]
+                           and G.genera[perm[v]] == G.genera[v]
+                           for v in range(G.num_vertices)), G.encode()
+                assert sorted(hemap) == list(range(2 * G.num_edges))
+                for h in range(2 * G.num_edges):
+                    assert G.vertex_of(hemap[h]) == perm[G.vertex_of(h)]
+                    assert hemap[h ^ 1] == hemap[h] ^ 1
             checked += 1
     assert checked == 581
 

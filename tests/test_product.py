@@ -15,12 +15,9 @@ from tautring.graphs import (
 from tautring.integrate import evaluate, pair_classes
 from tautring.product import (
     contraction_structures,
-    kappa1_times,
     multiply,
     multiply_mixed,
     multiply_strata,
-    power,
-    psi_times,
 )
 from tautring.strata import (
     MixedClass,
@@ -31,6 +28,8 @@ from tautring.strata import (
     single,
     unit,
 )
+
+from oracles import kappa1_times, psi_times
 
 
 def smooth_psi(g, n, i):
@@ -115,7 +114,7 @@ def test_excess_intersection_separating_square():
     d12 = make_stratum(make_graph([0, 0], [(1, 2), (3, 4, 5)], [(0, 1)]),
                        {}, {}, {})
     x = single(0, 5, d12)
-    assert evaluate(power(x, 2)) == -1
+    assert evaluate(multiply(x, x)) == -1
 
 
 def test_kappa_square_against_direct_integral():
@@ -129,16 +128,7 @@ def test_kappa_square_against_direct_integral():
 def test_dimension_overflow_is_zero():
     x = smooth_psi(1, 1, 1)
     assert multiply(x, x).is_zero()
-    assert power(x, 3).is_zero()
-
-
-def test_power_small_cases():
-    x = smooth_psi(1, 2, 1)
-    assert power(x, 0) == single(1, 2, fundamental_stratum(1, 2))
-    assert power(x, 1) == x
-    assert power(x, 2) == multiply(x, x)
-    with pytest.raises(DomainError):
-        power(x, -1)
+    assert multiply(multiply(x, x), x).is_zero()
 
 
 def test_multiply_strata_matches_multiply():

@@ -27,6 +27,15 @@ def test_generator_counts():
     assert len(generators(1, 1, 1)) == 3
     assert len(generators(1, 2, 1)) == 5
     assert len(generators(1, 2, 2)) == 15
+    # every degree, as counted before the enumerators were rewritten
+    for (g, n), counts in {(0, 5): [1, 16, 87],
+                           (0, 6): [1, 32, 324, 1302],
+                           (1, 3): [1, 9, 42, 115],
+                           (1, 4): [1, 17, 129, 551, 1324],
+                           (2, 1): [1, 4, 17, 49, 92],
+                           (2, 2): [1, 7, 38, 161, 463, 796]}.items():
+        assert [len(generators(g, n, d)) for d in range(len(counts))] == \
+            counts, (g, n)
 
 
 def test_generator_degrees_and_uniqueness():
