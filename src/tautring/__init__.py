@@ -2,7 +2,7 @@
 
 Everything is exact: coefficients are ``fractions.Fraction``, graph
 combinatorics is canonical-form based, and intersection numbers come from
-the string/dilaton-compatible genus recursion.  No floats anywhere.
+the string and dilaton equations and the DVV recursion.  No floats anywhere.
 """
 
 from .graphs import (
@@ -31,7 +31,6 @@ from .strata import (
 )
 from .integrate import (
     PairingMatrix,
-    cache_dir,
     evaluate,
     kappa_psi_integral,
     matrix_rank,
@@ -75,7 +74,6 @@ __all__ = [
     "ThresholdError",
     "automorphism_count",
     "automorphisms",
-    "cache_dir",
     "canonical",
     "check_exp_identities",
     "check_gplus1",

@@ -2,9 +2,9 @@
 
 Subcommands map one-to-one onto module operations: graph and generator
 listings, the graded ramification cycle and its quadratic divisor, products,
-integrals, pairings, the named check bundles, and cache management.  JSON
-output (--json) is the machine interface and re-parses into the identical
-internal value; the human view is lossy and never parsed.  Exit codes:
+integrals, pairings and the named check bundles.  JSON output (--json) is
+the machine interface and re-parses into the identical internal value; the
+human view is lossy and never parsed.  Exit codes:
 0 success / all checks passed, 1 a check failed, 2 usage or domain error,
 3 internal error (a defect, reported on stderr without a traceback).
 """
@@ -17,8 +17,7 @@ import re
 import sys
 
 from .graphs import DomainError, automorphism_count, enumerate_stable_graphs
-from .integrate import cache_dir, evaluate, pair_classes, wk_cache_clear, \
-    wk_cache_status
+from .integrate import evaluate, pair_classes
 from .pixton import RamificationData, hain_divisor, pixton_class, \
     pixton_mixed, q_form
 from .product import multiply, multiply_mixed
@@ -184,21 +183,6 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_cache(args) -> int:
-    if args.op == "path":
-        _emit({"dir": cache_dir()}, args, cache_dir())
-        return 0
-    if args.op == "clear":
-        wk_cache_clear()
-        status = wk_cache_status()
-        _emit(status, args, "cache cleared (%s)" % status["dir"])
-        return 0
-    status = wk_cache_status()
-    human = "\n".join("%s: %s" % (k, v) for k, v in sorted(status.items()))
-    _emit(status, args, human)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -305,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include runtimes (breaks byte-determinism)")
     common(p)
     p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("cache", help="persistent cache management")
-    p.add_argument("op", choices=["status", "clear", "path"])
-    common(p)
-    p.set_defaults(fn=_cmd_cache)
 
     return ap
 

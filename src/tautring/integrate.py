@@ -1,8 +1,9 @@
 """Exact intersection numbers on Mbar_{g,n}.
 
-psi_integral computes correlators <tau_{d_1} ... tau_{d_n}>_g by the
-KdV/Virasoro recursion on the largest index, with exact Fraction arithmetic,
-memoization, and an optional on-disk cache (set TAUTRING_CACHE_DIR).
+psi_integral computes correlators <tau_{d_1} ... tau_{d_n}>_g exactly, with
+one in-process memo.  A tau_0 is removed by the string equation, else a tau_1
+by the dilaton equation (Witten 1991); only when every index is >= 2 does the
+DVV (KdV/Virasoro) recursion on the largest index run.
 
 kappa_psi_integral reduces mixed kappa-psi integrals to pure psi integrals by
 pushing kappa classes to an extra marked point, one kappa factor at a time:
@@ -20,11 +21,7 @@ graph, without building the product class.
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import functools
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -46,153 +43,31 @@ def double_factorial(k: int) -> int:
     return out
 
 
-# ---------------------------------------------------------------------------
-# disk cache for psi correlators
-
-_WK_HEADER = "# tautring-wk-cache v1"
-
-
-def cache_dir() -> str:
-    """Directory for persistent caches: TAUTRING_CACHE_DIR if set,
-    otherwise ~/.cache/tautring."""
-    root = os.environ.get("TAUTRING_CACHE_DIR")
-    if root:
-        return root
-    return os.path.join(os.path.expanduser("~"), ".cache", "tautring")
-
-
-class _WKCache:
-    """Memo for <tau_...>_g values, mirrored to disk when configured."""
-
-    def __init__(self) -> None:
-        self.mem: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        self._loaded_from: str | None = None
-        self._dirty = False
-
-    def _path(self) -> str:
-        return os.path.join(cache_dir(), "wk_integrals.txt")
-
-    def _ensure_loaded(self) -> None:
-        path = self._path()
-        if path == self._loaded_from:
-            return
-        self._loaded_from = path
-        if not os.path.exists(path):
-            return
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except OSError:
-            return
-        if not lines or lines[0].strip() != _WK_HEADER:
-            self._dirty = True  # stale or foreign file: rewrite on flush
-            return
-        try:
-            for line in lines[1:]:
-                line = line.strip()
-                if not line:
-                    continue
-                gtxt, dtxt, vtxt = line.split(";")
-                g = int(gtxt)
-                exps = tuple(int(x) for x in dtxt.split(",")) if dtxt else ()
-                self.mem.setdefault((g, exps), Fraction(vtxt))
-        except (ValueError, ZeroDivisionError):
-            self.mem.clear()
-            self._dirty = True
-
-    def get(self, key: tuple[int, tuple[int, ...]]) -> Fraction | None:
-        self._ensure_loaded()
-        return self.mem.get(key)
-
-    def put(self, key: tuple[int, tuple[int, ...]], value: Fraction) -> None:
-        self.mem[key] = value
-        self._dirty = True
-
-    def flush(self) -> None:
-        """Best-effort write through a unique temp file, so concurrent
-        flushes never interleave and a stray file cannot block the write."""
-        if not self._dirty:
-            return
-        path = self._path()
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                       prefix="wk_integrals.", suffix=".tmp")
-        except OSError:
-            return
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(_WK_HEADER + "\n")
-                for (g, exps), value in sorted(self.mem.items()):
-                    fh.write("%d;%s;%s\n" % (g, ",".join(map(str, exps)), value))
-            os.replace(tmp, path)
-            self._dirty = False
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-
-
-# A dict behind a class, not functools.cache: the memo is mirrored to disk.
-_WK = _WKCache()
-atexit.register(_WK.flush)
-
-
-def wk_cache_status() -> dict:
-    """Entry counts for the persistent and in-process caches."""
-    path = _WK._path()
-    disk = 0
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-            if lines and lines[0].strip() == _WK_HEADER:
-                disk = sum(1 for ln in lines[1:] if ln.strip())
-        except OSError:
-            pass
-    writable = os.access(cache_dir(), os.W_OK) if os.path.isdir(cache_dir()) \
-        else os.access(os.path.dirname(cache_dir()) or ".", os.W_OK)
-    return {
-        "dir": cache_dir(),
-        "writable": writable,
-        "wk_disk_entries": disk,
-        "wk_memory_entries": len(_WK.mem),
-    }
-
-
-def wk_cache_clear() -> None:
-    """Drop the in-memory memo and delete the on-disk cache file."""
-    _WK.mem.clear()
-    _WK._dirty = False
-    _WK._loaded_from = None
-    path = _WK._path()
-    if os.path.exists(path):
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-
 def psi_integral(g: int, exps: Sequence[int]) -> Fraction:
     """<tau_{exps[0]} ... tau_{exps[-1]}>_g, zero off dimension or unstable."""
-    if g < 0 or any(e < 0 for e in exps):
-        return Fraction(0)
-    key = (g, tuple(sorted(exps, reverse=True)))
-    exps = key[1]
     n = len(exps)
-    if 2 * g - 2 + n <= 0:
+    if g < 0 or any(e < 0 for e in exps) or 2 * g - 2 + n <= 0 \
+            or sum(exps) != 3 * g - 3 + n:
         return Fraction(0)
-    if sum(exps) != 3 * g - 3 + n:
-        return Fraction(0)
+    return _psi_integral(g, tuple(sorted(exps)))
+
+
+@functools.cache
+def _psi_integral(g: int, exps: tuple[int, ...]) -> Fraction:
+    n = len(exps)
     if g == 0 and n == 3:
         return Fraction(1)
     if g == 1 and n == 1:
         return Fraction(1, 24)
-    hit = _WK.get(key)
-    if hit is not None:
-        return hit
-    # recurse on the largest index, which is >= 1 here
-    k = exps[0] - 1
-    rest = exps[1:]
+    if exps[0] == 0:  # string equation
+        rest = exps[1:]
+        return sum((psi_integral(g, rest[:j] + (k - 1,) + rest[j + 1:])
+                    for j, k in enumerate(rest) if k), Fraction(0))
+    if exps[0] == 1:  # dilaton equation
+        return (2 * g - 3 + n) * psi_integral(g, exps[1:])
+    # DVV recursion on the largest index; every index is >= 2 here
+    k = exps[-1] - 1
+    rest = exps[:-1]
     total = Fraction(0)
     for j, dj in enumerate(rest):
         merged = rest[:j] + (dj + k,) + rest[j + 1:]
@@ -202,19 +77,24 @@ def psi_integral(g: int, exps: Sequence[int]) -> Fraction:
     for a in range(k):
         b = k - 1 - a
         w = Fraction(double_factorial(2 * a + 1) * double_factorial(2 * b + 1), 2)
-        nonsep = psi_integral(g - 1, (a, b) + rest)
-        if nonsep:
-            total += w * nonsep
+        total += w * psi_integral(g - 1, (a, b) + rest)
         for mask in range(1 << len(rest)):
             part = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
             comp = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-            for g1 in range(g + 1):
-                left = psi_integral(g1, (a,) + part)
-                if left:
-                    total += w * left * psi_integral(g - g1, (b,) + comp)
-    value = total / double_factorial(2 * k + 3)
-    _WK.put(key, value)
-    return value
+            # the left factor's dimension fixes its genus
+            g1, off = divmod(a + sum(part) + 2 - len(part), 3)
+            if not off and g1 <= g:
+                total += (w * psi_integral(g1, (a,) + part)
+                          * psi_integral(g - g1, (b,) + comp))
+    return total / double_factorial(2 * k + 3)
+
+
+def wk_cache_status() -> dict:
+    """Entry count of the correlator memo.  There is no disk cache; this
+    remains only because the benchmark harness (bench/child.py
+    --cache-status) imports it."""
+    return {"dir": "", "wk_disk_entries": 0,
+            "wk_memory_entries": _psi_integral.cache_info().currsize}
 
 
 def kappa_psi_integral(g: int, psi_exps: Sequence[int],

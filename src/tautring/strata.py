@@ -478,28 +478,27 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _decorations(graph: StableGraph, budget: int) -> Iterator[
         tuple[dict[int, int], dict[int, int], dict[int, tuple[int, ...]]]]:
-    """All decorations of total degree ``budget`` on a canonical graph,
-    pruned by the per-vertex dimension bound.  The budget is spread over leg
-    psi, half-edge psi and per-vertex kappa weight; each kappa weight is
-    then split into partitions."""
+    """All decorations of total degree ``budget`` on a canonical graph.  The
+    budget is split over vertices, each share at most the vertex dimension;
+    a share is spread over its vertex's leg psi, half-edge psi and kappa
+    weight, and each kappa weight is then split into partitions."""
     V = graph.num_vertices
+    legs = graph.legs
+    hes = [graph.half_edges_at(v) for v in range(V)]
     dims = [graph.vertex_dim(v) for v in range(V)]
-    legs = [m for v in range(V) for m in graph.legs[v]]
-    owners = ([v for v in range(V) for _ in graph.legs[v]]
-              + [graph.vertex_of(h) for h in range(2 * graph.num_edges)]
-              + list(range(V)))
-    nl, nh = len(legs), 2 * graph.num_edges
-    for comp in compositions(budget, len(owners)):
-        local = [0] * V
-        for v, e in zip(owners, comp):
-            if e:
-                local[v] += e
-        if any(x > dim for x, dim in zip(local, dims)):
+    for shares in compositions(budget, V):
+        if any(x > dim for x, dim in zip(shares, dims)):
             continue
-        pl = {m: e for m, e in zip(legs, comp) if e}
-        ph = {h: e for h, e in enumerate(comp[nl:nl + nh]) if e}
-        for parts in itertools.product(*map(_partitions, comp[nl + nh:])):
-            yield pl, ph, {v: p for v, p in enumerate(parts) if p}
+        for comps in itertools.product(*(
+                compositions(x, len(legs[v]) + len(hes[v]) + 1)
+                for v, x in enumerate(shares))):
+            pl = {m: e for v, c in enumerate(comps)
+                  for m, e in zip(legs[v], c) if e}
+            ph = {h: e for v, c in enumerate(comps)
+                  for h, e in zip(hes[v], c[len(legs[v]):]) if e}
+            for parts in itertools.product(*(_partitions(c[-1])
+                                             for c in comps)):
+                yield pl, ph, {v: p for v, p in enumerate(parts) if p}
 
 
 @functools.cache

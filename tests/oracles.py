@@ -1,8 +1,11 @@
 """Reference computations for the tests, kept independent of the code they
 check: nothing here calls into the weighting-sum machinery of
-tautring.pixton or the excess-intersection product of tautring.product."""
+tautring.pixton, the excess-intersection product of tautring.product or the
+correlator recursion of tautring.integrate."""
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 from tautring.strata import TautClass, make_stratum
@@ -59,3 +62,46 @@ def brute_force_weighting_value(G, data, mvec, r):
             term *= (we * (-we % r)) ** (m + 1)
         total += term
     return Fraction(total, r ** (E - V + 1))
+
+
+def _double_factorial(k):
+    return math.prod(range(k, 0, -2))
+
+
+@functools.cache
+def dvv_correlator(g, exps):
+    """<tau_{exps[0]} ... tau_{exps[-1]}>_g by the plain DVV recursion on the
+    largest index, with no string or dilaton shortcut; zero off dimension or
+    unstable.  exps must be a tuple."""
+    n = len(exps)
+    if g < 0 or min(exps, default=0) < 0 or 2 * g - 2 + n <= 0 \
+            or sum(exps) != 3 * g - 3 + n:
+        return Fraction(0)
+    exps = tuple(sorted(exps, reverse=True))
+    if (g, n) == (0, 3):
+        return Fraction(1)
+    if (g, n) == (1, 1):
+        return Fraction(1, 24)
+    k = exps[0] - 1
+    rest = exps[1:]
+    total = Fraction(0)
+    for j, dj in enumerate(rest):
+        merged = rest[:j] + (dj + k,) + rest[j + 1:]
+        total += (Fraction(_double_factorial(2 * k + 2 * dj + 1),
+                           _double_factorial(2 * dj - 1))
+                  * dvv_correlator(g, merged))
+    for a in range(k):
+        b = k - 1 - a
+        w = Fraction(_double_factorial(2 * a + 1)
+                     * _double_factorial(2 * b + 1), 2)
+        total += w * dvv_correlator(g - 1, (a, b) + rest)
+        for mask in range(1 << len(rest)):
+            part = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
+            comp = tuple(rest[i] for i in range(len(rest))
+                         if not mask >> i & 1)
+            for g1 in range(g + 1):
+                left = dvv_correlator(g1, (a,) + part)
+                if left:
+                    total += w * left * dvv_correlator(g - g1, (b,) + comp)
+    return total / _double_factorial(2 * k + 3)
+

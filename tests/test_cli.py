@@ -195,30 +195,22 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_cache_lifecycle_subprocess(tmp_path):
-    env = {"TAUTRING_CACHE_DIR": str(tmp_path / "c")}
-    r = run_cli(["cache", "status", "--json"], env=env)
-    assert r.returncode == 0
-    fresh = json.loads(r.stdout)
-    assert fresh["wk_disk_entries"] == 0
+def test_section7_json_identical_across_processes():
+    args = ["check", "paper-section7", "--json"]
+    first = run_cli(args)
+    assert first.returncode == 0
+    second = run_cli(args)
+    assert second.returncode == 0
+    assert first.stdout == second.stdout
+
+
+def test_cli_writes_no_cache_files(tmp_path):
+    # correlators live in memory only: neither the home directory nor the
+    # retired TAUTRING_CACHE_DIR setting sees a file
+    env = {"HOME": str(tmp_path), "TAUTRING_CACHE_DIR": str(tmp_path)}
     r = run_cli(["check", "gplus1", "--g", "1", "--n", "2", "--k", "0",
                  "--A", "1,-1"], env=env)
     assert r.returncode == 0
-    r = run_cli(["cache", "status", "--json"], env=env)
-    assert json.loads(r.stdout)["wk_disk_entries"] > 0
-    r = run_cli(["cache", "clear"], env=env)
-    assert r.returncode == 0
-    r = run_cli(["cache", "status", "--json"], env=env)
-    assert json.loads(r.stdout)["wk_disk_entries"] == 0
-    r = run_cli(["cache", "path"], env=env)
-    assert r.stdout.strip() == str(tmp_path / "c")
-
-
-def test_cold_and_warm_cache_json_identical(tmp_path):
-    env = {"TAUTRING_CACHE_DIR": str(tmp_path / "c2")}
-    args = ["check", "paper-section7", "--json"]
-    cold = run_cli(args, env=env)
-    assert cold.returncode == 0
-    warm = run_cli(args, env=env)
-    assert warm.returncode == 0
-    assert cold.stdout == warm.stdout
+    assert os.listdir(str(tmp_path)) == []
+    # the cache subcommand is gone
+    assert run_cli(["cache", "status"], env=env).returncode == 2

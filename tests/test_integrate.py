@@ -1,5 +1,5 @@
+import itertools
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -7,7 +7,6 @@ import pytest
 
 from tautring.graphs import DomainError, make_graph
 from tautring.integrate import (
-    _WK,
     double_factorial,
     evaluate,
     fraction_free_echelon,
@@ -19,11 +18,11 @@ from tautring.integrate import (
     psi_integral,
     solve_linear_system,
     stratum_integral,
-    wk_cache_clear,
-    wk_cache_status,
 )
 from tautring.product import multiply_strata
 from tautring.strata import generators, make_stratum, single
+
+from oracles import dvv_correlator
 
 
 def test_double_factorial():
@@ -94,6 +93,24 @@ def test_string_and_dilaton_seeded_random():
         assert psi_integral(g, (0,) + d) == string
         assert psi_integral(g, (1,) + d) == (2 * g - 2 + n) * base
         checked += 1
+
+
+def test_correlators_match_plain_dvv_recursion():
+    # every sorted exponent vector with g <= 3 and n <= 5, against the DVV
+    # recursion with no string or dilaton shortcut
+    checked = 0
+    for g in range(4):
+        for n in range(6):
+            dim = 3 * g - 3 + n
+            if 2 * g - 2 + n <= 0:
+                continue
+            for exps in itertools.combinations_with_replacement(
+                    range(dim + 1), n):
+                if sum(exps) == dim:
+                    assert psi_integral(g, exps) == dvv_correlator(g, exps), \
+                        (g, exps)
+                    checked += 1
+    assert checked == 140
 
 
 def test_kappa_integrals():
@@ -251,50 +268,3 @@ def test_solve_linear_system():
     sol, res = solve_linear_system([[Fraction(0), Fraction(1)]], [Fraction(7)])
     assert res is None
     assert sol[1] == 7
-
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("TAUTRING_CACHE_DIR", str(tmp_path))
-    wk_cache_clear()
-    value = psi_integral(2, (2, 3))
-    _WK.flush()
-    status = wk_cache_status()
-    assert status["dir"] == str(tmp_path)
-    assert status["wk_disk_entries"] > 0
-    # force a reload from disk
-    _WK.mem.clear()
-    _WK._loaded_from = None
-    assert psi_integral(2, (2, 3)) == value
-    wk_cache_clear()
-    assert wk_cache_status()["wk_disk_entries"] == 0
-
-
-def test_disk_cache_flush_ignores_stale_temp_path(tmp_path, monkeypatch):
-    # a directory at the fixed temp name an older flush used must not block
-    # the write
-    monkeypatch.setenv("TAUTRING_CACHE_DIR", str(tmp_path))
-    wk_cache_clear()
-    os.mkdir(os.path.join(str(tmp_path), "wk_integrals.txt.tmp"))
-    value = psi_integral(2, (4,))
-    _WK.flush()
-    with open(os.path.join(str(tmp_path), "wk_integrals.txt"),
-              encoding="ascii") as fh:
-        assert "2;4;%s" % value in fh.read().splitlines()
-    assert sorted(os.listdir(str(tmp_path))) == ["wk_integrals.txt",
-                                                 "wk_integrals.txt.tmp"]
-    wk_cache_clear()
-
-
-def test_disk_cache_survives_corruption(tmp_path, monkeypatch):
-    monkeypatch.setenv("TAUTRING_CACHE_DIR", str(tmp_path))
-    wk_cache_clear()
-    path = os.path.join(str(tmp_path), "wk_integrals.txt")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# tautring-wk-cache v1\nnot;a;number\n")
-    assert psi_integral(1, (1,)) == Fraction(1, 24)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("some unrelated file\n")
-    _WK.mem.clear()
-    _WK._loaded_from = None
-    assert psi_integral(1, (1,)) == Fraction(1, 24)
-    wk_cache_clear()

@@ -1,10 +1,9 @@
 """The README's `tautring` examples, byte for byte.
 
-Each deterministic example in README.md runs through ``cli.main`` twice, as
-printed and with ``--json``; the exit code and the SHA-256 of stdout must
-equal the pinned values.  A refactor that changes any byte a README reader
-would see fails here.  ``cache status`` prints a machine-specific directory
-and is left out.
+Each example in README.md runs through ``cli.main`` twice, as printed and
+with ``--json``; the exit code and the SHA-256 of stdout must equal the
+pinned values.  A refactor that changes any byte a README reader would see
+fails here.
 """
 
 import hashlib
