@@ -30,6 +30,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 
@@ -47,7 +48,7 @@ def check_stable_type(g: int, n: int) -> None:
 # the graph record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class StableGraph:
     """A stable graph in canonical or raw labeling.
 
@@ -90,17 +91,33 @@ class StableGraph:
 
     def half_edges_at(self, v: int) -> tuple[int, ...]:
         """Half-edge ids incident to v, loops contributing both halves."""
-        out = []
-        for i, (a, b) in enumerate(self.edges):
-            if a == v:
-                out.append(2 * i)
-            if b == v:
-                out.append(2 * i + 1)
-        return tuple(out)
+        return self.vertex_data[v][2]
 
-    def vertex_of(self, h: int) -> int:
-        e, side = divmod(h, 2)
-        return self.edges[e][side]
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.genera, self.legs, self.edges))
+
+    @functools.cached_property
+    def half_edge_vertex(self) -> tuple[int, ...]:
+        """The vertex of each half-edge id."""
+        return tuple(v for edge in self.edges for v in edge)
+
+    @functools.cached_property
+    def vertex_data(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...]:
+        """Per vertex: (genus, legs, half-edges, dimension)."""
+        hes: list[list[int]] = [[] for _ in self.genera]
+        for h, v in enumerate(self.half_edge_vertex):
+            hes[v].append(h)
+        return tuple((g, l, tuple(x), 3 * g - 3 + len(l) + len(x))
+                     for g, l, x in zip(self.genera, self.legs, hes))
+
+    @functools.cached_property
+    def inverse_aut(self) -> Fraction:
+        """1 / |Aut G|."""
+        return Fraction(1, automorphism_count(self))
 
     def valence(self, v: int) -> int:
         """Number of special points on vertex v: legs plus half-edges."""
@@ -341,14 +358,13 @@ def canonical(graph: StableGraph) -> tuple[StableGraph, tuple[int, ...], tuple[i
             best = enc
             best_perm = perm
     assert best is not None and best_perm is not None
-    cgraph = StableGraph(*best)
+    # one instance per canonical graph, so its cached data is computed once
+    cgraph = _CANON_CACHE.setdefault(best, (
+        StableGraph(*best), tuple(range(graph.num_vertices)),
+        tuple(range(2 * graph.num_edges))))[0]
     hemap = _half_edge_map(graph, best_perm, cgraph.edges)
     result = (cgraph, tuple(best_perm), tuple(hemap))
     _CANON_CACHE[key] = result
-    if key != (cgraph.genera, cgraph.legs, cgraph.edges):
-        ident = tuple(range(2 * cgraph.num_edges))
-        _CANON_CACHE[(cgraph.genera, cgraph.legs, cgraph.edges)] = (
-            cgraph, tuple(range(cgraph.num_vertices)), ident)
     return result
 
 

@@ -13,21 +13,27 @@ pushing kappa classes to an extra marked point, one kappa factor at a time:
             <psi^d, psi_{new}^{b_m + 1 + sum_{j in T} b_j},
              kappa_{b_j : j not in T, j < m}>_{g,n+1}
 
+Equal parts give equal terms, so T runs over sub-multisets, each weighted by
+its number of subsets.
+
 evaluate integrates a top-degree TautClass: each decorated stratum
 contributes coeff / |Aut(graph)| times the product of local vertex integrals.
 pair_strata integrates each monomial of a product the same way, on its
-graph, without building the product class.
+graph, without building the product class.  pairing_matrix builds degrees
+2d <= dim; degree dim - d is the transpose and shares its rank.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, lcm, prod
 from typing import Sequence
 
-from .graphs import DomainError, StableGraph, automorphism_count
+from .graphs import DomainError, StableGraph
 from .product import product_monomials
 from .strata import DecoratedStratum, TautClass, generators
 
@@ -114,14 +120,15 @@ def kappa_psi_integral(g: int, psi_exps: Sequence[int],
 def _kappa_psi_integral(g: int, psi_key: tuple[int, ...],
                         kappa_parts: tuple[int, ...]) -> Fraction:
     last = kappa_parts[-1]
-    others = kappa_parts[:-1]
+    counts = Counter(kappa_parts[:-1])
     total = Fraction(0)
-    for mask in range(1 << len(others)):
-        chosen = [others[i] for i in range(len(others)) if mask >> i & 1]
-        kept = tuple(others[i] for i in range(len(others)) if not mask >> i & 1)
-        sign = -1 if len(chosen) % 2 else 1
-        new_exp = last + 1 + sum(chosen)
-        total += sign * kappa_psi_integral(g, psi_key + (new_exp,), kept)
+    for ks in itertools.product(*(range(c + 1) for c in counts.values())):
+        kept = tuple(a for a, c, k in zip(counts, counts.values(), ks)
+                     for _ in range(c - k))
+        new_exp = last + 1 + sum(a * k for a, k in zip(counts, ks))
+        weight = prod(comb(c, k) for c, k in zip(counts.values(), ks))
+        total += ((-1) ** sum(ks) * weight
+                  * kappa_psi_integral(g, psi_key + (new_exp,), kept))
     return total
 
 
@@ -132,15 +139,16 @@ def _kappa_psi_integral(g: int, psi_key: tuple[int, ...],
 def _decoration_integral(G: StableGraph, pl: dict, ph: dict, kp: dict) -> Fraction:
     """1/|Aut G| times the product over vertices of the local kappa-psi
     integrals of a decoration of G (zero where a vertex degree is off)."""
-    value = Fraction(1, automorphism_count(G))
-    for v in range(G.num_vertices):
-        exps = [pl.get(m, 0) for m in G.legs[v]]
-        exps += [ph.get(h, 0) for h in G.half_edges_at(v)]
-        local = kappa_psi_integral(G.genera[v], exps, kp.get(v, ()))
+    num, den = G.inverse_aut.as_integer_ratio()
+    for v, (gv, legs, hes, _) in enumerate(G.vertex_data):
+        exps = [pl.get(m, 0) for m in legs]
+        exps += [ph.get(h, 0) for h in hes]
+        local = kappa_psi_integral(gv, exps, kp.get(v, ()))
         if not local:
             return Fraction(0)
-        value *= local
-    return value
+        num *= local.numerator
+        den *= local.denominator
+    return Fraction(num, den)
 
 
 def stratum_integral(s: DecoratedStratum) -> Fraction:
@@ -164,7 +172,7 @@ def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
     """Integral of the product of two stratum classes of complementary degree.
     Each monomial of the product is integrated in place on its graph, with no
     stratum built; it equals ``evaluate(multiply_strata(s, t))``."""
-    if t.sort_key() < s.sort_key():
+    if t < s:
         s, t = t, s
     return _pair_strata(s, t)
 
@@ -200,11 +208,8 @@ def pair_classes(x: TautClass, y: TautClass) -> Fraction:
 
 
 def _clear_row(row: Sequence[Fraction]) -> list[int]:
-    denom = 1
-    for x in row:
-        f = Fraction(x)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return [int(Fraction(x) * denom) for x in row]
+    denom = lcm(*(x.denominator for x in row))
+    return [x.numerator * (denom // x.denominator) for x in row]
 
 
 def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
@@ -288,16 +293,23 @@ class PairingMatrix:
 
     @functools.cached_property
     def rank(self) -> int:
+        dim = 3 * self.g - 3 + self.n
+        if 2 * self.d > dim:  # the transpose's rank, computed once
+            return pairing_matrix(self.g, self.n, dim - self.d).rank
         return matrix_rank(self.entries)
 
 
 @functools.cache
 def pairing_matrix(g: int, n: int, d: int) -> PairingMatrix:
     """Rows are degree-d generators, columns the complementary generators,
-    entries the integrals of the products; cached by (g, n, d)."""
+    entries the integrals of the products; cached by (g, n, d).  For
+    2d > dim, the transpose of ``pairing_matrix(g, n, dim - d)``."""
     dim = 3 * g - 3 + n
     if d < 0 or d > dim:
         return PairingMatrix(g, n, d, (), (), ())
+    if 2 * d > dim:
+        t = pairing_matrix(g, n, dim - d)
+        return PairingMatrix(g, n, d, t.cols, t.rows, tuple(zip(*t.entries)))
     rows = generators(g, n, d)
     cols = generators(g, n, dim - d)
     return PairingMatrix(g, n, d, rows, cols,

@@ -19,7 +19,8 @@ vertices) times the excess factor
 expanded into monomials.  With stratum classes normalized by 1/|Aut|, the
 total product is 1/(|Aut A| * |Aut B|) times the sum over all structures of
 the resulting canonical decorated strata.  Monomials exceeding a vertex
-moduli dimension vanish and are pruned.
+moduli dimension vanish; they are pruned as they are generated, by tracking
+how far each vertex is below its dimension (its deficit).
 
 Each edge subset of each graph is contracted and canonicalized once
 (``_contractions``); ``_degenerations`` lists the graphs over a target, so a
@@ -32,13 +33,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import Iterator
 
 from .graphs import (
     DomainError,
     StableGraph,
-    automorphism_count,
     canonical,
     contract,
     enumerate_stable_graphs,
@@ -96,7 +95,8 @@ def _degenerations(target: StableGraph, max_edges: int
 
 def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tuple]:
     """The monomials (G, psi_leg, psi_he, kappa, coeff) whose sum is
-    [sa] * [sb]: read-only dicts indexed on G, none above the dimension."""
+    [sa] * [sb]: read-only dicts indexed on G, none above the dimension of a
+    vertex of G, so in complementary degree each vertex is met exactly."""
     GA, GB = sa.graph, sb.graph
     g, n = GA.genus(), GA.num_legs
     if (GB.genus(), GB.num_legs) != (g, n):
@@ -105,34 +105,49 @@ def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tu
     if sa.degree + sb.degree > dim:
         return
     max_edges = min(GA.num_edges + GB.num_edges, dim)
-    degens_b = _degenerations(GB, max_edges)
-    pref = Fraction(1, automorphism_count(GA) * automorphism_count(GB))
+    da, db = _degenerations(GA, max_edges), _degenerations(GB, max_edges)
+    pref = GA.inverse_aut * GB.inverse_aut
     pl = dict(sa.psi_leg)
     for m, e in sb.psi_leg:
         pl[m] = pl.get(m, 0) + e
-    for G, structs_a in _degenerations(GA, max_edges).items():
-        structs_b = degens_b.get(G)
-        if structs_b is None:
+    # walk the shorter; both list graphs in enumeration order
+    for G in (da if len(da) <= len(db) else db):
+        if G not in da or G not in db:
             continue
+        base = [dim_v - sum([pl.get(m, 0) for m in legs])
+                for _, legs, _, dim_v in G.vertex_data]
+        he_vertex = G.half_edge_vertex
         all_edges = frozenset(range(G.num_edges))
-        for ka, he_a, vpre_a in structs_a:
+        for ka, he_a, vpre_a in da[G]:
             need = all_edges - ka
-            for kb, he_b, vpre_b in structs_b:
+            for kb, he_b, vpre_b in db[G]:
                 if not need <= kb:
                     continue
                 shared = sorted(ka & kb)
+                deficit = list(base)
                 ph0: dict[int, int] = {}
-                factors: list[tuple[int, tuple[int, ...]]] = []
+                # (degree, ((vertex charged, target), ...)) per factor: a
+                # kappa part targets a vertex, an excess psi a half-edge
+                factors: list[tuple[int, tuple[tuple[int, int], ...]]] = []
                 for st, he, vpre in ((sa, he_a, vpre_a), (sb, he_b, vpre_b)):
                     for h, e in st.psi_he:
                         ph0[he[h]] = ph0.get(he[h], 0) + e
+                        deficit[he_vertex[he[h]]] -= e
                     for v, parts in st.kappa:
-                        factors.extend((a, vpre[v]) for a in parts)
+                        factors.extend((a, tuple((w, w) for w in vpre[v]))
+                                       for a in parts)
+                if min(deficit) < 0:
+                    continue
                 coeff = pref * (-1 if len(shared) % 2 else 1)
-                options = [opts for _, opts in factors]
-                options += [(2 * e, 2 * e + 1) for e in shared]
                 nk = len(factors)
-                for choice in itertools.product(*options):
+                factors += [(1, tuple((he_vertex[h], h) for h in (2 * e, 2 * e + 1)))
+                            for e in shared]
+                # branch only on targets whose vertex still has room
+                level = [((), deficit)]
+                for a, options in factors:
+                    level = [(c + (t,), d[:v] + [d[v] - a] + d[v + 1:])
+                             for c, d in level for v, t in options if d[v] >= a]
+                for choice, _ in level:
                     ph = dict(ph0)
                     for h in choice[nk:]:
                         ph[h] = ph.get(h, 0) + 1
@@ -144,7 +159,7 @@ def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tu
 
 def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
     """Product of two stratum classes as a TautClass (shared; do not mutate)."""
-    if sb.sort_key() < sa.sort_key():
+    if sb < sa:
         sa, sb = sb, sa
     return _multiply_strata(sa, sb)
 

@@ -26,7 +26,7 @@ import functools
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -45,41 +45,36 @@ PsiHE = tuple[tuple[int, int], ...]
 Kappa = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DecoratedStratum:
-    """Canonical decorated stratum.  Construct via :func:`make_stratum`."""
+    """Canonical decorated stratum.  Construct via :func:`make_stratum`.
+    ``<`` compares fields, building no string as :meth:`sort_key` does."""
 
     graph: StableGraph
     psi_leg: PsiLeg
     psi_he: PsiHE
     kappa: Kappa
+    # set once at construction, neither compared nor shown
+    degree: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def degree(self) -> int:
-        return (self.graph.num_edges
-                + sum(e for (_, e) in self.psi_leg)
-                + sum(e for (_, e) in self.psi_he)
-                + sum(sum(p) for (_, p) in self.kappa))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", self.graph.num_edges
+                           + sum(e for (_, e) in self.psi_leg)
+                           + sum(e for (_, e) in self.psi_he)
+                           + sum(sum(p) for (_, p) in self.kappa))
+        object.__setattr__(self, "_hash", hash(
+            (self.graph, self.psi_leg, self.psi_he, self.kappa)))
 
-    def local_degree(self, v: int) -> int:
-        d = 0
-        marks = set(self.graph.legs[v])
-        hes = set(self.graph.half_edges_at(v))
-        for m, e in self.psi_leg:
-            if m in marks:
-                d += e
-        for h, e in self.psi_he:
-            if h in hes:
-                d += e
-        for w, parts in self.kappa:
-            if w == v:
-                d += sum(parts)
-        return d
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_valid(self) -> bool:
         """False when some vertex is decorated beyond its moduli dimension."""
-        return all(self.local_degree(v) <= self.graph.vertex_dim(v)
-                   for v in range(self.graph.num_vertices))
+        pl, ph, kp = dict(self.psi_leg), dict(self.psi_he), dict(self.kappa)
+        return all(sum([pl.get(m, 0) for m in legs]) + sum(kp.get(v, ()))
+                   + sum([ph.get(h, 0) for h in hes]) <= dim
+                   for v, (_, legs, hes, dim) in enumerate(self.graph.vertex_data))
 
     def sort_key(self) -> tuple:
         return (self.graph.num_edges, self.graph.encode(),
@@ -137,8 +132,7 @@ def make_stratum(graph: StableGraph,
     pl = {m: e for m, e in pl.items() if e}
     ph = {hemap[h]: e for h, e in ph.items() if e}
     kp = {vmap[v]: tuple(sorted(parts)) for v, parts in kp.items() if tuple(parts)}
-    key = (cg.genera, cg.legs, cg.edges,
-           tuple(sorted(pl.items())), tuple(sorted(ph.items())),
+    key = (cg, tuple(sorted(pl.items())), tuple(sorted(ph.items())),
            tuple(sorted(kp.items())))
     hit = _STRATUM_CACHE.get(key)
     if hit is not None:
@@ -153,7 +147,7 @@ def make_stratum(graph: StableGraph,
             best = cand
     assert best is not None
     # intern on the minimized decoration so Aut-equivalent inputs share one object
-    final = (cg.genera, cg.legs, cg.edges, leg_part, best[0], best[1])
+    final = (cg, leg_part, best[0], best[1])
     stratum = _STRATUM_CACHE.get(final)
     if stratum is None:
         stratum = DecoratedStratum(cg, leg_part, best[0], best[1])

@@ -1,13 +1,16 @@
 """Reference computations for the tests, kept independent of the code they
 check: nothing here calls into the weighting-sum machinery of
 tautring.pixton, the excess-intersection product of tautring.product or the
-correlator recursion of tautring.integrate."""
+kappa reduction of tautring.integrate.  Only subset_kappa_integral, which
+checks that kappa reduction, takes its pure psi integrals from
+tautring.integrate.psi_integral; dvv_correlator checks those."""
 
 import functools
 import itertools
 import math
 from fractions import Fraction
 
+from tautring.integrate import psi_integral
 from tautring.strata import TautClass, make_stratum
 
 
@@ -105,3 +108,24 @@ def dvv_correlator(g, exps):
                     total += w * left * dvv_correlator(g - g1, (b,) + comp)
     return total / _double_factorial(2 * k + 3)
 
+
+
+@functools.cache
+def subset_kappa_integral(g, psi, kappa):
+    """Integral of prod psi_i^{psi[i]} * prod_a kappa_a over Mbar_{g,n} by
+    pushing the last kappa part to a new marking, summed over every subset T
+    of the other parts (no grouping of equal parts):
+    sum_T (-1)^{|T|} <psi, psi_new^{b_m + 1 + sum_T b_j}, kappa_{rest}>.
+    psi and kappa must be tuples."""
+    if not kappa:
+        return psi_integral(g, psi)
+    last, others = kappa[-1], kappa[:-1]
+    total = Fraction(0)
+    for mask in range(1 << len(others)):
+        chosen = [others[i] for i in range(len(others)) if mask >> i & 1]
+        kept = tuple(others[i] for i in range(len(others))
+                     if not mask >> i & 1)
+        total += ((-1) ** len(chosen)
+                  * subset_kappa_integral(g, psi + (last + 1 + sum(chosen),),
+                                          kept))
+    return total

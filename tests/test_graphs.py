@@ -49,6 +49,16 @@ def test_basic_invariants():
     assert smooth.is_smooth()
 
 
+def test_hash_and_equality_match_a_fresh_copy():
+    # the hash is cached on the instance; a copy built from the same fields
+    # hashes and compares equal, before and after either hash is taken
+    for G in enumerate_stable_graphs(1, 3, 3):
+        copy = StableGraph(G.genera, G.legs, G.edges)
+        assert copy is not G and copy == G
+        assert {G: 1}[copy] == 1 and hash(copy) == hash(G)
+        assert hash(StableGraph(G.genera, G.legs, G.edges)) == hash(G)
+
+
 def test_automorphism_counts():
     assert automorphism_count(loop_graph()) == 2
     assert automorphism_count(make_graph([1], [(1,)], [])) == 1
@@ -93,7 +103,8 @@ def test_automorphism_count_matches_closed_form():
                            for v in range(G.num_vertices)), G.encode()
                 assert sorted(hemap) == list(range(2 * G.num_edges))
                 for h in range(2 * G.num_edges):
-                    assert G.vertex_of(hemap[h]) == perm[G.vertex_of(h)]
+                    assert (G.half_edge_vertex[hemap[h]]
+                            == perm[G.half_edge_vertex[h]])
                     assert hemap[h ^ 1] == hemap[h] ^ 1
             checked += 1
     assert checked == 581

@@ -22,7 +22,7 @@ from tautring.integrate import (
 from tautring.product import multiply_strata
 from tautring.strata import generators, make_stratum, single
 
-from oracles import dvv_correlator
+from oracles import dvv_correlator, subset_kappa_integral
 
 
 def test_double_factorial():
@@ -125,6 +125,45 @@ def test_kappa_integrals():
     assert kappa_psi_integral(1, (), (1,)) == 0
 
 
+def _partitions(k, largest=None):
+    largest = k if largest is None else largest
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def test_kappa_integrals_match_subset_oracle():
+    # the sub-multiset sum against the plain sum over subsets: every
+    # top-degree psi^e kappa_p with g <= 3, n <= 3 (e sorted), then on (1,3)
+    # and (2,1) every ordering of e and of the multi-part p
+    top = 0
+    for g in range(4):
+        for n in range(4):
+            if 2 * g - 2 + n <= 0:
+                continue
+            dim = 3 * g - 3 + n
+            for e in itertools.combinations_with_replacement(
+                    range(dim, -1, -1), n):
+                for p in _partitions(dim - sum(e)):
+                    assert kappa_psi_integral(g, e, p) == \
+                        subset_kappa_integral(g, e, p), (g, e, p)
+                    top += 1
+    assert top == 515
+    multi = 0
+    for g, n in [(1, 3), (2, 1)]:
+        dim = 3 * g - 3 + n
+        for e in itertools.product(range(dim + 1), repeat=n):
+            for p in _partitions(dim - sum(e)):
+                for q in set(itertools.permutations(p)) if len(p) > 1 else ():
+                    assert kappa_psi_integral(g, e, q) == \
+                        subset_kappa_integral(g, e, q), (g, e, q)
+                    multi += 1
+    assert multi == 17
+
+
 def test_kappa_order_invariance():
     rng = random.Random(7)
     for _ in range(20):
@@ -173,6 +212,22 @@ def test_fused_pairing_matches_product_route():
                     pairs += 1
                     nonzero += value != 0
     assert (pairs, nonzero) == (1553, 1118)
+
+
+def test_complementary_pairing_matrix_is_the_transpose():
+    # for 2d > dim the matrix is built from its complement's entries; every
+    # entry must still be the pairing of its row and column
+    for g, n in [(0, 5), (1, 3), (2, 1)]:
+        dim = 3 * g - 3 + n
+        for d in range(dim // 2 + 1, dim + 1):
+            pm = pairing_matrix(g, n, d)
+            assert pm.rows == generators(g, n, d)
+            assert pm.cols == generators(g, n, dim - d)
+            for i, s in enumerate(pm.rows):
+                for j, t in enumerate(pm.cols):
+                    assert pm.entries[i][j] == pair_strata(s, t)
+            assert pm.rank == pairing_matrix(g, n, dim - d).rank
+            assert pm.rank == matrix_rank(pm.entries)
 
 
 def test_pair_classes_type_check():

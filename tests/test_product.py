@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -18,6 +19,7 @@ from tautring.product import (
     multiply,
     multiply_mixed,
     multiply_strata,
+    product_monomials,
 )
 from tautring.strata import (
     MixedClass,
@@ -184,3 +186,52 @@ def test_contraction_index_matches_per_target_search():
                 assert got == _structures_by_target(G, T), (G, T)
                 pairs += 1
     assert pairs == 1374
+
+
+def _vertex_degrees(G, pl, ph, kp):
+    """(degree, dimension) per vertex of a monomial, read off the fields of
+    G alone."""
+    out = []
+    for v in range(G.num_vertices):
+        ends = [2 * i + side for i, edge in enumerate(G.edges)
+                for side in (0, 1) if edge[side] == v]
+        deg = (sum(pl.get(m, 0) for m in G.legs[v])
+               + sum(ph.get(h, 0) for h in ends) + sum(kp.get(v, ())))
+        out.append((deg, 3 * G.genera[v] - 3 + len(G.legs[v]) + len(ends)))
+    return out
+
+
+def test_product_monomials_stay_within_vertex_dimensions():
+    # pruning happens as monomials are generated: none is above a vertex
+    # dimension, and in complementary degree every vertex is met exactly
+    monomials = 0
+    for g, n in [(0, 5), (1, 3), (2, 1)]:
+        dim = 3 * g - 3 + n
+        gens = [s for d in range(dim + 1) for s in generators(g, n, d)]
+        for i, s in enumerate(gens):
+            for t in gens[i:]:
+                for G, pl, ph, kp, _ in product_monomials(s, t):
+                    for deg, vdim in _vertex_degrees(G, pl, ph, kp):
+                        assert deg <= vdim, (s, t)
+                        if s.degree + t.degree == dim:
+                            assert deg == vdim, (s, t)
+                    monomials += 1
+    assert monomials > 0
+
+
+def test_products_pinned():
+    # to_json of every product of two generators whose degrees fit, pinned
+    # before products pruned monomials as they were generated
+    digest = hashlib.sha256()
+    count = 0
+    for g, n in [(0, 5), (1, 2), (1, 3), (2, 1)]:
+        dim = 3 * g - 3 + n
+        gens = [s for d in range(dim + 1) for s in generators(g, n, d)]
+        for i, s in enumerate(gens):
+            for t in gens[i:]:
+                if s.degree + t.degree <= dim:
+                    digest.update(multiply_strata(s, t).to_json().encode())
+                    count += 1
+    assert count == 1456
+    assert digest.hexdigest() == ("50c043bfbad6cf192f6ce726db7f8609"
+                                  "a73439a5b47d5d9e231e57cd02532e3a")

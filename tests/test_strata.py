@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tautring.graphs import DomainError, make_graph
+from tautring.graphs import DomainError, StableGraph, make_graph
 from tautring.strata import (
+    DecoratedStratum,
     MixedClass,
     TautClass,
     fundamental_stratum,
@@ -60,6 +61,15 @@ def test_stratum_interning_and_aut_normalization():
     assert k1 is k2
 
 
+def test_stratum_hash_and_equality_match_a_fresh_copy():
+    for s in generators(1, 3, 2):
+        G = s.graph
+        copy = DecoratedStratum(StableGraph(G.genera, G.legs, G.edges),
+                                s.psi_leg, s.psi_he, s.kappa)
+        assert copy is not s and copy == s
+        assert {s: 1}[copy] == 1 and hash(copy) == hash(s)
+
+
 def test_make_stratum_rejects_bad_decorations():
     sm = smooth(1, 1)
     with pytest.raises(DomainError):
@@ -77,6 +87,13 @@ def test_overweight_terms_are_pruned():
     s = make_stratum(tri, {1: 1}, {}, {})
     x.iadd_term(s, Fraction(1))
     assert x.is_zero()
+    # the same through a half-edge psi or a kappa on that vertex; the genus-1
+    # vertex (dimension 1) takes either
+    for ph, kp in [({0: 1}, {}), ({}, {0: (1,)})]:
+        x.iadd_term(make_stratum(tri, {}, ph, kp), Fraction(1))
+        assert x.is_zero()
+    for ph, kp in [({1: 1}, {}), ({}, {1: (1,)})]:
+        assert make_stratum(tri, {}, ph, kp).is_valid()
 
 
 def test_class_arithmetic_and_json_round_trip():
