@@ -44,7 +44,6 @@ from .integrate import (
 from .product import multiply, multiply_mixed, multiply_strata
 from .pixton import (
     RamificationData,
-    ThresholdError,
     delta_factor,
     exp_class,
     hain_divisor,
@@ -71,7 +70,6 @@ __all__ = [
     "RamificationData",
     "StableGraph",
     "TautClass",
-    "ThresholdError",
     "automorphism_count",
     "automorphisms",
     "canonical",

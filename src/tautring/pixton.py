@@ -9,10 +9,11 @@ with at most d edges.  Decorations come from the exponential factors
 
 where w ranges over weightings mod r (legs carry A_i, edge halves sum to 0,
 vertex sums hit k(2g(v)-2+n(v))).  For each edge-power vector the weighting
-sum, averaged by r^{-h1}, is a polynomial in r above an explicit threshold;
+sum, averaged by r^{-h1}, is a polynomial in r above the threshold
+C = 1/2 sum_v |t_v| over the vertex targets t_v (proof at _weighting_ct);
 its constant term enters the coefficient.  Each sample enumerates all r^{h1}
 weightings in integer arithmetic (closed_weighting_value), and the constant
-term is interpolated from samples at finitely many r.
+term is interpolated from samples at r = C+1, C+2, ...
 
 The degree-1 part on tree graphs must reproduce twice Hain's divisor
 (hain_divisor below); that pin plus the vanishing of the degree-(g+1) cycle
@@ -33,11 +34,6 @@ from .graphs import DomainError, StableGraph, check_stable_type, \
 from .strata import MixedClass, TautClass, compositions, fundamental_stratum, \
     make_stratum, single, unit
 from .product import multiply_mixed
-
-
-class ThresholdError(DomainError):
-    """Interpolation surplus samples deviated: sampled below the
-    polynomiality threshold; retry with a larger r window."""
 
 
 @dataclass(frozen=True)
@@ -71,11 +67,6 @@ class RamificationData:
     def dim(self) -> int:
         return 3 * self.g - 3 + self.n
 
-    def residue_bound(self) -> int:
-        """Strict lower bound for valid moduli r."""
-        return max(sum(abs(x) for x in self.A),
-                   abs(self.k) * (2 * self.g - 2 + self.n))
-
 
 # ---------------------------------------------------------------------------
 # weightings mod r
@@ -90,6 +81,11 @@ def _vertex_targets(G: StableGraph, data: RamificationData) -> list[int]:
         t -= sum(data.A[m - 1] for m in G.legs[v])
         out.append(t)
     return out
+
+
+def _weighting_threshold(G: StableGraph, data: RamificationData) -> int:
+    """C = 1/2 sum_v |t_v| = max_S |sum_{v in S} t_v|, as the t_v sum to 0."""
+    return sum(abs(t) for t in _vertex_targets(G, data)) // 2
 
 
 def _weight_forms(G: StableGraph, data: RamificationData
@@ -174,7 +170,7 @@ def closed_weighting_value(G: StableGraph, data: RamificationData,
                            mvec: Sequence[int], r: int) -> Fraction:
     """r^{-h1} times the sum of prod_e (w(h)w(h'))^{m_e+1} over the r^{h1}
     weightings mod r of G, for edge powers mvec and a modulus r above the
-    residue bound.
+    threshold C of _weighting_threshold.
 
     Each weighting is fixed by its free weights x in [0, r)^{h1}, which
     _weight_forms turns into w(h) = (c_h + eps_h . x) mod r.  Since
@@ -182,9 +178,9 @@ def closed_weighting_value(G: StableGraph, data: RamificationData,
     y = w(h) for its even half-edge h.  The sum runs over Python ints,
     divided once at the end.
     """
-    if r <= data.residue_bound():
-        raise DomainError("modulus r=%d not above residue bound %d"
-                          % (r, data.residue_bound()))
+    if r <= _weighting_threshold(G, data):
+        raise DomainError("modulus r=%d not above the threshold %d"
+                          % (r, _weighting_threshold(G, data)))
     if len(mvec) != G.num_edges:
         raise DomainError("edge power vector length mismatch")
     nfree, forms = _weight_forms(G, data)
@@ -209,8 +205,8 @@ def closed_weighting_value(G: StableGraph, data: RamificationData,
 def interpolate_constant_term(samples: Sequence[tuple[int, Fraction]],
                               degree_bound: int) -> Fraction:
     """Constant term of the degree-<=degree_bound polynomial through the
-    samples; surplus samples are checked and any deviation raises
-    ThresholdError (the caller sampled below the polynomiality threshold)."""
+    samples.  A surplus sample off the interpolant raises ArithmeticError:
+    above the proven threshold that is a defect, never bad input."""
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
     pts = [(int(x), Fraction(y)) for x, y in samples]
@@ -236,31 +232,36 @@ def interpolate_constant_term(samples: Sequence[tuple[int, Fraction]],
     for x, y in pts[degree_bound + 1:]:
         got = eval_at(x)
         if got != y:
-            raise ThresholdError(
-                "surplus sample at r=%d gives %s, interpolant predicts %s; "
-                "sampling window below the polynomiality threshold" % (x, y, got))
+            raise ArithmeticError("surplus sample at r=%d gives %s, "
+                                  "interpolant predicts %s" % (x, y, got))
     return eval_at(0)
 
 
 @functools.cache
 def _weighting_ct(G: StableGraph, data: RamificationData,
                   mvec: tuple[int, ...]) -> Fraction:
-    """r-constant term of the weighting sum for fixed edge powers, sampled
-    from the first modulus above the residue bound."""
-    bound = sum(2 * (m + 1) for m in mvec) + G.h1 + 2
-    start = data.residue_bound() + 1
-    last_err: ThresholdError | None = None
-    for attempt in range(3):
-        rs = range(start + attempt * (bound + 3),
-                   start + attempt * (bound + 3) + bound + 3)
-        samples = [(r, closed_weighting_value(G, data, mvec, r)) for r in rs]
-        try:
-            value = interpolate_constant_term(samples, bound)
-        except ThresholdError as exc:
-            last_err = exc
-            continue
-        return value
-    raise last_err if last_err is not None else DomainError("unreachable")
+    """r-constant term of the weighting sum S(r) for fixed edge powers mvec.
+
+    With D = 2 sum_e (m_e+1) and C = _weighting_threshold(G, data), the
+    average Q(r) = r^{-h1} S(r) (closed_weighting_value) is sampled at
+    r = C+1, ..., C+D+2: the first D+1 samples fit, the last one checks.
+    Degree: each of the r^{h1} terms is at most (r^2/4)^{D/2}.  Threshold:
+    loops add Faulhaber sums, polynomial for all r >= 1.  Take the other y_e
+    in [0, r] (y(r-y) vanishes at both ends); for each wrap vector k the
+    weightings are the lattice points of {0 <= y <= r, By = t + rk}, with B
+    the incidence matrix of G.  B is totally unimodular, so a weighted sum
+    over these points is one polynomial per chamber of (t + rk, r) (vector
+    partition functions: Sturmfels 1995; Beck-Robins).  Each wall is a cut
+    sum_{v in S} t_v = -Nr with N an integer, and N != 0 needs r <= C: for
+    r > C no wall is crossed and S is a polynomial, hence so is Q, which
+    JPPZ (arXiv:1602.04705) make polynomial for large r.  Cost: every vertex
+    has 2g(v)-2+n(v) > 0, so C <= sum_i |A_i|.
+    """
+    degree = 2 * sum(m + 1 for m in mvec)
+    start = _weighting_threshold(G, data) + 1
+    samples = [(r, closed_weighting_value(G, data, mvec, r))
+               for r in range(start, start + degree + 2)]
+    return interpolate_constant_term(samples, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,32 @@ def kappa1_times(x):
     return out
 
 
+def residue_bound(data):
+    """max(sum |A_i|, |k|(2g-2+n)): a modulus bound that depends on the
+    ramification data alone, at or above every graph's weighting threshold."""
+    return max(sum(abs(x) for x in data.A),
+               abs(data.k) * (2 * data.g - 2 + data.n))
+
+
+def weighting_targets(G, data):
+    """k(2g(v)-2+n(v)) minus the A_i of the legs at v, per vertex v, with
+    n(v) counting legs and half-edges."""
+    valence = [len(G.legs[v]) for v in range(G.num_vertices)]
+    for u, v in G.edges:
+        valence[u] += 1
+        valence[v] += 1
+    return [data.k * (2 * G.genera[v] - 2 + valence[v])
+            - sum(data.A[m - 1] for m in G.legs[v])
+            for v in range(G.num_vertices)]
+
+
+def max_cut_target(G, data):
+    """The largest |sum_{v in S} t_v| over all vertex sets S."""
+    t = weighting_targets(G, data)
+    return max(abs(sum(s)) for size in range(len(t) + 1)
+               for s in itertools.combinations(t, size))
+
+
 def brute_force_weighting_value(G, data, mvec, r):
     """r^{-h1} times the sum of prod_e (w(h)w(h'))^{m_e+1} over all
     weightings mod r of G, found by trying every per-edge weight.
@@ -43,15 +69,10 @@ def brute_force_weighting_value(G, data, mvec, r):
     Edge e = (u, v) has half-edge 2e at u with weight w_e in [0, r) and
     half-edge 2e+1 at v with weight -w_e mod r.  A weighting is kept when at
     every vertex v the weights of its half-edges plus the A_i of its legs are
-    congruent to k(2g(v)-2+n(v)) mod r, n(v) counting legs and half-edges.
+    congruent to k(2g(v)-2+n(v)) mod r.
     """
     V, E = G.num_vertices, G.num_edges
-    valence = [len(G.legs[v]) for v in range(V)]
-    for u, v in G.edges:
-        valence[u] += 1
-        valence[v] += 1
-    targets = [data.k * (2 * G.genera[v] - 2 + valence[v])
-               - sum(data.A[m - 1] for m in G.legs[v]) for v in range(V)]
+    targets = weighting_targets(G, data)
     total = 0
     for w in itertools.product(range(r), repeat=E):
         sums = [0] * V

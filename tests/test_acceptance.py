@@ -17,6 +17,7 @@ from tautring.graphs import enumerate_stable_graphs, make_graph
 from tautring.integrate import psi_integral
 from tautring.pixton import (
     RamificationData,
+    _weighting_threshold,
     closed_weighting_value,
     interpolate_constant_term,
     pixton_class,
@@ -261,18 +262,18 @@ def test_criterion_11_weighting_oracle():
         A.append(total - sum(A))
         data = RamificationData(g, n, k, tuple(A))
         mvec = tuple(rng.randint(0, 2) for _ in range(G.num_edges))
-        r0 = data.residue_bound()
-        for r in (r0 + 1, r0 + 2):
+        C = _weighting_threshold(G, data)
+        for r in (C + 1, C + 2):
             if closed_weighting_value(G, data, mvec, r) != \
                     brute_force_weighting_value(G, data, mvec, r):
                 ok = False
-        # surplus consistency: the normalized sums fit one polynomial of
-        # the predicted degree across the whole sampling window
-        bound = sum(2 * (m + 1) for m in mvec) + G.h1 + 2
+        # surplus consistency: from the threshold on, the normalized sums
+        # fit one polynomial of degree 2 sum(m_e+1), two surplus samples
+        degree = sum(2 * (m + 1) for m in mvec)
         samples = [(r, closed_weighting_value(G, data, mvec, r))
-                   for r in range(r0 + 1, r0 + bound + 4)]
+                   for r in range(C + 1, C + degree + 4)]
         try:
-            interpolate_constant_term(samples, bound)
+            interpolate_constant_term(samples, degree)
         except Exception:
             ok = False
     report(11, ok, "closed-form edge weighting sums match direct "

@@ -7,6 +7,7 @@ import pytest
 
 from tautring.cli import main
 from tautring.graphs import decode_graph
+from tautring import pixton
 from tautring.pixton import RamificationData, pixton_class, q_form
 from tautring.strata import MixedClass, TautClass
 
@@ -193,6 +194,26 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error: internal: RuntimeError: boom" in err
     assert "Traceback" not in err
+
+
+def test_surplus_mismatch_exits_three(capsys, monkeypatch):
+    # samples above the proven threshold always fit, so a surplus sample off
+    # the interpolant is a defect (exit 3), never bad input (exit 2)
+    exact = pixton.closed_weighting_value
+
+    def corrupt(G, data, mvec, r):
+        value = exact(G, data, mvec, r)
+        fit_end = pixton._weighting_threshold(G, data) + \
+            2 * sum(m + 1 for m in mvec) + 1
+        return value + 1 if r > fit_end else value
+
+    monkeypatch.setattr("tautring.pixton.closed_weighting_value", corrupt)
+    pixton.pixton_class.cache_clear()
+    pixton._weighting_ct.cache_clear()
+    assert main(["pixton", "--g", "1", "--n", "2", "--k", "0",
+                 "--A", "1,-1", "--deg", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "error: internal: ArithmeticError: surplus sample" in err
 
 
 def test_section7_json_identical_across_processes():
