@@ -119,14 +119,6 @@ class StableGraph:
         """1 / |Aut G|."""
         return Fraction(1, automorphism_count(self))
 
-    def valence(self, v: int) -> int:
-        """Number of special points on vertex v: legs plus half-edges."""
-        return len(self.legs[v]) + len(self.half_edges_at(v))
-
-    def vertex_dim(self, v: int) -> int:
-        """Dimension 3g_v - 3 + n_v of the moduli factor at v."""
-        return 3 * self.genera[v] - 3 + self.valence(v)
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
@@ -151,8 +143,8 @@ class StableGraph:
                 raise DomainError("edge endpoints out of range or unsorted")
         if not self.is_connected():
             raise DomainError("graph not connected")
-        for v in range(V):
-            if 2 * self.genera[v] - 2 + self.valence(v) <= 0:
+        for v, (gv, legs, hes, _) in enumerate(self.vertex_data):
+            if 2 * gv - 2 + len(legs) + len(hes) <= 0:
                 raise DomainError("unstable vertex %d" % v)
 
     def is_connected(self) -> bool:

@@ -11,9 +11,12 @@ where w ranges over weightings mod r (legs carry A_i, edge halves sum to 0,
 vertex sums hit k(2g(v)-2+n(v))).  For each edge-power vector the weighting
 sum, averaged by r^{-h1}, is a polynomial in r above the threshold
 C = 1/2 sum_v |t_v| over the vertex targets t_v (proof at _weighting_ct);
-its constant term enters the coefficient.  Each sample enumerates all r^{h1}
-weightings in integer arithmetic (closed_weighting_value), and the constant
-term is interpolated from samples at r = C+1, C+2, ...
+its constant term enters the coefficient.  The vertex equations of each
+(graph, data) pair are solved once, in one pass over a spanning tree
+(_edge_forms): every edge weight becomes a form in the h1 free weights.
+Each sample enumerates all r^{h1} free-weight vectors through that table in
+integer arithmetic (closed_weighting_value), and the constant term is
+interpolated from samples at r = C+1, C+2, ...
 
 The degree-1 part on tree graphs must reproduce twice Hain's divisor
 (hain_divisor below); that pin plus the vanishing of the degree-(g+1) cycle
@@ -74,126 +77,91 @@ class RamificationData:
 
 def _vertex_targets(G: StableGraph, data: RamificationData) -> list[int]:
     """k(2g(v)-2+n(v)) minus the leg residues at v, per vertex."""
-    out = []
-    for v in range(G.num_vertices):
-        val = len(G.legs[v]) + len(G.half_edges_at(v))
-        t = data.k * (2 * G.genera[v] - 2 + val)
-        t -= sum(data.A[m - 1] for m in G.legs[v])
-        out.append(t)
-    return out
+    return [data.k * (2 * gv - 2 + len(legs) + len(hes))
+            - sum(data.A[m - 1] for m in legs)
+            for gv, legs, hes, _ in G.vertex_data]
+
+
+@functools.cache
+def _edge_forms(G: StableGraph, data: RamificationData) -> tuple:
+    """The weighting system of G solved once: (C, h1, forms), with C the
+    threshold 1/2 sum_v |t_v| and, per edge e = (u, v), the form
+    (c_e, ((j, s_j), ...)) of y_e = c_e + sum_j s_j x_j, the weight of its
+    half-edge 2e at u (half-edge 2e+1 at v weighs -y_e).
+
+    A breadth-first walk from vertex 0 records each vertex's parent edge;
+    the h1 edges off the tree (loops among them) carry the free weights x_j.
+    A vertex's residual is t_v minus the weights its free edges put there.
+    In reverse visit order each child's residual fixes its parent edge (sign
+    +1 when the child holds the even half-edge) and adds onto the parent's.
+    The root residual is then zero, as the t_v sum to 0 and every free
+    weight enters twice with opposite signs.  Each fundamental cycle crosses
+    a tree edge at most once, so every s_j is +1 or -1.
+    """
+    targets = _vertex_targets(G, data)
+    parent = {0: -1}
+    order = [0]
+    for u in order:
+        for h in G.half_edges_at(u):
+            w = G.half_edge_vertex[h ^ 1]
+            if w not in parent:
+                parent[w] = h // 2
+                order.append(w)
+    tree = set(parent.values())
+    free = [e for e in range(G.num_edges) if e not in tree]
+    # residual[v] = [constant, coefficient of x_0, x_1, ...]
+    residual = [[t] + [0] * len(free) for t in targets]
+    forms: list = [None] * G.num_edges
+    for j, e in enumerate(free):
+        u, v = G.edges[e]
+        forms[e] = (0, ((j, 1),))
+        residual[u][j + 1] -= 1
+        residual[v][j + 1] += 1
+    for child in reversed(order[1:]):
+        e = parent[child]
+        u, v = G.edges[e]
+        s = 1 if u == child else -1
+        res = residual[child]
+        forms[e] = (s * res[0],
+                    tuple((j, s * x) for j, x in enumerate(res[1:]) if x))
+        up = residual[v if u == child else u]
+        for i, x in enumerate(res):
+            up[i] += x
+    if any(residual[0]):
+        raise DomainError("inconsistent residue propagation at the root")
+    return sum(abs(t) for t in targets) // 2, len(free), tuple(forms)
 
 
 def _weighting_threshold(G: StableGraph, data: RamificationData) -> int:
     """C = 1/2 sum_v |t_v| = max_S |sum_{v in S} t_v|, as the t_v sum to 0."""
-    return sum(abs(t) for t in _vertex_targets(G, data)) // 2
-
-
-def _weight_forms(G: StableGraph, data: RamificationData
-                  ) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """Symbolic weights w(h) = c_h + sum_j eps_hj x_j over the free weights.
-
-    Free weights sit on the edges outside a spanning tree (loops included);
-    tree weights are solved by leaf elimination.  Coefficients eps are in
-    {-1, 0, +1} (each fundamental cycle crosses a tree edge at most once).
-    Returns (number of free weights, per-half-edge (constant, eps vector)).
-    """
-    V, E = G.num_vertices, G.num_edges
-    targets = _vertex_targets(G, data)
-    # spanning tree by BFS over non-loop edges
-    tree: set[int] = set()
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for ei, (x, y) in enumerate(G.edges):
-                if ei in tree or x == y:
-                    continue
-                if x == u and y not in seen:
-                    tree.add(ei)
-                    seen.add(y)
-                    nxt.append(y)
-                elif y == u and x not in seen:
-                    tree.add(ei)
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    free = [ei for ei in range(E) if ei not in tree]
-    nfree = len(free)
-    zero = (0,) * nfree
-
-    def add(f, g_):
-        return (f[0] + g_[0], tuple(a + b for a, b in zip(f[1], g_[1])))
-
-    def neg(f):
-        return (-f[0], tuple(-a for a in f[1]))
-
-    forms: dict[int, tuple[int, tuple[int, ...]]] = {}
-    residual = [(targets[v], zero) for v in range(V)]
-    for j, ei in enumerate(free):
-        u, v = G.edges[ei]
-        xj = (0, tuple(1 if t == j else 0 for t in range(nfree)))
-        forms[2 * ei] = xj
-        forms[2 * ei + 1] = neg(xj)
-        residual[u] = add(residual[u], neg(xj))
-        residual[v] = add(residual[v], xj)  # subtracting -x_j
-    unresolved = {v: [] for v in range(V)}
-    for ei in tree:
-        u, v = G.edges[ei]
-        unresolved[u].append(ei)
-        unresolved[v].append(ei)
-    pending = set(tree)
-    while pending:
-        leaf = next(v for v in range(V)
-                    if len([e for e in unresolved[v] if e in pending]) == 1)
-        ei = next(e for e in unresolved[leaf] if e in pending)
-        pending.discard(ei)
-        u, v = G.edges[ei]
-        h_leaf, h_other = (2 * ei, 2 * ei + 1) if u == leaf else (2 * ei + 1, 2 * ei)
-        w = residual[leaf]
-        forms[h_leaf] = w
-        forms[h_other] = neg(w)
-        other = v if u == leaf else u
-        residual[other] = add(residual[other], w)  # subtracting -w
-        residual[leaf] = (0, zero)
-    # every vertex equation is now satisfied exactly over the integers; the
-    # root equation closes by the global residue constraint sum(A)=k(2g-2+n)
-    for v in range(V):
-        c, eps = residual[v]
-        if c != 0 or any(eps):
-            raise DomainError("inconsistent residue propagation at vertex %d" % v)
-    out = [forms[h] for h in range(2 * E)]
-    return nfree, out
+    return _edge_forms(G, data)[0]
 
 
 def closed_weighting_value(G: StableGraph, data: RamificationData,
                            mvec: Sequence[int], r: int) -> Fraction:
     """r^{-h1} times the sum of prod_e (w(h)w(h'))^{m_e+1} over the r^{h1}
     weightings mod r of G, for edge powers mvec and a modulus r above the
-    threshold C of _weighting_threshold.
+    threshold C.
 
-    Each weighting is fixed by its free weights x in [0, r)^{h1}, which
-    _weight_forms turns into w(h) = (c_h + eps_h . x) mod r.  Since
-    w(h') = r - w(h) mod r, an edge contributes (y(r-y))^{m_e+1} with
-    y = w(h) for its even half-edge h.  The sum runs over Python ints,
+    Everything about G and the data is read from the table of _edge_forms:
+    the free weights x in [0, r)^{h1} give y_e = (c_e + sum_j s_j x_j) mod r
+    on the even half-edge of each edge.  Since w(h') = r - w(h) mod r, the
+    edge contributes (y_e(r-y_e))^{m_e+1}.  The sum runs over Python ints,
     divided once at the end.
     """
-    if r <= _weighting_threshold(G, data):
+    threshold, nfree, forms = _edge_forms(G, data)
+    if r <= threshold:
         raise DomainError("modulus r=%d not above the threshold %d"
-                          % (r, _weighting_threshold(G, data)))
-    if len(mvec) != G.num_edges:
+                          % (r, threshold))
+    if len(mvec) != len(forms):
         raise DomainError("edge power vector length mismatch")
-    nfree, forms = _weight_forms(G, data)
-    edges = []
-    for ei, m in enumerate(mvec):
-        c, eps = forms[2 * ei]
-        values = [(y * (r - y)) ** (m + 1) for y in range(r)]
-        edges.append((c, [(j, e) for j, e in enumerate(eps) if e], values))
+    edges = [(c, eps, [(y * (r - y)) ** (m + 1) for y in range(r)])
+             for (c, eps), m in zip(forms, mvec)]
     total = 0
     for xs in itertools.product(range(r), repeat=nfree):
         term = 1
-        for c, active, values in edges:
-            term *= values[(c + sum(e * xs[j] for j, e in active)) % r]
+        for c, eps, values in edges:
+            term *= values[(c + sum(s * xs[j] for j, s in eps)) % r]
         total += term
     return Fraction(total, r ** nfree)
 

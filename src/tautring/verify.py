@@ -385,10 +385,3 @@ def check_section7() -> list[CheckReport]:
          "vectors": ["a*(b - (a+b))", "a*irr", "irr*(b - (a+b))"]}), t0))
     return reports
 
-
-CHECKS = {
-    "paper-section7": "fixed genus-1 three-pointed counterexample bundle",
-    "multiplicativity": "product comparison on a locus",
-    "exp-identities": "exponential and treelike factorization identities",
-    "gplus1": "degree-(g+1) vanishing modulo the pairing",
-}

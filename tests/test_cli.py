@@ -148,6 +148,20 @@ def test_malformed_payload_shapes_exit_two(capsys):
         '"psi":[1]}]}',
         '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
         '"kappa":{"v0":5}}]}',
+        # unknown marking, half-edge and vertex, negative psi exponent and
+        # nonpositive kappa index: the stratum constructor refuses each
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":{"m9":1}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":{"h0":1}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":{"m1":-1}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"kappa":{"v3":[1]}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"kappa":{"v0":[0]}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"kappa":{"v0":[-2]}}]}',
         '{"g":-1,"n":1,"degree":0,"terms":[]}',
         # json parses 1e400 and Infinity to float inf
         '{"g":1e400,"n":1,"degree":1,"terms":[]}',

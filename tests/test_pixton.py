@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,8 +8,10 @@ import pytest
 
 from tautring.graphs import DomainError, enumerate_stable_graphs, make_graph
 from tautring.integrate import class_pairing_vector, evaluate
+from tautring import pixton
 from tautring.pixton import (
     RamificationData,
+    _edge_forms,
     _weighting_ct,
     _weighting_threshold,
     closed_weighting_value,
@@ -23,7 +26,7 @@ from tautring.pixton import (
 from tautring.strata import MixedClass, generators, restrict, single, unit
 
 from oracles import brute_force_weighting_value, max_cut_target, \
-    residue_bound
+    residue_bound, weighting_targets
 
 
 def test_ramification_data_validation():
@@ -202,6 +205,62 @@ def test_weighting_sums_polynomial_above_threshold():
     # the threshold itself is refused
     with pytest.raises(DomainError):
         closed_weighting_value(G, data, mvec, C)
+
+
+def test_edge_forms_biject_onto_weightings():
+    # the r^{h1} free-weight vectors must give distinct weightings, each
+    # meeting the vertex congruences: sums alone cannot catch a form with
+    # the wrong overall sign, as y(r-y) is symmetric
+    rng = random.Random(2718)
+    cases = 0
+    for g, n in [(2, 1), (1, 3)]:
+        for G in enumerate_stable_graphs(g, n, 3):
+            if G.h1 > 2:
+                continue
+            for k in (0, 1):
+                A = [rng.randint(-3, 3) for _ in range(n - 1)]
+                A.append(k * (2 * g - 2 + n) - sum(A))
+                data = RamificationData(g, n, k, tuple(A))
+                C, h1, forms = _edge_forms(G, data)
+                assert h1 == G.h1 and len(forms) == G.num_edges
+                assert all(s in (1, -1) for _, eps in forms for _, s in eps)
+                r = C + 1
+                targets = weighting_targets(G, data)
+                seen = set()
+                for xs in itertools.product(range(r), repeat=h1):
+                    w = tuple((c + sum(s * xs[j] for j, s in eps)) % r
+                              for c, eps in forms)
+                    sums = [0] * G.num_vertices
+                    for (u, v), y in zip(G.edges, w):
+                        sums[u] += y
+                        sums[v] -= y
+                    assert all((x - t) % r == 0
+                               for x, t in zip(sums, targets)), (G, data, w)
+                    seen.add(w)
+                assert len(seen) == r ** h1, (G, data)
+                cases += 1
+    assert cases == 72
+
+
+def test_edge_forms_built_once_per_pair(monkeypatch):
+    # every sample and edge-power vector of one (graph, data) pair reads the
+    # same table: one build per pair
+    pixton_class.cache_clear()
+    _weighting_ct.cache_clear()
+    _edge_forms.cache_clear()
+    pairs = set()
+    sample = pixton.closed_weighting_value
+
+    def spy(G, data, mvec, r):
+        pairs.add((G, data))
+        return sample(G, data, mvec, r)
+
+    monkeypatch.setattr(pixton, "closed_weighting_value", spy)
+    pixton_mixed(RamificationData(2, 1, 1, (3,)), max_degree=4)
+    info = _edge_forms.cache_info()
+    assert len(pairs) == len(enumerate_stable_graphs(2, 1, 4))
+    assert info.misses == info.currsize == len(pairs)
+    assert info.hits > 10 * info.misses
 
 
 def test_pixton_mixed_payloads_pinned():
