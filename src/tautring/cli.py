@@ -195,16 +195,14 @@ def _allow_negative_vectors(p: argparse.ArgumentParser) -> None:
     p._negative_number_matcher = _VEC_TOKEN
 
 
-def _add_type_flags(p: argparse.ArgumentParser, with_k: bool = True) -> None:
+def _add_type_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g", type=int, required=True, help="genus")
     p.add_argument("--n", type=int, required=True, help="number of markings")
-    if with_k:
-        p.add_argument("--k", type=int, default=0, help="twist")
-        mx = p.add_mutually_exclusive_group()
-        mx.add_argument("--A", type=_vec,
-                        help="comma-separated vector with sum k(2g-2+n)")
-        mx.add_argument("--a", type=_vec,
-                        help="shifted vector (a_i = A_i - k)")
+    p.add_argument("--k", type=int, default=0, help="twist")
+    mx = p.add_mutually_exclusive_group()
+    mx.add_argument("--A", type=_vec,
+                    help="comma-separated vector with sum k(2g-2+n)")
+    mx.add_argument("--a", type=_vec, help="shifted vector (a_i = A_i - k)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,12 +1,10 @@
 """Exact intersection numbers on Mbar_{g,n}.
 
-psi_integral computes correlators <tau_{d_1} ... tau_{d_n}>_g exactly, with
-one in-process memo.  A tau_0 is removed by the string equation, else a tau_1
-by the dilaton equation (Witten 1991); only when every index is >= 2 does the
-DVV (KdV/Virasoro) recursion on the largest index run.
-
-kappa_psi_integral reduces mixed kappa-psi integrals to pure psi integrals by
-pushing kappa classes to an extra marked point, one kappa factor at a time:
+kappa_psi_integral computes <tau_{d_1} ... tau_{d_n} kappa_{b_1..b_m}>_g
+exactly, through one memoised kernel keyed on sorted (g, psi, kappa); its
+recursion calls itself on sorted keys.  The kernel is zero on an unstable
+key, a negative exponent or a degree off the dimension.  Otherwise it first
+pushes the last kappa part to an extra marked point:
 
     <psi^d kappa_{b_1..b_m}>_{g,n}
       = sum over T subset of {1..m-1} of (-1)^{|T|}
@@ -14,7 +12,10 @@ pushing kappa classes to an extra marked point, one kappa factor at a time:
              kappa_{b_j : j not in T, j < m}>_{g,n+1}
 
 Equal parts give equal terms, so T runs over sub-multisets, each weighted by
-its number of subsets.
+its number of subsets.  With no kappa left, a tau_0 is removed by the string
+equation, else a tau_1 by the dilaton equation (Witten 1991); only when every
+index is >= 2 does the DVV (KdV/Virasoro) recursion on the largest index
+run.  psi_integral is the kappa-free case of kappa_psi_integral.
 
 evaluate integrates a top-degree TautClass: each decorated stratum
 contributes coeff / |Aut(graph)| times the product of local vertex integrals.
@@ -49,49 +50,73 @@ def double_factorial(k: int) -> int:
     return out
 
 
+def kappa_psi_integral(g: int, psi_exps: Sequence[int],
+                       kappa_parts: Sequence[int]) -> Fraction:
+    """Integral of psi_1^{e_1}..psi_n^{e_n} * prod_a kappa_a over Mbar_{g,n},
+    where n = len(psi_exps) and kappa_parts lists kappa indices (each >= 1);
+    zero off dimension or unstable."""
+    if any(a < 1 for a in kappa_parts):
+        raise DomainError("kappa indices must be >= 1")
+    return _integral(g, tuple(sorted(psi_exps)), tuple(sorted(kappa_parts)))
+
+
 def psi_integral(g: int, exps: Sequence[int]) -> Fraction:
     """<tau_{exps[0]} ... tau_{exps[-1]}>_g, zero off dimension or unstable."""
-    n = len(exps)
-    if g < 0 or any(e < 0 for e in exps) or 2 * g - 2 + n <= 0 \
-            or sum(exps) != 3 * g - 3 + n:
-        return Fraction(0)
-    return _psi_integral(g, tuple(sorted(exps)))
+    return kappa_psi_integral(g, exps, ())
 
 
 @functools.cache
-def _psi_integral(g: int, exps: tuple[int, ...]) -> Fraction:
-    n = len(exps)
+def _integral(g: int, psi: tuple[int, ...], kappa: tuple[int, ...]) -> Fraction:
+    """The kernel of kappa_psi_integral, on ascending psi and kappa keys."""
+    n = len(psi)
+    if g < 0 or 2 * g - 2 + n <= 0 or (psi and psi[0] < 0) \
+            or sum(psi) + sum(kappa) != 3 * g - 3 + n:
+        return Fraction(0)
+    if kappa:  # push the last kappa part to a new point
+        last = kappa[-1]
+        counts = Counter(kappa[:-1])
+        total = Fraction(0)
+        for ks in itertools.product(*(range(c + 1) for c in counts.values())):
+            kept = tuple(a for a, c, k in zip(counts, counts.values(), ks)
+                         for _ in range(c - k))
+            new_exp = last + 1 + sum(a * k for a, k in zip(counts, ks))
+            weight = prod(comb(c, k) for c, k in zip(counts.values(), ks))
+            total += ((-1) ** sum(ks) * weight
+                      * _integral(g, tuple(sorted(psi + (new_exp,))), kept))
+        return total
     if g == 0 and n == 3:
         return Fraction(1)
     if g == 1 and n == 1:
         return Fraction(1, 24)
-    if exps[0] == 0:  # string equation
-        rest = exps[1:]
-        return sum((psi_integral(g, rest[:j] + (k - 1,) + rest[j + 1:])
-                    for j, k in enumerate(rest) if k), Fraction(0))
-    if exps[0] == 1:  # dilaton equation
-        return (2 * g - 3 + n) * psi_integral(g, exps[1:])
+    if psi[0] == 0:  # string equation
+        rest = psi[1:]
+        lowered = (rest[:j] + (k - 1,) + rest[j + 1:]
+                   for j, k in enumerate(rest) if k)
+        return sum((_integral(g, tuple(sorted(e)), ()) for e in lowered),
+                   Fraction(0))
+    if psi[0] == 1:  # dilaton equation
+        return (2 * g - 3 + n) * _integral(g, psi[1:], ())
     # DVV recursion on the largest index; every index is >= 2 here
-    k = exps[-1] - 1
-    rest = exps[:-1]
+    k = psi[-1] - 1
+    rest = psi[:-1]
     total = Fraction(0)
     for j, dj in enumerate(rest):
-        merged = rest[:j] + (dj + k,) + rest[j + 1:]
+        merged = tuple(sorted(rest[:j] + (dj + k,) + rest[j + 1:]))
         total += (Fraction(double_factorial(2 * k + 2 * dj + 1),
                            double_factorial(2 * dj - 1))
-                  * psi_integral(g, merged))
+                  * _integral(g, merged, ()))
     for a in range(k):
         b = k - 1 - a
         w = Fraction(double_factorial(2 * a + 1) * double_factorial(2 * b + 1), 2)
-        total += w * psi_integral(g - 1, (a, b) + rest)
+        total += w * _integral(g - 1, tuple(sorted((a, b) + rest)), ())
         for mask in range(1 << len(rest)):
             part = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
             comp = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
             # the left factor's dimension fixes its genus
             g1, off = divmod(a + sum(part) + 2 - len(part), 3)
             if not off and g1 <= g:
-                total += (w * psi_integral(g1, (a,) + part)
-                          * psi_integral(g - g1, (b,) + comp))
+                total += (w * _integral(g1, tuple(sorted((a,) + part)), ())
+                          * _integral(g - g1, tuple(sorted((b,) + comp)), ()))
     return total / double_factorial(2 * k + 3)
 
 
@@ -100,36 +125,7 @@ def wk_cache_status() -> dict:
     remains only because the benchmark harness (bench/child.py
     --cache-status) imports it."""
     return {"dir": "", "wk_disk_entries": 0,
-            "wk_memory_entries": _psi_integral.cache_info().currsize}
-
-
-def kappa_psi_integral(g: int, psi_exps: Sequence[int],
-                       kappa_parts: Sequence[int]) -> Fraction:
-    """Integral of psi_1^{e_1}..psi_n^{e_n} * prod_a kappa_a over Mbar_{g,n},
-    where n = len(psi_exps) and kappa_parts lists kappa indices (each >= 1)."""
-    if any(a < 1 for a in kappa_parts):
-        raise DomainError("kappa indices must be >= 1")
-    kappa_parts = tuple(sorted(kappa_parts))
-    if not kappa_parts:
-        return psi_integral(g, psi_exps)
-    return _kappa_psi_integral(g, tuple(sorted(psi_exps, reverse=True)),
-                               kappa_parts)
-
-
-@functools.cache
-def _kappa_psi_integral(g: int, psi_key: tuple[int, ...],
-                        kappa_parts: tuple[int, ...]) -> Fraction:
-    last = kappa_parts[-1]
-    counts = Counter(kappa_parts[:-1])
-    total = Fraction(0)
-    for ks in itertools.product(*(range(c + 1) for c in counts.values())):
-        kept = tuple(a for a, c, k in zip(counts, counts.values(), ks)
-                     for _ in range(c - k))
-        new_exp = last + 1 + sum(a * k for a, k in zip(counts, ks))
-        weight = prod(comb(c, k) for c, k in zip(counts.values(), ks))
-        total += ((-1) ** sum(ks) * weight
-                  * kappa_psi_integral(g, psi_key + (new_exp,), kept))
-    return total
+            "wk_memory_entries": _integral.cache_info().currsize}
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +139,8 @@ def _decoration_integral(G: StableGraph, pl: dict, ph: dict, kp: dict) -> Fracti
     for v, (gv, legs, hes, _) in enumerate(G.vertex_data):
         exps = [pl.get(m, 0) for m in legs]
         exps += [ph.get(h, 0) for h in hes]
-        local = kappa_psi_integral(gv, exps, kp.get(v, ()))
+        exps.sort()
+        local = _integral(gv, tuple(exps), tuple(sorted(kp.get(v, ()))))
         if not local:
             return Fraction(0)
         num *= local.numerator

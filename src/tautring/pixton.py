@@ -85,9 +85,10 @@ def _vertex_targets(G: StableGraph, data: RamificationData) -> list[int]:
 @functools.cache
 def _edge_forms(G: StableGraph, data: RamificationData) -> tuple:
     """The weighting system of G solved once: (C, h1, forms), with C the
-    threshold 1/2 sum_v |t_v| and, per edge e = (u, v), the form
-    (c_e, ((j, s_j), ...)) of y_e = c_e + sum_j s_j x_j, the weight of its
-    half-edge 2e at u (half-edge 2e+1 at v weighs -y_e).
+    threshold 1/2 sum_v |t_v| = max_S |sum_{v in S} t_v| (the t_v sum to 0)
+    and, per edge e = (u, v), the form (c_e, ((j, s_j), ...)) of
+    y_e = c_e + sum_j s_j x_j, the weight of its half-edge 2e at u
+    (half-edge 2e+1 at v weighs -y_e).
 
     A breadth-first walk from vertex 0 records each vertex's parent edge;
     the h1 edges off the tree (loops among them) carry the free weights x_j.
@@ -130,11 +131,6 @@ def _edge_forms(G: StableGraph, data: RamificationData) -> tuple:
     if any(residual[0]):
         raise DomainError("inconsistent residue propagation at the root")
     return sum(abs(t) for t in targets) // 2, len(free), tuple(forms)
-
-
-def _weighting_threshold(G: StableGraph, data: RamificationData) -> int:
-    """C = 1/2 sum_v |t_v| = max_S |sum_{v in S} t_v|, as the t_v sum to 0."""
-    return _edge_forms(G, data)[0]
 
 
 def closed_weighting_value(G: StableGraph, data: RamificationData,
@@ -210,7 +206,7 @@ def _weighting_ct(G: StableGraph, data: RamificationData,
                   mvec: tuple[int, ...]) -> Fraction:
     """r-constant term of the weighting sum S(r) for fixed edge powers mvec.
 
-    With D = 2 sum_e (m_e+1) and C = _weighting_threshold(G, data), the
+    With D = 2 sum_e (m_e+1) and C = _edge_forms(G, data)[0], the
     average Q(r) = r^{-h1} S(r) (closed_weighting_value) is sampled at
     r = C+1, ..., C+D+2: the first D+1 samples fit, the last one checks.
     Degree: each of the r^{h1} terms is at most (r^2/4)^{D/2}.  Threshold:
@@ -226,7 +222,7 @@ def _weighting_ct(G: StableGraph, data: RamificationData,
     has 2g(v)-2+n(v) > 0, so C <= sum_i |A_i|.
     """
     degree = 2 * sum(m + 1 for m in mvec)
-    start = _weighting_threshold(G, data) + 1
+    start = _edge_forms(G, data)[0] + 1
     samples = [(r, closed_weighting_value(G, data, mvec, r))
                for r in range(start, start + degree + 2)]
     return interpolate_constant_term(samples, degree)

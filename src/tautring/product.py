@@ -23,10 +23,12 @@ moduli dimension vanish; they are pruned as they are generated, by tracking
 how far each vertex is below its dimension (its deficit).
 
 Each edge subset of each graph is contracted and canonicalized once
-(``_contractions``); ``_degenerations`` lists the graphs over a target, so a
-product visits only common degenerations.  ``product_monomials`` yields the
-monomials, which ``multiply_strata`` collects into strata and
-``integrate.pair_strata`` integrates in place.
+(``_contractions``).  ``_degenerations`` inverts those tables once per space
+and edge bound into an index from each target to the graphs over it, so a
+product reads the degenerations of both factors from one index and visits
+only the common ones.  ``product_monomials`` yields the monomials, which
+``multiply_strata`` collects into strata and ``integrate.pair_strata``
+integrates in place.
 """
 
 from __future__ import annotations
@@ -80,17 +82,16 @@ def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structu
 
 
 @functools.cache
-def _degenerations(target: StableGraph, max_edges: int
-                   ) -> dict[StableGraph, tuple[Structure, ...]]:
-    """The graphs with at most max_edges edges that contract onto
-    ``target``, in enumeration order, each with its structures."""
-    out = {}
-    for G in enumerate_stable_graphs(target.genus(), target.num_legs, max_edges):
-        if G.num_edges >= target.num_edges:
-            structs = contraction_structures(G, target)
-            if structs:
-                out[G] = structs
-    return out
+def _degenerations(g: int, n: int, max_edges: int
+                   ) -> dict[StableGraph, dict[StableGraph, tuple[Structure, ...]]]:
+    """Every target graph of Mbar_{g,n}, mapped to the graphs with at most
+    max_edges edges that contract onto it, in enumeration order, each with
+    its structures: ``_contractions`` inverted once per space."""
+    index: dict[StableGraph, dict[StableGraph, tuple[Structure, ...]]] = {}
+    for G in enumerate_stable_graphs(g, n, max_edges):
+        for target, structs in _contractions(G).items():
+            index.setdefault(target, {})[G] = structs
+    return index
 
 
 def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tuple]:
@@ -105,7 +106,8 @@ def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tu
     if sa.degree + sb.degree > dim:
         return
     max_edges = min(GA.num_edges + GB.num_edges, dim)
-    da, db = _degenerations(GA, max_edges), _degenerations(GB, max_edges)
+    index = _degenerations(g, n, max_edges)
+    da, db = index[GA], index[GB]
     pref = GA.inverse_aut * GB.inverse_aut
     pl = dict(sa.psi_leg)
     for m, e in sb.psi_leg:

@@ -17,7 +17,7 @@ from tautring.graphs import enumerate_stable_graphs, make_graph
 from tautring.integrate import psi_integral
 from tautring.pixton import (
     RamificationData,
-    _weighting_threshold,
+    _edge_forms,
     closed_weighting_value,
     interpolate_constant_term,
     pixton_class,
@@ -262,7 +262,7 @@ def test_criterion_11_weighting_oracle():
         A.append(total - sum(A))
         data = RamificationData(g, n, k, tuple(A))
         mvec = tuple(rng.randint(0, 2) for _ in range(G.num_edges))
-        C = _weighting_threshold(G, data)
+        C = _edge_forms(G, data)[0]
         for r in (C + 1, C + 2):
             if closed_weighting_value(G, data, mvec, r) != \
                     brute_force_weighting_value(G, data, mvec, r):

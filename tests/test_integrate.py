@@ -189,6 +189,19 @@ def test_stratum_and_class_evaluation():
     assert evaluate(single(1, 1, psi).scale(Fraction(48))) == 2
 
 
+def test_off_dimension_vertex_integrates_to_zero():
+    # top degree overall, but psi(m1) sits on the genus-0 vertex, whose
+    # dimension is 0: the local dimension guard must make it vanish (the
+    # genus-1 vertex alone would give 1/24)
+    G = make_graph([1, 0], [(), (1, 2)], [(0, 1)])
+    s = make_stratum(G, {1: 1})
+    assert s.degree == 2 and not s.is_valid()
+    assert stratum_integral(s) == 0
+    # a negative exponent and an off-dimension key vanish too
+    assert kappa_psi_integral(1, (-1,), (2,)) == 0
+    assert kappa_psi_integral(1, (1,), (1,)) == 0
+
+
 def test_pairing_symmetry_random():
     rng = random.Random(31337)
     gens1 = generators(1, 2, 1)

@@ -13,7 +13,6 @@ from tautring.pixton import (
     RamificationData,
     _edge_forms,
     _weighting_ct,
-    _weighting_threshold,
     closed_weighting_value,
     delta_factor,
     exp_class,
@@ -191,7 +190,7 @@ def test_weighting_sums_polynomial_above_threshold():
         A = [rng.randint(-3, 3) for _ in range(n - 1)]
         A.append(k * (2 * g - 2 + n) - sum(A))
         data = RamificationData(g, n, k, tuple(A))
-        C = _weighting_threshold(G, data)
+        C = _edge_forms(G, data)[0]
         assert C == max_cut_target(G, data) <= residue_bound(data)
         degree = 2 * sum(m + 1 for m in mvec)
         far = residue_bound(data) + degree + 3
