@@ -234,7 +234,7 @@ def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
                 num = mat[i][j] * mat[rank][col] - mat[rank][j] * head
                 q, rem = divmod(num, prev)
                 if rem:
-                    raise DomainError("fraction-free elimination lost exactness")
+                    raise ArithmeticError("fraction-free elimination lost exactness")
                 mat[i][j] = q
         prev = mat[rank][col]
         pivots.append(col)

@@ -129,7 +129,7 @@ def _edge_forms(G: StableGraph, data: RamificationData) -> tuple:
         for i, x in enumerate(res):
             up[i] += x
     if any(residual[0]):
-        raise DomainError("inconsistent residue propagation at the root")
+        raise ArithmeticError("inconsistent residue propagation at the root")
     return sum(abs(t) for t in targets) // 2, len(free), tuple(forms)
 
 
@@ -142,7 +142,8 @@ def closed_weighting_value(G: StableGraph, data: RamificationData,
     Everything about G and the data is read from the table of _edge_forms:
     the free weights x in [0, r)^{h1} give y_e = (c_e + sum_j s_j x_j) mod r
     on the even half-edge of each edge.  Since w(h') = r - w(h) mod r, the
-    edge contributes (y_e(r-y_e))^{m_e+1}.  The sum runs over Python ints,
+    edge contributes (y_e(r-y_e))^{m_e+1}.  A bridge has no free term, so
+    its factor is one constant per sample.  The sum runs over Python ints,
     divided once at the end.
     """
     threshold, nfree, forms = _edge_forms(G, data)
@@ -151,11 +152,16 @@ def closed_weighting_value(G: StableGraph, data: RamificationData,
                           % (r, threshold))
     if len(mvec) != len(forms):
         raise DomainError("edge power vector length mismatch")
-    edges = [(c, eps, [(y * (r - y)) ** (m + 1) for y in range(r)])
-             for (c, eps), m in zip(forms, mvec)]
+    bridges = 1
+    edges = []
+    for (c, eps), m in zip(forms, mvec):
+        if eps:
+            edges.append((c, eps, [(y * (r - y)) ** (m + 1) for y in range(r)]))
+        else:
+            bridges *= ((c % r) * (r - c % r)) ** (m + 1)
     total = 0
     for xs in itertools.product(range(r), repeat=nfree):
-        term = 1
+        term = bridges
         for c, eps, values in edges:
             term *= values[(c + sum(s * xs[j] for j, s in eps)) % r]
         total += term
@@ -273,8 +279,6 @@ def pixton_class(data: RamificationData, d: int) -> TautClass:
                         kp[v] = (1,) * qv
                 for m in mvec:
                     coeff *= Fraction((-1) ** m, factorial(m + 1))
-                if not coeff:
-                    continue
                 for split in itertools.product(*[range(m + 1) for m in mvec]):
                     mult = 1
                     ph: dict[int, int] = {}
@@ -332,7 +336,7 @@ def hain_divisor(data: RamificationData) -> TautClass:
                 coeff = Fraction(-x * x, 2)
                 if stratum in seen:
                     if seen[stratum] != coeff:
-                        raise DomainError(
+                        raise ArithmeticError(
                             "conjugate representatives disagree on %s"
                             % stratum.label())
                     continue
@@ -347,14 +351,13 @@ def q_form(data: RamificationData) -> TautClass:
     return hain_divisor(data).scale(Fraction(2))
 
 
-def delta_factor(g: int, n: int, max_degree: int) -> MixedClass:
+def delta_factor(g: int, n: int) -> MixedClass:
     """The loop factor: the sub-sum of the cycle over one-vertex graphs with
     no kappa decorations and no psi on legs (psi on loop half-edges kept).
     Independent of the vector A, so it is computed once from A = 0, k = 0."""
     data = RamificationData(g, n, 0, (0,) * n)
-    top = min(max_degree, 3 * g - 3 + n)
     out = MixedClass(g, n)
-    for d in range(top + 1):
+    for d in range(data.dim + 1):
         full = pixton_class(data, d)
         part = TautClass(g, n, d)
         for s, c in full.terms.items():

@@ -194,17 +194,7 @@ def multiply_mixed(x: MixedClass, y: MixedClass) -> MixedClass:
     if (x.g, x.n) != (y.g, y.n):
         raise DomainError("cannot multiply classes on different moduli spaces")
     out = MixedClass(x.g, x.n)
-    acc: dict[int, TautClass] = {}
     for da, xa in x.parts.items():
         for db, yb in y.parts.items():
-            d = da + db
-            if d > out.dim:
-                continue
-            p = multiply(xa, yb)
-            if d in acc:
-                acc[d] = acc[d].add(p)
-            else:
-                acc[d] = p
-    for part in acc.values():
-        out.set_part(part)
+            out.set_part(out.part(da + db).add(multiply(xa, yb)))
     return out

@@ -174,15 +174,11 @@ class TautClass:
 
     __slots__ = ("g", "n", "degree", "terms")
 
-    def __init__(self, g: int, n: int, degree: int,
-                 terms: Mapping[DecoratedStratum, Fraction] | None = None):
+    def __init__(self, g: int, n: int, degree: int):
         self.g = g
         self.n = n
         self.degree = degree
         self.terms: dict[DecoratedStratum, Fraction] = {}
-        if terms:
-            for s, c in terms.items():
-                self.iadd_term(s, c)
 
     def iadd_term(self, stratum: DecoratedStratum, coeff: Fraction) -> None:
         coeff = Fraction(coeff)
@@ -288,9 +284,9 @@ class TautClass:
                 h = re.match(r"^h(\d+)$", k)
                 e = _payload_int(e)
                 if m:
-                    pl[int(m.group(1))] = e
+                    pl[_payload_int(m.group(1))] = e
                 elif h:
-                    ph[int(h.group(1))] = e
+                    ph[_payload_int(h.group(1))] = e
                 else:
                     raise DomainError("bad psi key %r" % k)
             kp: dict[int, tuple[int, ...]] = {}
@@ -300,16 +296,17 @@ class TautClass:
                     raise DomainError("bad kappa key %r" % k)
                 if not isinstance(parts, list):
                     raise DomainError("kappa parts must be a list")
-                kp[int(v.group(1))] = tuple(_payload_int(a) for a in parts)
+                kp[_payload_int(v.group(1))] = tuple(_payload_int(a) for a in parts)
             stratum = make_stratum(graph, pl, ph, kp)
             coeff = t["coeff"]
-            if isinstance(coeff, (bool, float)):
-                # a JSON float is a binary approximation, not the exact value
-                raise DomainError("coefficient must be a string or an "
-                                  "integer, got %r" % (coeff,))
+            # only what to_payload writes: floats are inexact, "1e9999999" huge
+            if not (type(coeff) is int or isinstance(coeff, str)
+                    and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", coeff)):
+                raise DomainError("coefficient must be an integer or a "
+                                  "\"p/q\" string, got %r" % (coeff,))
             try:
                 coeff = Fraction(coeff)
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise DomainError("bad coefficient: %s" % exc) from None
             out.iadd_term(stratum, coeff)
         return out

@@ -103,6 +103,15 @@ def _timed(report: CheckReport, t0: float) -> CheckReport:
 # pairing-based decision procedures
 
 
+def _separating(x: TautClass, cogens: list[DecoratedStratum]) -> dict | None:
+    """The first cogenerator pairing nonzero with x, with that pairing."""
+    for c in cogens:
+        value = pair_with(x, c)
+        if value:
+            return {"generator": c.label(), "pairing": value}
+    return None
+
+
 def is_zero_mod_pairing(x: TautClass) -> CheckReport:
     """Pass when x pairs to zero against every complementary generator."""
     t0 = time.monotonic()
@@ -114,29 +123,22 @@ def is_zero_mod_pairing(x: TautClass) -> CheckReport:
             "note": "degree exceeds the dimension; the class group vanishes",
         }), t0)
     cogens = generators(x.g, x.n, dim - x.degree)
-    for c in cogens:
-        value = pair_with(x, c)
-        if value:
-            return _timed(CheckReport(name, params, FAIL, {
-                "generator": c.label(),
-                "pairing": value,
-            }), t0)
+    hit = _separating(x, cogens)
+    if hit is not None:
+        return _timed(CheckReport(name, params, FAIL, hit), t0)
     return _timed(CheckReport(name, params, PASS_MOD, {
         "generators_checked": len(cogens),
     }), t0)
 
 
-def in_span_mod_pairing(x: TautClass, strata: list[DecoratedStratum],
-                        name: str = "in-span-mod-pairing",
-                        params: dict | None = None) -> CheckReport:
+def in_span_mod_pairing(x: TautClass,
+                        strata: list[DecoratedStratum]) -> CheckReport:
     """Solve <x - sum lambda_s s, c> = 0 over all complementary generators c;
     pass returns the coefficients, fail an unsatisfiable echelon row."""
     t0 = time.monotonic()
-    params = dict(params or {})
-    params.setdefault("g", x.g)
-    params.setdefault("n", x.n)
-    params.setdefault("degree", x.degree)
-    params.setdefault("span", [s.label() for s in strata])
+    name = "in-span-mod-pairing"
+    params = {"g": x.g, "n": x.n, "degree": x.degree,
+              "span": [s.label() for s in strata]}
     for s in strata:
         if s.degree != x.degree:
             raise DomainError("span stratum degree %d != class degree %d"
@@ -164,7 +166,7 @@ def in_span_mod_pairing(x: TautClass, strata: list[DecoratedStratum],
         check = sum((sol[j] * rows[i][j] for j in range(len(strata))),
                     Fraction(0))
         if check != target[i]:
-            raise DomainError("solver verification failed")
+            raise ArithmeticError("solver verification failed")
     return _timed(CheckReport(name, params, PASS_MOD, {
         "coefficients": {strata[j].label(): sol[j]
                          for j in range(len(strata))},
@@ -237,26 +239,21 @@ def check_exp_identities(data: RamificationData) -> CheckReport:
                     "the quadratic divisor",
         }), t0)
 
+    # identity, minuend, subtrahend, and the locus whose complement spans
     exp_p1 = exp_class(MixedClass(g, n, {1: p1}))
-    for d in range(0, dim + 1):
-        lhs = exp_p1.part(d).sub(full.part(d))
-        inner = in_span_mod_pairing(lhs, off_locus_strata(g, n, d, "ct"))
-        if not inner.passed:
-            return _timed(CheckReport("exp-identities", params, FAIL, {
-                "identity": "exp-vs-graded", "degree": d,
-                "inner": inner.witness,
-            }), t0)
-
-    qmixed = MixedClass(g, n, {1: qf})
-    target = multiply_mixed(exp_class(qmixed), delta_factor(g, n, dim))
-    for d in range(0, dim + 1):
-        lhs = full.part(d).sub(target.part(d))
-        inner = in_span_mod_pairing(lhs, off_locus_strata(g, n, d, "tl"))
-        if not inner.passed:
-            return _timed(CheckReport("exp-identities", params, FAIL, {
-                "identity": "treelike-factorization", "degree": d,
-                "inner": inner.witness,
-            }), t0)
+    target = multiply_mixed(exp_class(MixedClass(g, n, {1: qf})),
+                            delta_factor(g, n))
+    for identity, lhs, rhs, locus in (
+            ("exp-vs-graded", exp_p1, full, "ct"),
+            ("treelike-factorization", full, target, "tl")):
+        for d in range(0, dim + 1):
+            inner = in_span_mod_pairing(lhs.part(d).sub(rhs.part(d)),
+                                        off_locus_strata(g, n, d, locus))
+            if not inner.passed:
+                return _timed(CheckReport("exp-identities", params, FAIL, {
+                    "identity": identity, "degree": d,
+                    "inner": inner.witness,
+                }), t0)
 
     return _timed(CheckReport("exp-identities", params, PASS_MOD, {
         "degrees_checked": dim + 1,
@@ -327,10 +324,11 @@ def check_section7() -> list[CheckReport]:
             {"note": "products agree modulo the pairing"}), t0))
 
     # 2. the difference lies in the span of the three banana strata
-    bananas = [_s7_banana(i) for i in (1, 2, 3)]
-    reports.append(in_span_mod_pairing(diff, bananas,
-                                       name="section7-banana-span",
-                                       params=dict(base_params)))
+    t0 = time.monotonic()
+    span = in_span_mod_pairing(diff, [_s7_banana(i) for i in (1, 2, 3)])
+    reports.append(_timed(CheckReport(
+        "section7-banana-span", dict(base_params, **span.params),
+        span.verdict, span.witness), t0))
 
     # 3. both products restrict nontrivially to the treelike locus: each
     # pairs nonzero against some treelike complementary generator
@@ -338,22 +336,11 @@ def check_section7() -> list[CheckReport]:
     dim = 3 * g - 3 + n
     cogens = [c for c in generators(g, n, dim - 2)
               if restrict(single(g, n, c), "tl").terms]
-    wit: dict = {}
-    ok = True
-    for label, cls in (("a*b", prod_b), ("a*(a+b)", prod_ab)):
-        hit = None
-        treelike = restrict(cls, "tl")
-        for c in cogens:
-            val = pair_with(treelike, c)
-            if val:
-                hit = {"generator": c.label(), "pairing": val}
-                break
-        if hit is None:
-            ok = False
-            wit[label] = "treelike restriction pairs to zero"
-        else:
-            wit[label] = hit
-    verdict = PASS if ok else FAIL
+    hits = {label: _separating(restrict(cls, "tl"), cogens)
+            for label, cls in (("a*b", prod_b), ("a*(a+b)", prod_ab))}
+    verdict = FAIL if None in hits.values() else PASS
+    wit = {label: hit or "treelike restriction pairs to zero"
+           for label, hit in hits.items()}
     reports.append(_timed(CheckReport(
         "section7-treelike-nontrivial", dict(base_params), verdict, wit), t0))
 

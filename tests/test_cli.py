@@ -1,14 +1,19 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from tautring.cli import main
 from tautring.graphs import decode_graph
 from tautring import pixton
-from tautring.pixton import RamificationData, pixton_class, q_form
+from tautring.integrate import evaluate
+from tautring.pixton import RamificationData, pixton_class, pixton_mixed, \
+    q_form
+from tautring.product import multiply_mixed
 from tautring.strata import MixedClass, TautClass
 
 
@@ -105,6 +110,34 @@ def test_check_exit_codes(capsys):
     assert payload["checks"][0]["witness"]["pairing"] == "27/2"
 
 
+_CHECK_DIGESTS = [
+    (["paper-section7"], 0,
+     "b141a05dd3edf96bfa57718fa968be7ddf310d78ab73befb496f94e24a6b1a6a"),
+    (["multiplicativity", "--g", "1", "--n", "3", "--A", "2,4,-6",
+      "--B", "-3,-1,4", "--locus", "all"], 1,
+     "f555692d3a5639a0704d426ffb535dcad5d3f03320281535417c2a3c5f288517"),
+    (["multiplicativity", "--g", "1", "--n", "3", "--A", "2,4,-6",
+      "--B", "-3,-1,4", "--locus", "tl"], 0,
+     "ac57a1c84b053de7ec5e6f24338766837fd36047aa6eae69390e989603a2c8ad"),
+    (["exp-identities", "--g", "1", "--n", "2", "--k", "0", "--A", "1,-1"], 0,
+     "0fd6e831754ab27e2550c19b4ae32157c2d08058075a35c490cbc121ec2b25ed"),
+    (["gplus1", "--g", "1", "--n", "2", "--k", "0", "--A", "1,-1"], 0,
+     "d08f489e56753a3d19855bc48e40a866539876c5c4d8f0c4b09f6552b041589f"),
+    (["exp-identities", "--g", "2", "--n", "1", "--k", "1", "--A", "3"], 0,
+     "dcb4e9875275471431be97f9f46aa6115dfc966912b151c2397169f372b7ab10"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", _CHECK_DIGESTS,
+                         ids=[a[0] + "-" + str(i)
+                              for i, (a, _, _) in enumerate(_CHECK_DIGESTS)])
+def test_check_json_bytes_pinned(capsys, args, code, digest):
+    # every verdict, witness and parameter of the check bundles, byte for byte
+    got, out = capture(capsys, ["check"] + args + ["--json"])
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_runtime_flag_controls_payload(capsys):
     args = ["check", "gplus1", "--g", "1", "--n", "2", "--k", "0",
             "--A", "1,-1", "--json"]
@@ -131,7 +164,7 @@ def test_usage_errors_exit_two(capsys):
     assert main(["generators", "--g", "-1", "--n", "5", "--d", "0"]) == 2
 
 
-def test_malformed_payload_shapes_exit_two(capsys):
+def test_malformed_payload_shapes_exit_two(capsys, tmp_path):
     # structurally wrong payloads must fail cleanly, never traceback
     bad = [
         '{"g":1,"n":1,"degree":1,"terms":{"x":"1"}}',
@@ -186,11 +219,29 @@ def test_malformed_payload_shapes_exit_two(capsys):
         '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":true}]}',
         '{"g":1.5,"n":1,"parts":[]}',
         '{"g":1,"n":true,"parts":[]}',
+        # hostile sizes: deep nesting, an integer past the digit limit, an
+        # exponent coefficient (Fraction would build a million digits), and
+        # overlong integers in psi and kappa keys
+        '{"g":1,"n":1,"degree":1,"terms":' + '[' * 3000 + ']' * 3000 + '}',
+        '{"g":1' + '0' * 4999 + ',"n":1,"degree":1,"terms":[]}',
+        '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#",'
+        '"coeff":"1e1000000"}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":{"m' + '1' * 5000 + '":1}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"kappa":{"v' + '1' * 5000 + '":[1]}}]}',
+        # only the forms to_payload writes are coefficients
+        '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#","coeff":"1.5"}]}',
+        '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#","coeff":" 1"}]}',
     ]
-    for text in bad:
-        assert main(["evaluate", text]) == 2, text
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'\xff\xfe{"g":1}')
+    for text in bad + ["@" + str(undecodable)]:
+        t0 = time.monotonic()
+        assert main(["evaluate", text]) == 2, text[:80]
+        assert time.monotonic() - t0 < 1, text[:80]
         err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err, text
+        assert "error:" in err and "Traceback" not in err, text[:80]
     # exact coefficients stay accepted as JSON strings and integers
     for coeff in ('"1/2"', '3'):
         text = ('{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#",'
@@ -208,6 +259,31 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error: internal: RuntimeError: boom" in err
     assert "Traceback" not in err
+
+
+def test_inconsistent_residues_exit_three(capsys, monkeypatch):
+    # vertex targets that do not sum to 0 leave a residual at the root: the
+    # consistency check is a defect (exit 3), not a usage error (exit 2)
+    exact = pixton._vertex_targets
+
+    def shifted(G, data):
+        targets = exact(G, data)
+        return [targets[0] + 1] + targets[1:]
+
+    def clear():
+        for cached in (pixton._edge_forms, pixton._weighting_ct,
+                       pixton.pixton_class):
+            cached.cache_clear()
+
+    monkeypatch.setattr("tautring.pixton._vertex_targets", shifted)
+    clear()
+    try:
+        assert main(["pixton", "--g", "1", "--n", "2", "--k", "0",
+                     "--A", "1,-1", "--deg", "1"]) == 3
+    finally:
+        clear()
+    err = capsys.readouterr().err
+    assert "error: internal: ArithmeticError: inconsistent residue" in err
 
 
 def test_surplus_mismatch_exits_three(capsys, monkeypatch):
@@ -250,3 +326,42 @@ def test_cli_writes_no_cache_files(tmp_path):
     assert os.listdir(str(tmp_path)) == []
     # the cache subcommand is gone
     assert run_cli(["cache", "status"], env=env).returncode == 2
+
+
+def test_mixed_payloads_through_the_cli(capsys):
+    data = RamificationData(1, 2, 0, (1, -1))
+    mix = pixton_mixed(data)
+    x = pixton_class(data, 1)
+    mix_json = json.dumps(mix.to_payload())
+    x_json = json.dumps(x.to_payload())
+    # a mixed factor makes a mixed product; a pure one is lifted first
+    code, prod_json = capture(capsys, ["multiply", mix_json, x_json, "--json"])
+    assert code == 0
+    prod = MixedClass.from_payload(json.loads(prod_json))
+    assert prod == multiply_mixed(mix, MixedClass(1, 2, {1: x}))
+    # evaluate reads the top-degree part of a mixed class
+    code, out = capture(capsys, ["evaluate", prod_json, "--json"])
+    assert code == 0
+    assert json.loads(out)["value"] == str(evaluate(prod.part(2))) != "0"
+    code, top = capture(capsys, ["evaluate",
+                                 json.dumps(prod.part(2).to_payload()),
+                                 "--json"])
+    assert top == out
+    # the pairing takes pure-degree classes only
+    assert main(["pair", mix_json, x_json]) == 2
+    assert "pure-degree" in capsys.readouterr().err
+
+
+def test_missing_and_malformed_flags_exit_two(capsys):
+    assert main(["check", "multiplicativity", "--g", "1", "--n", "3",
+                 "--A", "2,4,-6"]) == 2
+    assert "--B" in capsys.readouterr().err
+    assert main(["pixton", "--g", "1", "--n", "2", "--deg", "1"]) == 2
+    assert "--A or --a" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["pixton", "--g", "1", "--n", "2", "--A", "1,x"])
+    assert exc.value.code == 2
+    # strata.locus_name owns the locus spellings
+    assert main(["check", "multiplicativity", "--g", "1", "--n", "3",
+                 "--A", "2,4,-6", "--B", "-3,-1,4", "--locus", "nowhere"]) == 2
+    assert "unknown locus 'nowhere'" in capsys.readouterr().err

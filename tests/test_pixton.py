@@ -154,7 +154,7 @@ def test_compact_type_pin_small():
 
 
 def test_delta_factor_frozen():
-    df = delta_factor(1, 2, 2)
+    df = delta_factor(1, 2)
     assert df.degrees() == [0, 1, 2]
     t0 = {s.label(): c for s, c in df.part(0).terms.items()}
     t1 = {s.label(): c for s, c in df.part(1).terms.items()}
