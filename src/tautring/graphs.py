@@ -203,6 +203,17 @@ class StableGraph:
         return self.encode()
 
 
+def read_int(x) -> int:
+    """An integer field of a graph encoding or payload.  Floats, booleans and
+    digit runs past int()'s length limit are a DomainError."""
+    if isinstance(x, (bool, float)):
+        raise DomainError("expected an integer, got %r" % (x,))
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise DomainError("expected an integer, got %r" % (x,)) from None
+
+
 _VERTEX_RE = re.compile(r"^\((\d+)\|([\d,]*)\)$")
 _EDGE_RE = re.compile(r"^\(\((\d+),(\d+)\),\((\d+),(\d+)\)\)$")
 
@@ -220,14 +231,14 @@ def decode_graph(text: str) -> StableGraph:
         m = _VERTEX_RE.match(part)
         if not m:
             raise DomainError("bad vertex %r" % part)
-        genera.append(int(m.group(1)))
-        legs.append(tuple(int(x) for x in m.group(2).split(",") if x))
+        genera.append(read_int(m.group(1)))
+        legs.append(tuple(read_int(x) for x in m.group(2).split(",") if x))
     edges = []
     for part in etext.split(";") if etext else []:
         m = _EDGE_RE.match(part)
         if not m:
             raise DomainError("bad edge %r" % part)
-        edges.append((int(m.group(1)), int(m.group(3))))
+        edges.append((read_int(m.group(1)), read_int(m.group(3))))
     graph = StableGraph(tuple(genera), tuple(legs), tuple(edges))
     graph.validate()
     if graph.encode() != text:

@@ -19,9 +19,10 @@ run.  psi_integral is the kappa-free case of kappa_psi_integral.
 
 evaluate integrates a top-degree TautClass: each decorated stratum
 contributes coeff / |Aut(graph)| times the product of local vertex integrals.
-pair_strata integrates each monomial of a product the same way, on its
-graph, without building the product class.  pairing_matrix builds degrees
-2d <= dim; degree dim - d is the transpose and shares its rank.
+pair_strata adds the signed counts of a product's monomials per graph and
+per-vertex kernel keys, and integrates each key once, in integers, without
+building the product class.  pairing_matrix builds degrees 2d <= dim;
+degree dim - d is the transpose and shares its rank.
 """
 
 from __future__ import annotations
@@ -132,17 +133,20 @@ def wk_cache_status() -> dict:
 # evaluation of classes
 
 
-def _decoration_integral(G: StableGraph, pl: dict, ph: dict, kp: dict) -> Fraction:
-    """1/|Aut G| times the product over vertices of the local kappa-psi
-    integrals of a decoration of G (zero where a vertex degree is off)."""
-    num, den = G.inverse_aut.as_integer_ratio()
-    for v, (gv, legs, hes, _) in enumerate(G.vertex_data):
-        exps = [pl.get(m, 0) for m in legs]
-        exps += [ph.get(h, 0) for h in hes]
-        exps.sort()
-        local = _integral(gv, tuple(exps), tuple(sorted(kp.get(v, ()))))
-        if not local:
-            return Fraction(0)
+def _vertex_keys(G: StableGraph, pl: dict, ph: dict, kp: dict) -> tuple:
+    """Per vertex of G: the kernel key (genus, sorted psi, sorted kappa)."""
+    return tuple((gv, tuple(sorted([pl.get(m, 0) for m in legs]
+                                   + [ph.get(h, 0) for h in hes])),
+                  tuple(sorted(kp.get(v, ()))))
+                 for v, (gv, legs, hes, _) in enumerate(G.vertex_data))
+
+
+def _decoration_integral(G: StableGraph, keys: tuple, mult: int = 1) -> Fraction:
+    """mult/|Aut G| times the product of the local kappa-psi integrals at
+    the vertex keys of a decoration of G (zero where a degree is off)."""
+    num, den = mult, G.inverse_aut.denominator
+    for key in keys:
+        local = _integral(*key)
         num *= local.numerator
         den *= local.denominator
     return Fraction(num, den)
@@ -153,8 +157,8 @@ def stratum_integral(s: DecoratedStratum) -> Fraction:
     G = s.graph
     if s.degree != 3 * G.genus() - 3 + G.num_legs:
         return Fraction(0)
-    return _decoration_integral(G, dict(s.psi_leg), dict(s.psi_he),
-                                dict(s.kappa))
+    return _decoration_integral(G, _vertex_keys(
+        G, dict(s.psi_leg), dict(s.psi_he), dict(s.kappa)))
 
 
 def evaluate(x: TautClass) -> Fraction:
@@ -167,8 +171,8 @@ def evaluate(x: TautClass) -> Fraction:
 
 def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
     """Integral of the product of two stratum classes of complementary degree.
-    Each monomial of the product is integrated in place on its graph, with no
-    stratum built; it equals ``evaluate(multiply_strata(s, t))``."""
+    The product's monomials are integrated in place, once per distinct key,
+    with no stratum built; it equals ``evaluate(multiply_strata(s, t))``."""
     if t < s:
         s, t = t, s
     return _pair_strata(s, t)
@@ -176,9 +180,14 @@ def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
 
 @functools.cache
 def _pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
-    return sum((coeff * _decoration_integral(G, pl, ph, kp)
-                for G, pl, ph, kp, coeff in product_monomials(s, t)),
-               Fraction(0))
+    signs: dict[tuple, int] = {}
+    for G, pl, ph, kp, sign in product_monomials(s, t):
+        key = (G, _vertex_keys(G, pl, ph, kp))
+        signs[key] = signs.get(key, 0) + sign
+    total = sum((_decoration_integral(G, keys, c)
+                 for (G, keys), c in signs.items() if c), Fraction(0))
+    return total / (s.graph.inverse_aut.denominator
+                    * t.graph.inverse_aut.denominator)
 
 
 def pair_with(x: TautClass, t: DecoratedStratum) -> Fraction:

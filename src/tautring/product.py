@@ -26,9 +26,10 @@ Each edge subset of each graph is contracted and canonicalized once
 (``_contractions``).  ``_degenerations`` inverts those tables once per space
 and edge bound into an index from each target to the graphs over it, so a
 product reads the degenerations of both factors from one index and visits
-only the common ones.  ``product_monomials`` yields the monomials, which
-``multiply_strata`` collects into strata and ``integrate.pair_strata``
-integrates in place.
+only the common ones.  ``product_monomials`` counts the structure pairs on
+G by transported decoration and shared edges and expands each count once,
+as a signed int; ``multiply_strata`` and ``integrate.pair_strata`` collect
+or integrate the monomials and apply 1/(|Aut A| * |Aut B|) once.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def _degenerations(g: int, n: int, max_edges: int
 
 
 def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tuple]:
-    """The monomials (G, psi_leg, psi_he, kappa, coeff) whose sum is
-    [sa] * [sb]: read-only dicts indexed on G, none above the dimension of a
-    vertex of G, so in complementary degree each vertex is met exactly."""
+    """Monomials (G, psi_leg, psi_he, kappa, sign), sign an int, summing to
+    |Aut A| |Aut B| [sa] * [sb]: read-only dicts indexed on G, none above a
+    vertex dimension, so in complementary degree each vertex is met exactly."""
     GA, GB = sa.graph, sb.graph
     g, n = GA.genus(), GA.num_legs
     if (GB.genus(), GB.num_legs) != (g, n):
@@ -108,7 +109,6 @@ def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tu
     max_edges = min(GA.num_edges + GB.num_edges, dim)
     index = _degenerations(g, n, max_edges)
     da, db = index[GA], index[GB]
-    pref = GA.inverse_aut * GB.inverse_aut
     pl = dict(sa.psi_leg)
     for m, e in sb.psi_leg:
         pl[m] = pl.get(m, 0) + e
@@ -116,47 +116,59 @@ def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tu
     for G in (da if len(da) <= len(db) else db):
         if G not in da or G not in db:
             continue
+        all_edges = frozenset(range(G.num_edges))
+        side_b = _side_groups(sb, db[G])
+        groups: dict[tuple, int] = {}
+        for (ka, psi_a, kappa_a), count_a in _side_groups(sa, da[G]).items():
+            need = all_edges - ka
+            for (kb, psi_b, kappa_b), count_b in side_b.items():
+                if need <= kb:
+                    key = (tuple(sorted(psi_a + psi_b)),
+                           tuple(sorted(kappa_a + kappa_b)), ka & kb)
+                    groups[key] = groups.get(key, 0) + count_a * count_b
         base = [dim_v - sum([pl.get(m, 0) for m in legs])
                 for _, legs, _, dim_v in G.vertex_data]
         he_vertex = G.half_edge_vertex
-        all_edges = frozenset(range(G.num_edges))
-        for ka, he_a, vpre_a in da[G]:
-            need = all_edges - ka
-            for kb, he_b, vpre_b in db[G]:
-                if not need <= kb:
-                    continue
-                shared = sorted(ka & kb)
-                deficit = list(base)
-                ph0: dict[int, int] = {}
-                # (degree, ((vertex charged, target), ...)) per factor: a
-                # kappa part targets a vertex, an excess psi a half-edge
-                factors: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-                for st, he, vpre in ((sa, he_a, vpre_a), (sb, he_b, vpre_b)):
-                    for h, e in st.psi_he:
-                        ph0[he[h]] = ph0.get(he[h], 0) + e
-                        deficit[he_vertex[he[h]]] -= e
-                    for v, parts in st.kappa:
-                        factors.extend((a, tuple((w, w) for w in vpre[v]))
-                                       for a in parts)
-                if min(deficit) < 0:
-                    continue
-                coeff = pref * (-1 if len(shared) % 2 else 1)
-                nk = len(factors)
-                factors += [(1, tuple((he_vertex[h], h) for h in (2 * e, 2 * e + 1)))
-                            for e in shared]
-                # branch only on targets whose vertex still has room
-                level = [((), deficit)]
-                for a, options in factors:
-                    level = [(c + (t,), d[:v] + [d[v] - a] + d[v + 1:])
-                             for c, d in level for v, t in options if d[v] >= a]
-                for choice, _ in level:
-                    ph = dict(ph0)
-                    for h in choice[nk:]:
-                        ph[h] = ph.get(h, 0) + 1
-                    kp: dict[int, list[int]] = {}
-                    for (a, _), w in zip(factors, choice[:nk]):
-                        kp.setdefault(w, []).append(a)
-                    yield G, pl, ph, kp, coeff
+        for (psi, kappa, shared), count in groups.items():
+            deficit = list(base)
+            ph0: dict[int, int] = {}
+            for h, e in psi:
+                ph0[h] = ph0.get(h, 0) + e
+                deficit[he_vertex[h]] -= e
+            if min(deficit) < 0:
+                continue
+            # (degree, ((vertex charged, target), ...)) per factor: a kappa
+            # part targets a vertex, an excess psi a half-edge
+            factors = [(a, tuple((w, w) for w in vs)) for a, vs in kappa]
+            nk = len(factors)
+            factors += [(1, tuple((he_vertex[h], h) for h in (2 * e, 2 * e + 1)))
+                        for e in sorted(shared)]
+            # branch only on targets whose vertex still has room
+            level = [((), deficit)]
+            for a, options in factors:
+                level = [(c + (t,), d[:v] + [d[v] - a] + d[v + 1:])
+                         for c, d in level for v, t in options if d[v] >= a]
+            for choice, _ in level:
+                ph = dict(ph0)
+                for h in choice[nk:]:
+                    ph[h] = ph.get(h, 0) + 1
+                kp: dict[int, list[int]] = {}
+                for (a, _), w in zip(factors, choice[:nk]):
+                    kp.setdefault(w, []).append(a)
+                yield G, pl, ph, kp, -count if len(shared) % 2 else count
+
+
+def _side_groups(st: DecoratedStratum, structs: tuple[Structure, ...]
+                 ) -> dict[tuple, int]:
+    """The structures of one factor counted by (kept edges, transported
+    (half-edge, exponent) pairs, (kappa part, preimage vertices) pairs)."""
+    out: dict[tuple, int] = {}
+    for kept, he, vpre in structs:
+        key = (kept, tuple(sorted([(he[h], e) for h, e in st.psi_he])),
+               tuple(sorted([(a, vpre[v]) for v, parts in st.kappa
+                             for a in parts])))
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
@@ -169,9 +181,9 @@ def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
 @functools.cache
 def _multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
     out = TautClass(sa.graph.genus(), sa.graph.num_legs, sa.degree + sb.degree)
-    for G, pl, ph, kp, coeff in product_monomials(sa, sb):
-        out.iadd_term(make_stratum(G, pl, ph, kp), coeff)
-    return out
+    for G, pl, ph, kp, sign in product_monomials(sa, sb):
+        out.iadd_term(make_stratum(G, pl, ph, kp), sign)
+    return out.scale(sa.graph.inverse_aut * sb.graph.inverse_aut)
 
 
 def multiply(x: TautClass, y: TautClass) -> TautClass:

@@ -38,6 +38,7 @@ from .graphs import (
     check_stable_type,
     decode_graph,
     enumerate_stable_graphs,
+    read_int,
 )
 
 PsiLeg = tuple[tuple[int, int], ...]
@@ -255,9 +256,9 @@ class TautClass:
     @staticmethod
     def from_payload(payload: Mapping) -> "TautClass":
         try:
-            g = _payload_int(payload["g"])
-            n = _payload_int(payload["n"])
-            degree = _payload_int(payload["degree"])
+            g = read_int(payload["g"])
+            n = read_int(payload["n"])
+            degree = read_int(payload["degree"])
             raw_terms = payload["terms"]
         except (KeyError, TypeError) as exc:
             raise DomainError("malformed class payload: %s" % exc) from None
@@ -282,11 +283,11 @@ class TautClass:
             for k, e in psi.items():
                 m = re.match(r"^m(\d+)$", k)
                 h = re.match(r"^h(\d+)$", k)
-                e = _payload_int(e)
+                e = read_int(e)
                 if m:
-                    pl[_payload_int(m.group(1))] = e
+                    pl[read_int(m.group(1))] = e
                 elif h:
-                    ph[_payload_int(h.group(1))] = e
+                    ph[read_int(h.group(1))] = e
                 else:
                     raise DomainError("bad psi key %r" % k)
             kp: dict[int, tuple[int, ...]] = {}
@@ -296,7 +297,7 @@ class TautClass:
                     raise DomainError("bad kappa key %r" % k)
                 if not isinstance(parts, list):
                     raise DomainError("kappa parts must be a list")
-                kp[_payload_int(v.group(1))] = tuple(_payload_int(a) for a in parts)
+                kp[read_int(v.group(1))] = tuple(read_int(a) for a in parts)
             stratum = make_stratum(graph, pl, ph, kp)
             coeff = t["coeff"]
             # only what to_payload writes: floats are inexact, "1e9999999" huge
@@ -318,17 +319,6 @@ class TautClass:
         except json.JSONDecodeError as exc:
             raise DomainError("bad JSON: %s" % exc) from None
         return TautClass.from_payload(payload)
-
-
-def _payload_int(x) -> int:
-    """An integer field of a payload; JSON floats and booleans are refused
-    rather than truncated or read as 0/1."""
-    if isinstance(x, (bool, float)):
-        raise DomainError("expected an integer, got %r" % (x,))
-    try:
-        return int(x)
-    except (TypeError, ValueError):
-        raise DomainError("expected an integer, got %r" % (x,)) from None
 
 
 def single(g: int, n: int, stratum: DecoratedStratum,
@@ -401,8 +391,8 @@ class MixedClass:
     @staticmethod
     def from_payload(payload: Mapping) -> "MixedClass":
         try:
-            g = _payload_int(payload["g"])
-            n = _payload_int(payload["n"])
+            g = read_int(payload["g"])
+            n = read_int(payload["n"])
             raw = payload["parts"]
         except (KeyError, TypeError) as exc:
             raise DomainError("malformed mixed-class payload: %s" % exc) from None

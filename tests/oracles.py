@@ -3,14 +3,24 @@ check: nothing here calls into the weighting-sum machinery of
 tautring.pixton, the excess-intersection product of tautring.product or the
 kappa reduction of tautring.integrate.  Only subset_kappa_integral, which
 checks that kappa reduction, takes its pure psi integrals from
-tautring.integrate.psi_integral; dvv_correlator checks those."""
+tautring.integrate.psi_integral; dvv_correlator checks those.  The
+ungrouped product builds its structures from tautring.graphs and integrates
+one monomial at a time with tautring.integrate._decoration_integral, which
+also integrates a single stratum."""
 
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
-from tautring.integrate import psi_integral
+from tautring.graphs import (
+    automorphism_count,
+    contract,
+    enumerate_stable_graphs,
+    isomorphisms,
+)
+from tautring.integrate import _decoration_integral, _vertex_keys, psi_integral
 from tautring.strata import TautClass, make_stratum
 
 
@@ -150,3 +160,79 @@ def subset_kappa_integral(g, psi, kappa):
                   * subset_kappa_integral(g, psi + (last + 1 + sum(chosen),),
                                           kept))
     return total
+
+
+@functools.cache
+def _structures(G, target):
+    """Every way G contracts onto target: each choice of |E(target)| kept
+    edges whose contraction is isomorphic to target, times the
+    isomorphisms, as (kept edges, half-edge transport, preimage vertices)."""
+    out = []
+    E, eT = G.num_edges, target.num_edges
+    for kept in itertools.combinations(range(E), eT):
+        H, vmap, hemap_c = contract(G, frozenset(range(E)) - frozenset(kept))
+        inv_c = {w: h for h, w in hemap_c.items()}
+        for vperm, hemap_phi in isomorphisms(target, H):
+            out.append((frozenset(kept),
+                        {h: inv_c[hemap_phi[h]] for h in range(2 * eT)},
+                        [[w for w in range(G.num_vertices)
+                          if vmap[w] == vperm[v]]
+                         for v in range(target.num_vertices)]))
+    return out
+
+
+def ungrouped_monomials(sa, sb):
+    """The monomials (G, psi_leg, psi_he, kappa, coeff) of [sa] * [sb], one
+    per structure pair and choice of targets, with coefficient
+    (-1)^(shared edges) / (|Aut A| |Aut B|): the excess-intersection sum of
+    Graber-Pandharipande, Appendix A, with no grouping and no pruning (a
+    monomial above a vertex dimension integrates to zero and makes an
+    invalid stratum)."""
+    GA, GB = sa.graph, sb.graph
+    g, n = GA.genus(), GA.num_legs
+    pref = Fraction(1, automorphism_count(GA) * automorphism_count(GB))
+    pl = Counter(dict(sa.psi_leg))
+    pl.update(dict(sb.psi_leg))
+    max_edges = min(GA.num_edges + GB.num_edges, 3 * g - 3 + n)
+    for G in enumerate_stable_graphs(g, n, max_edges):
+        every = frozenset(range(G.num_edges))
+        for ka, he_a, vpre_a in _structures(G, GA):
+            for kb, he_b, vpre_b in _structures(G, GB):
+                if ka | kb != every:
+                    continue
+                shared = sorted(ka & kb)
+                ph0 = Counter()
+                # (degree, [(vertex, half-edge or None), ...]) per factor: a
+                # kappa part lands on one preimage vertex, each excess
+                # factor -psi_h - psi_h' on one of its half-edges
+                factors = []
+                for st, he, vpre in ((sa, he_a, vpre_a), (sb, he_b, vpre_b)):
+                    for h, e in st.psi_he:
+                        ph0[he[h]] += e
+                    for v, parts in st.kappa:
+                        factors += [(a, [(w, None) for w in vpre[v]])
+                                    for a in parts]
+                factors += [(1, [(None, 2 * e), (None, 2 * e + 1)])
+                            for e in shared]
+                coeff = pref * (-1) ** len(shared)
+                for choice in itertools.product(*(opts for _, opts in factors)):
+                    ph = Counter(ph0)
+                    kp = {}
+                    for (a, _), (w, h) in zip(factors, choice):
+                        if h is None:
+                            kp.setdefault(w, []).append(a)
+                        else:
+                            ph[h] += 1
+                    yield G, dict(pl), dict(ph), kp, coeff
+
+
+def ungrouped_product(s, t):
+    """([s] * [t], <s, t>) from the ungrouped monomials: the product
+    collected into strata, and the sum of each coefficient times
+    _decoration_integral, which is the pairing in complementary degree."""
+    out = TautClass(s.graph.genus(), s.graph.num_legs, s.degree + t.degree)
+    value = Fraction(0)
+    for G, pl, ph, kp, c in ungrouped_monomials(s, t):
+        out.iadd_term(make_stratum(G, pl, ph, kp), c)
+        value += c * _decoration_integral(G, _vertex_keys(G, pl, ph, kp))
+    return out, value

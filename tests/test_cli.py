@@ -230,6 +230,13 @@ def test_malformed_payload_shapes_exit_two(capsys, tmp_path):
         '"psi":{"m' + '1' * 5000 + '":1}}]}',
         '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
         '"kappa":{"v' + '1' * 5000 + '":[1]}}]}',
+        # overlong genus, leg and edge integers inside a graph encoding
+        '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(' + '1' * 5000
+        + '|1)#","coeff":"1"}]}',
+        '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|' + '1' * 5000
+        + ')#","coeff":"1"}]}',
+        '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#((' + '1' * 5000
+        + ',0),(0,0))","coeff":"1"}]}',
         # only the forms to_payload writes are coefficients
         '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#","coeff":"1.5"}]}',
         '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#","coeff":" 1"}]}',

@@ -13,7 +13,7 @@ from tautring.graphs import (
     isomorphisms,
     make_graph,
 )
-from tautring.integrate import evaluate, pair_classes
+from tautring.integrate import evaluate, pair_classes, pair_strata
 from tautring.product import (
     contraction_structures,
     multiply,
@@ -31,7 +31,7 @@ from tautring.strata import (
     unit,
 )
 
-from oracles import kappa1_times, psi_times
+from oracles import kappa1_times, psi_times, ungrouped_product
 
 
 def smooth_psi(g, n, i):
@@ -217,6 +217,24 @@ def test_product_monomials_stay_within_vertex_dimensions():
                             assert deg == vdim, (s, t)
                     monomials += 1
     assert monomials > 0
+
+
+def test_grouped_products_match_ungrouped_oracle():
+    # product_monomials expands each group of structure pairs once, with a
+    # signed multiplicity; the oracle expands every structure pair.  Both
+    # sides are symmetric, so degrees d <= dim - d cover every pair.
+    pairs = nonzero = 0
+    for g, n in [(0, 5), (1, 3), (2, 1)]:
+        dim = 3 * g - 3 + n
+        for d in range(dim // 2 + 1):
+            for s in generators(g, n, d):
+                for t in generators(g, n, dim - d):
+                    product, value = ungrouped_product(s, t)
+                    assert pair_strata(s, t) == value, (s, t)
+                    assert multiply_strata(s, t) == product, (s, t)
+                    pairs += 1
+                    nonzero += value != 0
+    assert (pairs, nonzero) == (1413, 1046)
 
 
 def test_products_pinned():

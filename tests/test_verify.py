@@ -140,3 +140,24 @@ def test_section7_bundle_verdicts():
         "pass-mod-pairing-kernel"
     assert by_name["section7-rank-three"].verdict == "pass"
     assert by_name["section7-rank-three"].witness["rank"] == 3
+
+
+def test_gplus1_monomial_count_pinned(monkeypatch):
+    # each group of structure pairs is expanded once: 2,164 monomials reach
+    # the pairings of this check, where one per structure pair made 18,268
+    from tautring import integrate, product
+
+    counted = [0]
+    original = product.product_monomials
+
+    def counting(sa, sb):
+        for monomial in original(sa, sb):
+            counted[0] += 1
+            yield monomial
+
+    for module in (product, integrate):
+        monkeypatch.setattr(module, "product_monomials", counting)
+    integrate._pair_strata.cache_clear()
+    product._multiply_strata.cache_clear()
+    assert check_gplus1(RamificationData(2, 2, 0, (2, -2))).passed
+    assert counted[0] == 2164
