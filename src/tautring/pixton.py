@@ -33,7 +33,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .graphs import DomainError, StableGraph, check_stable_type, \
-    enumerate_stable_graphs, make_graph
+    enumerate_stable_graphs, make_graph, read_int
 from .strata import MixedClass, TautClass, compositions, fundamental_stratum, \
     make_stratum, single, unit
 from .product import multiply_mixed
@@ -50,7 +50,9 @@ class RamificationData:
     A: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "A", tuple(int(x) for x in self.A))
+        for name in ("g", "n", "k"):
+            object.__setattr__(self, name, read_int(getattr(self, name)))
+        object.__setattr__(self, "A", tuple(read_int(x) for x in self.A))
         if self.n != len(self.A):
             raise DomainError("A must have length n")
         check_stable_type(self.g, self.n)
@@ -64,7 +66,7 @@ class RamificationData:
 
     @staticmethod
     def from_a(g: int, n: int, k: int, a: Sequence[int]) -> "RamificationData":
-        return RamificationData(g, n, k, tuple(int(x) + k for x in a))
+        return RamificationData(g, n, k, tuple(read_int(x) + k for x in a))
 
     @property
     def dim(self) -> int:
@@ -255,8 +257,7 @@ def pixton_class(data: RamificationData, d: int) -> TautClass:
         for G in enumerate_stable_graphs(g, n, d):
             E = G.num_edges
             budget = d - E
-            legs_all = sorted(G.markings())
-            active_legs = [m for m in legs_all if A[m - 1] != 0]
+            active_legs = [m for m in G.markings() if A[m - 1] != 0]
             nverts = G.num_vertices if data.k != 0 else 0
             slots = len(active_legs) + nverts + E
             for comp in compositions(budget, slots):
@@ -292,14 +293,10 @@ def pixton_class(data: RamificationData, d: int) -> TautClass:
     return out
 
 
-def pixton_mixed(data: RamificationData, *, max_degree: int | None = None
-                 ) -> MixedClass:
-    """All degrees of the cycle up to max_degree (default: the dimension)."""
-    top = data.dim if max_degree is None else min(max_degree, data.dim)
-    out = MixedClass(data.g, data.n)
-    for d in range(top + 1):
-        out.set_part(pixton_class(data, d))
-    return out
+def pixton_mixed(data: RamificationData) -> MixedClass:
+    """All degrees of the cycle, up to the dimension."""
+    return MixedClass(data.g, data.n, {d: pixton_class(data, d)
+                                       for d in range(data.dim + 1)})
 
 
 def hain_divisor(data: RamificationData) -> TautClass:

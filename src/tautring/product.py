@@ -4,7 +4,7 @@ The product of two stratum classes [S_A], [S_B] on Mbar_{g,n} is computed by
 excess intersection on common degenerations (Graber-Pandharipande,
 "Constructions of nontautological classes", Appendix A).  A generic
 structure on a stable graph G is a pair of edge subsets K_A, K_B of E(G)
-with K_A union K_B = E(G), together with isomorphisms
+with K_A union K_B = E(G), together with identifications
 
     phi_A : graph(S_A) -> G / (E - K_A),    phi_B : graph(S_B) -> G / (E - K_B)
 
@@ -22,14 +22,18 @@ the resulting canonical decorated strata.  Monomials exceeding a vertex
 moduli dimension vanish; they are pruned as they are generated, by tracking
 how far each vertex is below its dimension (its deficit).
 
-Each edge subset of each graph is contracted and canonicalized once
-(``_contractions``).  ``_degenerations`` inverts those tables once per space
-and edge bound into an index from each target to the graphs over it, so a
-product reads the degenerations of both factors from one index and visits
-only the common ones.  ``product_monomials`` counts the structure pairs on
-G by transported decoration and shared edges and expands each count once,
-as a signed int; ``multiply_strata`` and ``integrate.pair_strata`` collect
-or integrate the monomials and apply 1/(|Aut A| * |Aut B|) once.
+For one kept subset K the maps phi_A are phi_0 o alpha, alpha in
+Aut(graph(S_A)), with phi_0 the inverse canonical relabeling of G/(E - K):
+transporting along phi_0 o alpha is transporting the alpha-image of the
+decoration along phi_0.  So ``_contractions`` keeps one structure per kept
+subset, and the sum over alpha runs over the orbit of the decoration, each
+image weighted by its stabilizer order (``DecoratedStratum.orbit``).
+``_degenerations`` inverts those tables once per space and edge bound, so a
+product visits only the common degenerations of its factors.
+``product_monomials`` counts the structure pairs on G by transported
+decoration and shared edges and expands each count once, as a signed int;
+``multiply_strata`` and ``integrate.pair_strata`` collect or integrate the
+monomials and apply 1/(|Aut A| * |Aut B|) once.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .graphs import (
     canonical,
     contract,
     enumerate_stable_graphs,
-    isomorphisms,
 )
 from .strata import DecoratedStratum, MixedClass, TautClass, make_stratum
 
@@ -56,29 +59,26 @@ Structure = tuple[frozenset[int], dict[int, int], tuple[tuple[int, ...], ...]]
 
 @functools.cache
 def _contractions(G: StableGraph) -> dict[StableGraph, tuple[Structure, ...]]:
-    """Every contraction structure of G, filed under its canonical target;
-    kept-edge subsets are visited by size, then in combinations order."""
+    """One contraction structure of G per kept-edge subset, filed under its
+    canonical target, subsets by size, then in combinations order.  Its maps
+    invert the canonical relabeling of the contraction; the target's
+    automorphisms enter through the factor's ``orbit``."""
     out: dict[StableGraph, list[Structure]] = {}
     E = G.num_edges
     for size in range(E + 1):
         for kept in itertools.combinations(range(E), size):
             H, vmap, hemap_c = contract(G, frozenset(range(E)) - frozenset(kept))
-            target = canonical(H)[0]
-            inv_c = {w: h for h, w in hemap_c.items()}
-            for vperm, hemap_phi in isomorphisms(target, H):
-                he_transport = {h: inv_c[hemap_phi[h]] for h in range(2 * size)}
-                vpre = tuple(
-                    tuple(w for w in range(G.num_vertices)
-                          if vmap[w] == vperm[v])
-                    for v in range(target.num_vertices))
-                out.setdefault(target, []).append(
-                    (frozenset(kept), he_transport, vpre))
+            target, vcan, hcan = canonical(H)
+            vpre = tuple(tuple(w for w, v in enumerate(vmap) if vcan[v] == t)
+                         for t in range(target.num_vertices))
+            out.setdefault(target, []).append(
+                (frozenset(kept), {hcan[w]: h for h, w in hemap_c.items()}, vpre))
     return {T: tuple(structs) for T, structs in out.items()}
 
 
 def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structure, ...]:
-    """All ways G contracts onto the canonical graph ``target``: choices of
-    kept edges K with G/(E-K) isomorphic to target, times the isomorphisms."""
+    """How G contracts onto the canonical graph ``target``: one structure per
+    choice of kept edges K with G/(E-K) isomorphic to target."""
     return _contractions(G).get(target, ())
 
 
@@ -160,14 +160,16 @@ def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tu
 
 def _side_groups(st: DecoratedStratum, structs: tuple[Structure, ...]
                  ) -> dict[tuple, int]:
-    """The structures of one factor counted by (kept edges, transported
+    """The structures of one factor composed with each image in its orbit,
+    counted with the image's multiplicity by (kept edges, transported
     (half-edge, exponent) pairs, (kappa part, preimage vertices) pairs)."""
     out: dict[tuple, int] = {}
     for kept, he, vpre in structs:
-        key = (kept, tuple(sorted([(he[h], e) for h, e in st.psi_he])),
-               tuple(sorted([(a, vpre[v]) for v, parts in st.kappa
-                             for a in parts])))
-        out[key] = out.get(key, 0) + 1
+        for (psi_he, kappa), mult in st.orbit:
+            key = (kept, tuple(sorted([(he[h], e) for h, e in psi_he])),
+                   tuple(sorted([(a, vpre[v]) for v, parts in kappa
+                                 for a in parts])))
+            out[key] = out.get(key, 0) + mult
     return out
 
 

@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
@@ -55,8 +56,11 @@ class DecoratedStratum:
     psi_leg: PsiLeg
     psi_he: PsiHE
     kappa: Kappa
-    # set once at construction, neither compared nor shown
+    # set once at construction, neither compared nor shown; ``orbit`` holds
+    # each image of (psi_he, kappa) under Aut(graph) with its multiplicity
     degree: int = field(init=False, compare=False, repr=False)
+    orbit: tuple[tuple[tuple[PsiHE, Kappa], int], ...] = field(
+        init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -64,6 +68,8 @@ class DecoratedStratum:
                            + sum(e for (_, e) in self.psi_leg)
                            + sum(e for (_, e) in self.psi_he)
                            + sum(sum(p) for (_, p) in self.kappa))
+        object.__setattr__(self, "orbit", tuple(Counter(_decoration_images(
+            self.graph, self.psi_he, self.kappa)).items()))
         object.__setattr__(self, "_hash", hash(
             (self.graph, self.psi_leg, self.psi_he, self.kappa)))
 
@@ -93,6 +99,14 @@ class DecoratedStratum:
                 bits.append("kappa_%d(v%d)" % (a, v))
         deco = "*".join(bits) if bits else "1"
         return "[%s | %s]" % (self.graph.encode(), deco)
+
+
+def _decoration_images(graph: StableGraph, psi_he: Iterable, kappa: Iterable
+                       ) -> Iterator[tuple[PsiHE, Kappa]]:
+    """Each automorphism's image of a (psi_he, kappa) decoration, sorted."""
+    for vperm, ahe in automorphisms(graph):
+        yield (tuple(sorted([(ahe[h], e) for h, e in psi_he])),
+               tuple(sorted([(vperm[v], parts) for v, parts in kappa])))
 
 
 # A dict, not functools.cache: it interns strata under raw and minimized keys.
@@ -135,25 +149,12 @@ def make_stratum(graph: StableGraph,
     kp = {vmap[v]: tuple(sorted(parts)) for v, parts in kp.items() if tuple(parts)}
     key = (cg, tuple(sorted(pl.items())), tuple(sorted(ph.items())),
            tuple(sorted(kp.items())))
-    hit = _STRATUM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    leg_part: PsiLeg = tuple(sorted(pl.items()))
-    best: tuple[PsiHE, Kappa] | None = None
-    for vperm, ahe in automorphisms(cg):
-        cand_he: PsiHE = tuple(sorted((ahe[h], e) for h, e in ph.items()))
-        cand_kp: Kappa = tuple(sorted((vperm[v], parts) for v, parts in kp.items()))
-        cand = (cand_he, cand_kp)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    # intern on the minimized decoration so Aut-equivalent inputs share one object
-    final = (cg, leg_part, best[0], best[1])
-    stratum = _STRATUM_CACHE.get(final)
+    stratum = _STRATUM_CACHE.get(key)
     if stratum is None:
-        stratum = DecoratedStratum(cg, leg_part, best[0], best[1])
-        _STRATUM_CACHE[final] = stratum
-    _STRATUM_CACHE[key] = stratum
+        # intern on the minimized decoration: Aut-equivalent inputs share it
+        final = (cg, key[1], *min(_decoration_images(cg, key[2], key[3])))
+        stratum = _STRATUM_CACHE.get(final) or DecoratedStratum(*final)
+        _STRATUM_CACHE[key] = _STRATUM_CACHE[final] = stratum
     return stratum
 
 

@@ -236,3 +236,29 @@ def ungrouped_product(s, t):
         out.iadd_term(make_stratum(G, pl, ph, kp), c)
         value += c * _decoration_integral(G, _vertex_keys(G, pl, ph, kp))
     return out, value
+
+
+def bssz_psi_integral(g, a, s):
+    """The integral of psi_s^{2g-3+n} over DR_g(a), s counted from 1, by the
+    formula of Buryak-Shadrin-Spitz-Zvonkine ("Integrals of psi-classes over
+    double ramification cycles", arXiv:1211.5273):
+
+        [z^{2g}] prod_{i != s} S(a_i z) / S(z),   S(z) = sinh(z/2) / (z/2),
+
+    with the series truncated past z^{2g}."""
+    def series(c):
+        # sinh(x)/x at x = c z / 2: the z^k coefficient, k even
+        return [Fraction(c ** k, 2 ** k * math.factorial(k + 1)) if k % 2 == 0
+                else Fraction(0) for k in range(2 * g + 1)]
+
+    num = series(0)
+    for i, ai in enumerate(a, 1):
+        if i != s:
+            f = series(ai)
+            num = [sum(num[j] * f[k - j] for j in range(k + 1))
+                   for k in range(2 * g + 1)]
+    den = series(1)
+    quot = []
+    for k in range(2 * g + 1):
+        quot.append(num[k] - sum(den[j] * quot[k - j] for j in range(1, k + 1)))
+    return quot[2 * g]

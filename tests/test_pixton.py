@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tautring.graphs import DomainError, enumerate_stable_graphs, make_graph
-from tautring.integrate import class_pairing_vector, evaluate
+from tautring.integrate import class_pairing_vector, evaluate, pair_with
 from tautring import pixton
 from tautring.pixton import (
     RamificationData,
@@ -22,10 +22,11 @@ from tautring.pixton import (
     pixton_mixed,
     q_form,
 )
-from tautring.strata import MixedClass, generators, restrict, single, unit
+from tautring.strata import MixedClass, generators, make_stratum, restrict, \
+    single, unit
 
-from oracles import brute_force_weighting_value, max_cut_target, \
-    residue_bound, weighting_targets
+from oracles import brute_force_weighting_value, bssz_psi_integral, \
+    max_cut_target, residue_bound, weighting_targets
 
 
 def test_ramification_data_validation():
@@ -35,6 +36,12 @@ def test_ramification_data_validation():
         RamificationData(1, 1, 0, (0, 0))  # wrong length
     with pytest.raises(DomainError):
         RamificationData(0, 2, 0, (0, 0))  # unstable type
+    # floats and booleans are refused, not truncated to integers
+    for bad in [(1, 2, 0, (1.9, -1.9)), (1.0, 2, 0, (1, -1)),
+                (1, 2.0, 0, (1, -1)), (1, 2, 0.0, (1, -1)),
+                (1, 2, 0, (True, -1))]:
+        with pytest.raises(DomainError):
+            RamificationData(*bad)
     d = RamificationData.from_a(2, 1, 1, (2,))
     assert d.A == (3,) and d.a == (2,)
 
@@ -255,7 +262,7 @@ def test_edge_forms_built_once_per_pair(monkeypatch):
         return sample(G, data, mvec, r)
 
     monkeypatch.setattr(pixton, "closed_weighting_value", spy)
-    pixton_mixed(RamificationData(2, 1, 1, (3,)), max_degree=4)
+    pixton_mixed(RamificationData(2, 1, 1, (3,)))
     info = _edge_forms.cache_info()
     assert len(pairs) == len(enumerate_stable_graphs(2, 1, 4))
     assert info.misses == info.currsize == len(pairs)
@@ -273,10 +280,29 @@ def test_pixton_mixed_payloads_pinned():
               (3, 1, 1, (5,))]
     digest = hashlib.sha256()
     for d in pinned:
-        payload = pixton_mixed(RamificationData(*d), max_degree=4).to_payload()
+        data = RamificationData(*d)
+        payload = MixedClass(data.g, data.n, {
+            deg: pixton_class(data, deg)
+            for deg in range(min(4, data.dim) + 1)}).to_payload()
         digest.update(json.dumps(payload, sort_keys=True).encode())
     assert digest.hexdigest() == \
         "15892f14bf5c20f6ba8a8b217cb1b1e611725ecdb230fff173828d2f4683e24e"
+
+
+@pytest.mark.parametrize("g, a, s", [
+    (1, (2, -2), 1), (1, (3, -3), 2), (1, (2, 1, -3), 1), (1, (2, 1, -3), 2),
+    (1, (1, 2, -4, 1), 2), (2, (0,), 1), (2, (2, -2), 1), (2, (4, -4), 2),
+    (2, (1, 1, -2), 1), (2, (3, -1, -2), 2), (2, (2, -1, 1, -2), 1),
+    (3, (0,), 1), (3, (2, -2), 1), (3, (3, -3), 2)])
+def test_dr_psi_integrals_match_bssz(g, a, s):
+    # DR_g(a) = 2^-g P_g^g(a) (JPPZ) paired with psi_s^{2g-3+n} against the
+    # closed formula of Buryak-Shadrin-Spitz-Zvonkine: pixton weightings,
+    # product and integrals end to end against an independent series
+    n = len(a)
+    psi = make_stratum(make_graph([g], [tuple(range(1, n + 1))], []),
+                       {s: 2 * g - 3 + n})
+    dr = pixton_class(RamificationData(g, n, 0, a), g).scale(Fraction(1, 2 ** g))
+    assert pair_with(dr, psi) == bssz_psi_integral(g, a, s) != 0
 
 
 def test_pixton_mixed_collects_all_degrees():

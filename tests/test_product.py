@@ -1,19 +1,19 @@
 import hashlib
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from tautring.graphs import (
     DomainError,
+    automorphism_count,
     contract,
     enumerate_stable_graphs,
     isomorphisms,
     make_graph,
 )
-from tautring.integrate import evaluate, pair_classes, pair_strata
+from tautring.integrate import evaluate, pair_classes, pair_strata, pair_with
 from tautring.product import (
     contraction_structures,
     multiply,
@@ -160,8 +160,9 @@ def test_multiply_mixed_grading():
 def _structures_by_target(G, target):
     """The per-target search the contraction index replaced: contract each
     choice of |E(target)| kept edges of G, then list the isomorphisms from
-    target onto the result.  Structures are made hashable for comparison."""
-    out = []
+    target onto the result, as {kept edges: [(transport, preimages), ...]}
+    with the maps made hashable for comparison."""
+    out = {}
     E, eT = G.num_edges, target.num_edges
     for kept in itertools.combinations(range(E), eT):
         H, vmap, hemap_c = contract(G, frozenset(range(E)) - frozenset(kept))
@@ -171,19 +172,29 @@ def _structures_by_target(G, target):
             vpre = tuple(tuple(w for w in range(G.num_vertices)
                                if vmap[w] == vperm[v])
                          for v in range(target.num_vertices))
-            out.append((frozenset(kept), transport, vpre))
-    return Counter(out)
+            out.setdefault(frozenset(kept), []).append((transport, vpre))
+    return out
 
 
 def test_contraction_index_matches_per_target_search():
+    # one structure per kept-edge subset, whose maps are one of the |Aut T|
+    # isomorphisms the search lists for that subset; the decoration's orbit
+    # under Aut T supplies the others
     pairs = 0
     for g, n, e in [(0, 5, 2), (1, 3, 3), (2, 1, 3)]:
         graphs = enumerate_stable_graphs(g, n, e)
         for G in graphs:
             for T in graphs:
-                got = Counter((kept, tuple(sorted(he.items())), vpre)
-                              for kept, he, vpre in contraction_structures(G, T))
-                assert got == _structures_by_target(G, T), (G, T)
+                oracle = _structures_by_target(G, T)
+                structs = contraction_structures(G, T)
+                kepts = [kept for kept, _, _ in structs]
+                assert len(set(kepts)) == len(kepts), (G, T)
+                assert set(kepts) == oracle.keys(), (G, T)
+                for kept, he, vpre in structs:
+                    assert (tuple(sorted(he.items())), vpre) in oracle[kept]
+                for maps in oracle.values():
+                    assert len(set(maps)) == len(maps) == \
+                        automorphism_count(T), (G, T)
                 pairs += 1
     assert pairs == 1374
 
@@ -253,3 +264,17 @@ def test_products_pinned():
     assert count == 1456
     assert digest.hexdigest() == ("50c043bfbad6cf192f6ce726db7f8609"
                                   "a73439a5b47d5d9e231e57cd02532e3a")
+
+
+def test_frobenius_identity_on_generator_triples():
+    # <x.y, z> = <y.z, x>: the two sides multiply different graph pairs, so
+    # a transport or excess-factor error breaks one side alone
+    triples = nonzero = 0
+    for g, n, degrees in [(1, 3, (1, 1, 1)), (2, 1, (1, 1, 2))]:
+        for x, y, z in itertools.product(*(generators(g, n, d)
+                                            for d in degrees)):
+            left = pair_with(multiply_strata(x, y), z)
+            assert left == pair_with(multiply_strata(y, z), x), (x, y, z)
+            triples += 1
+            nonzero += left != 0
+    assert (triples, nonzero) == (1001, 548)

@@ -1,9 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tautring.graphs import DomainError, StableGraph, make_graph
+from tautring.graphs import (
+    DomainError,
+    StableGraph,
+    automorphism_count,
+    isomorphisms,
+    make_graph,
+)
 from tautring.strata import (
     DecoratedStratum,
     MixedClass,
@@ -68,6 +75,25 @@ def test_stratum_hash_and_equality_match_a_fresh_copy():
                                 s.psi_leg, s.psi_he, s.kappa)
         assert copy is not s and copy == s
         assert {s: 1}[copy] == 1 and hash(copy) == hash(s)
+
+
+def test_orbit_is_the_image_multiset_under_automorphisms():
+    # the orbit lists each image of (psi_he, kappa) under Aut G once, with
+    # its stabilizer order; the stored decoration is the least image
+    strata = 0
+    for g, n in [(0, 5), (1, 3), (2, 1)]:
+        for d in range(3 * g - 3 + n + 1):
+            for s in generators(g, n, d):
+                images = Counter(
+                    (tuple(sorted((hemap[h], e) for h, e in s.psi_he)),
+                     tuple(sorted((vmap[v], p) for v, p in s.kappa)))
+                    for vmap, hemap in isomorphisms(s.graph, s.graph))
+                assert dict(s.orbit) == images and len(s.orbit) == len(images)
+                assert sum(m for _, m in s.orbit) == \
+                    automorphism_count(s.graph), s
+                assert min(images) == (s.psi_he, s.kappa)
+                strata += 1
+    assert strata == 104 + 167 + 163
 
 
 def test_make_stratum_rejects_bad_decorations():
