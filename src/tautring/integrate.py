@@ -19,10 +19,18 @@ run.  psi_integral is the kappa-free case of kappa_psi_integral.
 
 evaluate integrates a top-degree TautClass: each decorated stratum
 contributes coeff / |Aut(graph)| times the product of local vertex integrals.
-pair_strata adds the signed counts of a product's monomials per graph and
-per-vertex kernel keys, and integrates each key once, in integers, without
-building the product class.  pairing_matrix builds degrees 2d <= dim;
-degree dim - d is the transpose and shares its rank.
+Pairings integrate product monomials in place, with no product class
+built, through one primitive, the block ``_pair_block(rows, cols)``.  It
+groups the rows and the columns by graph.  Per pair of graphs it finds the
+common degenerations and their compatible kept subsets once.  Per row graph
+it computes each stratum's side groups on a degeneration once, and drops
+them before the next row graph, so nothing is retained.  An entry adds the
+signed counts of its monomials per per-vertex kernel key, integrates each
+key once and sums in integers, with one Fraction at the end.
+pairing_matrix is one block, class_pairing_vector the coefficient-weighted
+rows of one block, and the memoised pair_strata the one-entry block.
+pairing_matrix builds degrees 2d <= dim; degree dim - d is the transpose
+and shares its rank.
 """
 
 from __future__ import annotations
@@ -33,10 +41,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import DomainError, StableGraph
-from .product import product_monomials
+from .product import common_degenerations, expand, side_groups
 from .strata import DecoratedStratum, TautClass, generators
 
 
@@ -135,21 +143,26 @@ def wk_cache_status() -> dict:
 
 def _vertex_keys(G: StableGraph, pl: dict, ph: dict, kp: dict) -> tuple:
     """Per vertex of G: the kernel key (genus, sorted psi, sorted kappa)."""
-    return tuple((gv, tuple(sorted([pl.get(m, 0) for m in legs]
-                                   + [ph.get(h, 0) for h in hes])),
-                  tuple(sorted(kp.get(v, ()))))
-                 for v, (gv, legs, hes, _) in enumerate(G.vertex_data))
+    return tuple([(gv, tuple(sorted([pl.get(m, 0) for m in legs]
+                                    + [ph.get(h, 0) for h in hes])),
+                   tuple(sorted(kp.get(v, ()))))
+                  for v, (gv, legs, hes, _) in enumerate(G.vertex_data)])
 
 
-def _decoration_integral(G: StableGraph, keys: tuple, mult: int = 1) -> Fraction:
-    """mult/|Aut G| times the product of the local kappa-psi integrals at
-    the vertex keys of a decoration of G (zero where a degree is off)."""
+def _decoration_parts(G: StableGraph, keys: tuple, mult: int) -> tuple[int, int]:
+    """(numerator, denominator) of ``_decoration_integral``, unreduced."""
     num, den = mult, G.inverse_aut.denominator
     for key in keys:
         local = _integral(*key)
         num *= local.numerator
         den *= local.denominator
-    return Fraction(num, den)
+    return num, den
+
+
+def _decoration_integral(G: StableGraph, keys: tuple, mult: int = 1) -> Fraction:
+    """mult/|Aut G| times the product of the local kappa-psi integrals at
+    the vertex keys of a decoration of G (zero where a degree is off)."""
+    return Fraction(*_decoration_parts(G, keys, mult))
 
 
 def stratum_integral(s: DecoratedStratum) -> Fraction:
@@ -169,10 +182,82 @@ def evaluate(x: TautClass) -> Fraction:
                Fraction(0))
 
 
+_ZERO = Fraction(0)
+
+
+def _by_graph(strata: Sequence[DecoratedStratum]) -> dict[StableGraph, list[int]]:
+    """The positions of the strata, grouped by graph in first-seen order."""
+    out: dict[StableGraph, list[int]] = {}
+    for i, s in enumerate(strata):
+        out.setdefault(s.graph, []).append(i)
+    return out
+
+
+def _pair_block(rows: Iterable[DecoratedStratum],
+                cols: Iterable[DecoratedStratum]) -> list[list[Fraction]]:
+    """The pairings <rows[i], cols[j]> as rows of Fractions, zero where the
+    degrees are not complementary; the block of the module docstring.
+    Refuses strata that are not all on one (g, n)."""
+    rows, cols = tuple(rows), tuple(cols)
+    row_graphs, col_graphs = _by_graph(rows), _by_graph(cols)
+    spaces = {(G.genus(), G.num_legs) for G in (*row_graphs, *col_graphs)}
+    if len(spaces) > 1:
+        raise DomainError("cannot pair classes on different moduli spaces")
+    out = [[_ZERO] * len(cols) for _ in rows]
+    if not spaces:
+        return out
+    (g, n), = spaces
+    dim = 3 * g - 3 + n
+    totals: dict[tuple[int, int], list[int]] = {}  # (i, j) -> [num, den]
+    for GA, row_ids in row_graphs.items():
+        row_shares: dict[tuple, tuple] = {}
+        for GB, col_ids in col_graphs.items():
+            for G, triples in common_degenerations(GA, GB):
+                col_shares = [side_groups(cols[j], G) for j in col_ids]
+                for i in row_ids:
+                    s = rows[i]
+                    share_s = row_shares.get((s, G))
+                    if share_s is None:
+                        share_s = row_shares[s, G] = side_groups(s, G)
+                    for j, share_t in zip(col_ids, col_shares):
+                        t = cols[j]
+                        if s.degree + t.degree == dim:  # else it is zero
+                            _add_monomials(totals, (i, j), G, s, t, expand(
+                                G, triples, share_s, share_t))
+    for (i, j), (num, den) in totals.items():
+        if num:
+            out[i][j] = Fraction(num, den * rows[i].graph.inverse_aut.denominator
+                                 * cols[j].graph.inverse_aut.denominator)
+    return out
+
+
+def _add_monomials(totals: dict, entry: tuple[int, int], G: StableGraph,
+                   s: DecoratedStratum, t: DecoratedStratum,
+                   monomials: Iterator[tuple[dict, dict, int]]) -> None:
+    """Add to ``totals[entry]`` the integral of the monomials (psi_he,
+    kappa, sign) of s * t on G, 1/|Aut G| included: their signs are added
+    per per-vertex kernel key and each key is integrated once."""
+    signs: dict[tuple, int] = {}
+    pl = None
+    for ph, kp, sign in monomials:
+        if pl is None:
+            pl = dict(s.psi_leg)
+            for m, e in t.psi_leg:
+                pl[m] = pl.get(m, 0) + e
+        key = _vertex_keys(G, pl, ph, kp)
+        signs[key] = signs.get(key, 0) + sign
+    for keys, c in signs.items():
+        if c:
+            num, den = _decoration_parts(G, keys, c)
+            acc = totals.setdefault(entry, [0, 1])
+            both = lcm(acc[1], den)
+            acc[0] = acc[0] * (both // acc[1]) + num * (both // den)
+            acc[1] = both
+
+
 def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
-    """Integral of the product of two stratum classes of complementary degree.
-    The product's monomials are integrated in place, once per distinct key,
-    with no stratum built; it equals ``evaluate(multiply_strata(s, t))``."""
+    """Integral of the product of two stratum classes of complementary degree,
+    the one-entry ``_pair_block``; it equals ``evaluate(multiply_strata(s, t))``."""
     if t < s:
         s, t = t, s
     return _pair_strata(s, t)
@@ -180,26 +265,25 @@ def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
 
 @functools.cache
 def _pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
-    signs: dict[tuple, int] = {}
-    for G, pl, ph, kp, sign in product_monomials(s, t):
-        key = (G, _vertex_keys(G, pl, ph, kp))
-        signs[key] = signs.get(key, 0) + sign
-    total = sum((_decoration_integral(G, keys, c)
-                 for (G, keys), c in signs.items() if c), Fraction(0))
-    return total / (s.graph.inverse_aut.denominator
-                    * t.graph.inverse_aut.denominator)
+    return _pair_block((s,), (t,))[0][0]
 
 
 def pair_with(x: TautClass, t: DecoratedStratum) -> Fraction:
     """Pairing of a class with one stratum: the sum of c * <s, t> over the
-    terms c * s of x.  Every class-against-stratum pairing goes through here."""
+    terms c * s of x, through the memoised ``pair_strata``."""
     return sum((c * pair_strata(s, t) for s, c in x.terms.items()), Fraction(0))
 
 
 def class_pairing_vector(x: TautClass,
                          cogens: Sequence[DecoratedStratum]) -> tuple[Fraction, ...]:
-    """Pairing of a class against a list of complementary-degree generators."""
-    return tuple(pair_with(x, t) for t in cogens)
+    """Pairing of a class against a list of complementary-degree generators:
+    the coefficient-weighted rows of one ``_pair_block``."""
+    out = [_ZERO] * len(cogens)
+    for c, row in zip(x.terms.values(), _pair_block(x.terms, cogens)):
+        for j, value in enumerate(row):
+            if value:
+                out[j] += c * value
+    return tuple(out)
 
 
 def pair_classes(x: TautClass, y: TautClass) -> Fraction:
@@ -319,5 +403,4 @@ def pairing_matrix(g: int, n: int, d: int) -> PairingMatrix:
     rows = generators(g, n, d)
     cols = generators(g, n, dim - d)
     return PairingMatrix(g, n, d, rows, cols,
-                         tuple(tuple(pair_strata(s, t) for t in cols)
-                               for s in rows))
+                         tuple(map(tuple, _pair_block(rows, cols))))

@@ -30,10 +30,18 @@ subset, and the sum over alpha runs over the orbit of the decoration, each
 image weighted by its stabilizer order (``DecoratedStratum.orbit``).
 ``_degenerations`` inverts those tables once per space and edge bound, so a
 product visits only the common degenerations of its factors.
-``product_monomials`` counts the structure pairs on G by transported
-decoration and shared edges and expands each count once, as a signed int;
-``multiply_strata`` and ``integrate.pair_strata`` collect or integrate the
-monomials and apply 1/(|Aut A| * |Aut B|) once.
+
+A product splits into work on the two graphs and work on the two
+decorations.  ``common_degenerations(GA, GB)`` lists the common
+degenerations G with their compatible (K_A, K_B, K_A & K_B) triples, and
+depends on the graphs alone.  ``side_groups(s, G)`` counts one factor's
+structures on G composed with its orbit, per kept subset.  ``expand``
+counts the structure pairs on G by transported decoration and shared edges
+and expands each count once, as a signed int.  ``product_monomials`` runs
+the three for one pair, and ``multiply_strata`` collects its monomials and
+applies 1/(|Aut A| * |Aut B|) once.  The pairing block of ``integrate``
+shares the same expansion, but finds the common degenerations once per
+pair of graphs and a row stratum's side groups once per degeneration.
 """
 
 from __future__ import annotations
@@ -95,6 +103,108 @@ def _degenerations(g: int, n: int, max_edges: int
     return index
 
 
+# Compatible kept-edge subsets on a common degeneration G:
+#   (K_A, K_B, K_A & K_B) with K_A | K_B = E(G)
+Triple = tuple[frozenset[int], frozenset[int], frozenset[int]]
+
+
+def common_degenerations(GA: StableGraph, GB: StableGraph
+                         ) -> list[tuple[StableGraph, list[Triple]]]:
+    """The graphs G that both GA and GB are contractions of with kept
+    subsets covering E(G), each with its compatible triples: the part of a
+    product that depends on the two graphs alone."""
+    g, n = GA.genus(), GA.num_legs
+    index = _degenerations(g, n, min(GA.num_edges + GB.num_edges, 3 * g - 3 + n))
+    da, db = index[GA], index[GB]
+    out = []
+    # walk the shorter; both list graphs in enumeration order
+    walk, other = (da, db) if len(da) <= len(db) else (db, da)
+    for G in walk:
+        if G in other:
+            E = G.num_edges
+            triples = [(ka, kb, ka & kb) for ka, _, _ in da[G]
+                       for kb, _, _ in db[G] if len(ka | kb) == E]
+            if triples:
+                out.append((G, triples))
+    return out
+
+
+def side_groups(st: DecoratedStratum, G: StableGraph
+                ) -> tuple[dict[frozenset[int], dict[tuple, int]], tuple[int, ...]]:
+    """One factor's share of a product on its degeneration G.  Per kept-edge
+    subset: its structure composed with each orbit image, counted with the
+    image's multiplicity by (transported (half-edge, exponent) pairs,
+    (kappa part, preimage vertices) pairs).  And per vertex of G: the
+    degree of the factor's leg psi there."""
+    groups: dict[frozenset[int], dict[tuple, int]] = {}
+    for kept, he, vpre in _contractions(G)[st.graph]:
+        counts = groups[kept] = {}
+        for (psi_he, kappa), mult in st.orbit:
+            key = (tuple(sorted([(he[h], e) for h, e in psi_he])) if psi_he
+                   else (),
+                   tuple(sorted([(a, vpre[v]) for v, parts in kappa
+                                 for a in parts])) if kappa else ())
+            counts[key] = counts.get(key, 0) + mult
+    if not st.psi_leg:
+        return groups, (0,) * G.num_vertices
+    pl = dict(st.psi_leg)
+    return groups, tuple(sum([pl.get(m, 0) for m in legs])
+                         for _, legs, _, _ in G.vertex_data)
+
+
+def _merged(a: tuple, b: tuple) -> tuple:
+    """The sorted union of two sorted tuples."""
+    return tuple(sorted(a + b)) if a and b else a or b
+
+
+def expand(G: StableGraph, triples: list[Triple], side_a: tuple,
+           side_b: tuple) -> Iterator[tuple[dict, dict, int]]:
+    """Monomials (psi_he, kappa, sign) of a product on G, from the two
+    factors' ``side_groups``, with sign an int: structure pairs are counted
+    by (merged psi_he, merged kappa parts, shared edges) and each count is
+    expanded once, none above a vertex dimension.  In complementary degree
+    each vertex is met exactly."""
+    (groups_a, legs_a), (groups_b, legs_b) = side_a, side_b
+    counts: dict[tuple, int] = {}
+    for ka, kb, shared in triples:
+        for (psi_a, kappa_a), count_a in groups_a[ka].items():
+            for (psi_b, kappa_b), count_b in groups_b[kb].items():
+                key = (_merged(psi_a, psi_b), _merged(kappa_a, kappa_b), shared)
+                counts[key] = counts.get(key, 0) + count_a * count_b
+    base = [vd[3] - a - b for vd, a, b in zip(G.vertex_data, legs_a, legs_b)]
+    he_vertex = G.half_edge_vertex
+    for (psi, kappa, shared), count in counts.items():
+        deficit = list(base)
+        ph0: dict[int, int] = {}
+        for h, e in psi:
+            ph0[h] = ph0.get(h, 0) + e
+            deficit[he_vertex[h]] -= e
+        if min(deficit) < 0:
+            continue
+        if not kappa and not shared:
+            yield ph0, {}, count
+            continue
+        # (degree, ((vertex charged, target), ...)) per factor: a kappa
+        # part targets a vertex, an excess psi a half-edge
+        factors = [(a, tuple((w, w) for w in vs)) for a, vs in kappa]
+        nk = len(factors)
+        factors += [(1, tuple((he_vertex[h], h) for h in (2 * e, 2 * e + 1)))
+                    for e in sorted(shared)]
+        # branch only on targets whose vertex still has room
+        level = [((), deficit)]
+        for a, options in factors:
+            level = [(c + (t,), d[:v] + [d[v] - a] + d[v + 1:])
+                     for c, d in level for v, t in options if d[v] >= a]
+        for choice, _ in level:
+            ph = dict(ph0)
+            for h in choice[nk:]:
+                ph[h] = ph.get(h, 0) + 1
+            kp: dict[int, list[int]] = {}
+            for (a, _), w in zip(factors, choice[:nk]):
+                kp.setdefault(w, []).append(a)
+            yield ph, kp, -count if len(shared) % 2 else count
+
+
 def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tuple]:
     """Monomials (G, psi_leg, psi_he, kappa, sign), sign an int, summing to
     |Aut A| |Aut B| [sa] * [sb]: read-only dicts indexed on G, none above a
@@ -103,74 +213,15 @@ def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tu
     g, n = GA.genus(), GA.num_legs
     if (GB.genus(), GB.num_legs) != (g, n):
         raise DomainError("cannot multiply classes on different moduli spaces")
-    dim = 3 * g - 3 + n
-    if sa.degree + sb.degree > dim:
+    if sa.degree + sb.degree > 3 * g - 3 + n:
         return
-    max_edges = min(GA.num_edges + GB.num_edges, dim)
-    index = _degenerations(g, n, max_edges)
-    da, db = index[GA], index[GB]
     pl = dict(sa.psi_leg)
     for m, e in sb.psi_leg:
         pl[m] = pl.get(m, 0) + e
-    # walk the shorter; both list graphs in enumeration order
-    for G in (da if len(da) <= len(db) else db):
-        if G not in da or G not in db:
-            continue
-        all_edges = frozenset(range(G.num_edges))
-        side_b = _side_groups(sb, db[G])
-        groups: dict[tuple, int] = {}
-        for (ka, psi_a, kappa_a), count_a in _side_groups(sa, da[G]).items():
-            need = all_edges - ka
-            for (kb, psi_b, kappa_b), count_b in side_b.items():
-                if need <= kb:
-                    key = (tuple(sorted(psi_a + psi_b)),
-                           tuple(sorted(kappa_a + kappa_b)), ka & kb)
-                    groups[key] = groups.get(key, 0) + count_a * count_b
-        base = [dim_v - sum([pl.get(m, 0) for m in legs])
-                for _, legs, _, dim_v in G.vertex_data]
-        he_vertex = G.half_edge_vertex
-        for (psi, kappa, shared), count in groups.items():
-            deficit = list(base)
-            ph0: dict[int, int] = {}
-            for h, e in psi:
-                ph0[h] = ph0.get(h, 0) + e
-                deficit[he_vertex[h]] -= e
-            if min(deficit) < 0:
-                continue
-            # (degree, ((vertex charged, target), ...)) per factor: a kappa
-            # part targets a vertex, an excess psi a half-edge
-            factors = [(a, tuple((w, w) for w in vs)) for a, vs in kappa]
-            nk = len(factors)
-            factors += [(1, tuple((he_vertex[h], h) for h in (2 * e, 2 * e + 1)))
-                        for e in sorted(shared)]
-            # branch only on targets whose vertex still has room
-            level = [((), deficit)]
-            for a, options in factors:
-                level = [(c + (t,), d[:v] + [d[v] - a] + d[v + 1:])
-                         for c, d in level for v, t in options if d[v] >= a]
-            for choice, _ in level:
-                ph = dict(ph0)
-                for h in choice[nk:]:
-                    ph[h] = ph.get(h, 0) + 1
-                kp: dict[int, list[int]] = {}
-                for (a, _), w in zip(factors, choice[:nk]):
-                    kp.setdefault(w, []).append(a)
-                yield G, pl, ph, kp, -count if len(shared) % 2 else count
-
-
-def _side_groups(st: DecoratedStratum, structs: tuple[Structure, ...]
-                 ) -> dict[tuple, int]:
-    """The structures of one factor composed with each image in its orbit,
-    counted with the image's multiplicity by (kept edges, transported
-    (half-edge, exponent) pairs, (kappa part, preimage vertices) pairs)."""
-    out: dict[tuple, int] = {}
-    for kept, he, vpre in structs:
-        for (psi_he, kappa), mult in st.orbit:
-            key = (kept, tuple(sorted([(he[h], e) for h, e in psi_he])),
-                   tuple(sorted([(a, vpre[v]) for v, parts in kappa
-                                 for a in parts])))
-            out[key] = out.get(key, 0) + mult
-    return out
+    for G, triples in common_degenerations(GA, GB):
+        for ph, kp, sign in expand(G, triples, side_groups(sa, G),
+                                   side_groups(sb, G)):
+            yield G, pl, ph, kp, sign
 
 
 def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:

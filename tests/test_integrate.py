@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ import pytest
 
 from tautring.graphs import DomainError, make_graph
 from tautring.integrate import (
+    class_pairing_vector,
     double_factorial,
     evaluate,
     fraction_free_echelon,
@@ -20,7 +22,7 @@ from tautring.integrate import (
     stratum_integral,
 )
 from tautring.product import multiply_strata
-from tautring.strata import generators, make_stratum, single
+from tautring.strata import TautClass, generators, make_stratum, single
 
 from oracles import dvv_correlator, subset_kappa_integral
 
@@ -248,6 +250,32 @@ def test_pair_classes_type_check():
     y = single(1, 2, generators(1, 2, 1)[0])
     with pytest.raises(DomainError):
         pair_classes(x, y)
+
+
+def test_class_pairing_vector_type_check_and_zero_class():
+    # a cogenerator of another space is refused before any degeneration
+    # index is read, as a DomainError and not a KeyError
+    x = single(1, 3, generators(1, 3, 1)[0])
+    cogens = generators(0, 5, 1)
+    with pytest.raises(DomainError):
+        class_pairing_vector(x, cogens)
+    cogens = generators(1, 3, 2)
+    assert class_pairing_vector(TautClass(1, 3, 1), cogens) == \
+        (Fraction(0),) * len(cogens)
+
+
+def test_pairing_entries_pinned():
+    # every entry of every pairing matrix on three spaces, one row per line
+    digest = hashlib.sha256()
+    count = 0
+    for g, n in [(0, 5), (1, 3), (2, 1)]:
+        for d in range(3 * g - 3 + n + 1):
+            for row in pairing_matrix(g, n, d).entries:
+                digest.update((",".join(str(x) for x in row) + "\n").encode())
+                count += len(row)
+    assert count == 2281
+    assert digest.hexdigest() == ("3876b0349044c18271d81471ba4b2052"
+                                  "ea5d1b1196d99500ad024dfd3f2f27bc")
 
 
 def test_pairing_matrix_values_and_rank():

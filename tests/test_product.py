@@ -13,7 +13,14 @@ from tautring.graphs import (
     isomorphisms,
     make_graph,
 )
-from tautring.integrate import evaluate, pair_classes, pair_strata, pair_with
+from tautring.integrate import (
+    class_pairing_vector,
+    evaluate,
+    pair_classes,
+    pair_strata,
+    pair_with,
+    pairing_matrix,
+)
 from tautring.product import (
     contraction_structures,
     multiply,
@@ -233,18 +240,31 @@ def test_product_monomials_stay_within_vertex_dimensions():
 def test_grouped_products_match_ungrouped_oracle():
     # product_monomials expands each group of structure pairs once, with a
     # signed multiplicity; the oracle expands every structure pair.  Both
-    # sides are symmetric, so degrees d <= dim - d cover every pair.
+    # sides are symmetric, so degrees d <= dim - d cover every pair.  The
+    # pairing matrices and class pairing vectors, which integrate blocks of
+    # pairs at once, are held to the same oracle values.
+    rng = random.Random(1414)
     pairs = nonzero = 0
     for g, n in [(0, 5), (1, 3), (2, 1)]:
         dim = 3 * g - 3 + n
+        oracle = {}
         for d in range(dim // 2 + 1):
-            for s in generators(g, n, d):
-                for t in generators(g, n, dim - d):
+            pm, pmt = pairing_matrix(g, n, d), pairing_matrix(g, n, dim - d)
+            for i, s in enumerate(generators(g, n, d)):
+                for j, t in enumerate(generators(g, n, dim - d)):
                     product, value = ungrouped_product(s, t)
                     assert pair_strata(s, t) == value, (s, t)
                     assert multiply_strata(s, t) == product, (s, t)
+                    assert pm.entries[i][j] == pmt.entries[j][i] == value
+                    oracle[s, t] = oracle[t, s] = value
                     pairs += 1
                     nonzero += value != 0
+        for d in range(dim + 1):
+            x = random_class(rng, g, n, d)
+            cogens = generators(g, n, dim - d)
+            assert class_pairing_vector(x, cogens) == tuple(
+                sum((c * oracle[s, t] for s, c in x.terms.items()),
+                    Fraction(0)) for t in cogens), (g, n, d)
     assert (pairs, nonzero) == (1413, 1046)
 
 

@@ -144,19 +144,20 @@ def test_section7_bundle_verdicts():
 
 def test_gplus1_monomial_count_pinned(monkeypatch):
     # each group of structure pairs is expanded once: 2,164 monomials reach
-    # the pairings of this check, where one per structure pair made 18,268
+    # the products and pairings of this check, where one per structure pair
+    # made 18,268; both go through product.expand
     from tautring import integrate, product
 
     counted = [0]
-    original = product.product_monomials
+    original = product.expand
 
-    def counting(sa, sb):
-        for monomial in original(sa, sb):
+    def counting(*args):
+        for monomial in original(*args):
             counted[0] += 1
             yield monomial
 
     for module in (product, integrate):
-        monkeypatch.setattr(module, "product_monomials", counting)
+        monkeypatch.setattr(module, "expand", counting)
     integrate._pair_strata.cache_clear()
     product._multiply_strata.cache_clear()
     assert check_gplus1(RamificationData(2, 2, 0, (2, -2))).passed
