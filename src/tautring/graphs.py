@@ -533,18 +533,25 @@ def contract(graph: StableGraph, contracted: frozenset[int]
 
 
 def _splits(graph: StableGraph, v: int) -> Iterator[StableGraph]:
-    """All one-edge degenerations obtained by splitting vertex v."""
+    """The one-edge degenerations obtained by splitting vertex v, with each
+    split made in one orientation only.  Swapping the two halves of a split
+    gives an isomorphic graph, so v keeps its first leg; with no legs, its
+    first half-edge; with neither, the larger genus."""
     gv = graph.genera[v]
     lv = graph.legs[v]
     hv = graph.half_edges_at(v)
     V = graph.num_vertices
-    for g1 in range(gv + 1):
+    for g1 in range(gv + 1) if lv or hv else range((gv + 1) // 2, gv + 1):
         g2 = gv - g1
         for nl in range(len(lv) + 1):
             for keep_legs in itertools.combinations(lv, nl):
+                if lv and lv[0] not in keep_legs:
+                    continue
                 move_legs = tuple(m for m in lv if m not in keep_legs)
                 for nh in range(len(hv) + 1):
                     for keep_he in itertools.combinations(hv, nh):
+                        if not lv and hv and hv[0] not in keep_he:
+                            continue
                         keep_set = set(keep_he)
                         # stability of both halves (+1 for the new edge end)
                         if 2 * g1 - 2 + len(keep_legs) + nh + 1 <= 0:
@@ -575,30 +582,28 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> tuple[StableGraph
     Generated by inverting edge contraction level by level: every graph with
     e+1 edges contracts (any one edge) to a graph with e edges, so splitting
     a vertex or dropping a loop from the level-e list reaches all of level
-    e+1.
+    e+1.  Each bound extends the tuple of the bound below it by one level.
     """
     check_stable_type(g, n)
     if max_edges < 0:
         raise DomainError("negative parameter")
-    main = make_graph([g], [tuple(range(1, n + 1))], [])
-    levels: list[dict[str, StableGraph]] = [{main.encode(): main}]
-    for _ in range(max_edges):
-        nxt: dict[str, StableGraph] = {}
-        for graph in levels[-1].values():
-            for v in range(graph.num_vertices):
-                if graph.genera[v] >= 1:
-                    genera = list(graph.genera)
-                    genera[v] -= 1
-                    loop = StableGraph(
-                        tuple(genera), graph.legs,
-                        graph.edges + ((v, v),))
-                    cloop = canonical(loop)[0]
-                    nxt.setdefault(cloop.encode(), cloop)
-                for split in _splits(graph, v):
-                    csplit = canonical(split)[0]
-                    nxt.setdefault(csplit.encode(), csplit)
-        levels.append(nxt)
-    out: list[StableGraph] = []
-    for level in levels:
-        out.extend(level[k] for k in sorted(level))
-    return tuple(out)
+    if max_edges == 0:
+        return (make_graph([g], [tuple(range(1, n + 1))], []),)
+    below = enumerate_stable_graphs(g, n, max_edges - 1)
+    level: dict[str, StableGraph] = {}
+    for graph in below:
+        if graph.num_edges < max_edges - 1:
+            continue
+        for v in range(graph.num_vertices):
+            if graph.genera[v] >= 1:
+                genera = list(graph.genera)
+                genera[v] -= 1
+                loop = StableGraph(
+                    tuple(genera), graph.legs,
+                    graph.edges + ((v, v),))
+                cloop = canonical(loop)[0]
+                level.setdefault(cloop.encode(), cloop)
+            for split in _splits(graph, v):
+                csplit = canonical(split)[0]
+                level.setdefault(csplit.encode(), csplit)
+    return below + tuple(level[k] for k in sorted(level))

@@ -21,7 +21,7 @@ from .graphs import DomainError, make_graph
 from .integrate import (
     class_pairing_vector,
     matrix_rank,
-    pair_with,
+    pair_block,
     solve_linear_system,
 )
 from .pixton import (
@@ -104,11 +104,18 @@ def _timed(report: CheckReport, t0: float) -> CheckReport:
 
 
 def _separating(x: TautClass, cogens: list[DecoratedStratum]) -> dict | None:
-    """The first cogenerator pairing nonzero with x, with that pairing."""
-    for c in cogens:
-        value = pair_with(x, c)
-        if value:
-            return {"generator": c.label(), "pairing": value}
+    """The first cogenerator pairing nonzero with x, with that pairing.  x is
+    paired with blocks of 1, 2, 4, ... cogenerators in order: a search
+    stops soon after its first nonzero pairing, and one that meets none
+    shares the per-graph work of a few large blocks."""
+    start, size = 0, 1
+    while start < len(cogens):
+        block = cogens[start:start + size]
+        for c, value in zip(block, class_pairing_vector(x, block)):
+            if value:
+                return {"generator": c.label(), "pairing": value}
+        start += size
+        size *= 2
     return None
 
 
@@ -151,8 +158,7 @@ def in_span_mod_pairing(x: TautClass,
         }), t0)
     cogens = generators(x.g, x.n, dim - x.degree)
     target = class_pairing_vector(x, cogens)
-    span_vectors = [class_pairing_vector(single(x.g, x.n, s), cogens)
-                    for s in strata]
+    span_vectors = pair_block(strata, cogens)
     rows = [[span_vectors[j][i] for j in range(len(strata))]
             for i in range(len(cogens))]
     sol, residual = solve_linear_system(rows, list(target))

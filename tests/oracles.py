@@ -238,6 +238,14 @@ def ungrouped_product(s, t):
     return out, value
 
 
+def ungrouped_pairing(s, t):
+    """<s, t> alone from the ungrouped monomials: the sum of each
+    coefficient times _decoration_integral, with no product collected."""
+    return sum((c * _decoration_integral(G, _vertex_keys(G, pl, ph, kp))
+                for G, pl, ph, kp, c in ungrouped_monomials(s, t)),
+               Fraction(0))
+
+
 def bssz_psi_integral(g, a, s):
     """The integral of psi_s^{2g-3+n} over DR_g(a), s counted from 1, by the
     formula of Buryak-Shadrin-Spitz-Zvonkine ("Integrals of psi-classes over

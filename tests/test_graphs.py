@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -219,3 +220,21 @@ def test_treelike_flags():
     assert not banana((1,), (2,)).is_treelike()
     tree = banana((1, 2), (3,), edges=1, gu=0, gv=1)
     assert tree.is_tree() and tree.is_treelike()
+
+
+def test_enumeration_pinned():
+    # every bound of the ten spaces with g <= 2, n <= 6 and dim <= 4; the
+    # digest was taken from an enumeration that split each vertex in both
+    # orientations and derived every bound from the smooth graph up
+    digest = hashlib.sha256()
+    for g in range(3):
+        for n in range(7):
+            dim = 3 * g - 3 + n
+            if 2 * g - 2 + n <= 0 or dim > 4:
+                continue
+            for e in range(dim + 1):
+                digest.update(("%d,%d,%d:" % (g, n, e) + ";".join(
+                    G.encode() for G in enumerate_stable_graphs(g, n, e))
+                    + "\n").encode())
+    assert digest.hexdigest() == ("78e1a3a0857f627901b6ad0c022c11e4"
+                                  "4b8a21568d834273fa177635595a47ca")

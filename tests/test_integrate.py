@@ -352,6 +352,48 @@ def test_fraction_free_echelon_matches_gauss_oracle():
     assert r == 2 and piv == (0, 1)
 
 
+def test_matrix_rank_matches_plain_bareiss():
+    # non-square matrices are ranked through the Gram matrix of their
+    # shorter side, square ones by plain elimination: both must agree with
+    # Bareiss on the matrix itself
+    rng = random.Random(1515)
+
+    def entry(zero=0.3):
+        if rng.random() < zero:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    shapes = [(1, 1), (1, 6), (6, 1), (3, 8), (8, 3), (5, 5), (2, 13),
+              (13, 2), (7, 7)]
+    cases = []
+    for m, n in shapes:
+        for _ in range(6):
+            rows = [[entry() for _ in range(n)] for _ in range(m)]
+            if m > 1:
+                rows[rng.randrange(m)] = [Fraction(0)] * n  # a zero row
+            cases.append(rows)
+        cases.append([[Fraction(0)] * n for _ in range(m)])
+    for rows in cases:
+        assert matrix_rank(rows) == fraction_free_echelon(rows)[0], rows
+    # planted rank r: an m x r times an r x n integer product, rows scaled
+    for m, n, r in [(4, 9, 2), (9, 4, 3), (6, 6, 4), (3, 10, 3), (10, 3, 1),
+                    (12, 7, 5)]:
+        left = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+        rows = [[Fraction(sum(a * right[k][j] for k, a in enumerate(row)),
+                          den) for j in range(n)]
+                for row, den in zip(left, [rng.randint(1, 6) for _ in left])]
+        assert matrix_rank(rows) == fraction_free_echelon(rows)[0] == r
+    assert matrix_rank([]) == 0
+    # every pairing matrix of three spaces, (0,5) from Keel's Betti numbers
+    expected = {(0, 5): [1, 5, 1], (1, 3): [1, 5, 5, 1],
+                (2, 1): [1, 3, 5, 3, 1]}
+    for (g, n), ranks in expected.items():
+        for d, rank in enumerate(ranks):
+            pm = pairing_matrix(g, n, d)
+            assert pm.rank == fraction_free_echelon(pm.entries)[0] == rank
+
+
 def test_solve_linear_system():
     rows = [[Fraction(1), Fraction(2)],
             [Fraction(2), Fraction(4)],

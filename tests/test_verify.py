@@ -1,11 +1,13 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from tautring.graphs import DomainError, make_graph
-from tautring.integrate import pair_strata
+from tautring.integrate import pair_classes, pair_strata
 from tautring.pixton import RamificationData
+from tautring.product import multiply
 from tautring.strata import TautClass, generators, make_stratum, single
 from tautring.verify import (
     CheckReport,
@@ -16,6 +18,8 @@ from tautring.verify import (
     in_span_mod_pairing,
     is_zero_mod_pairing,
 )
+
+from oracles import ungrouped_pairing
 
 
 def smooth(g, n):
@@ -158,7 +162,79 @@ def test_gplus1_monomial_count_pinned(monkeypatch):
 
     for module in (product, integrate):
         monkeypatch.setattr(module, "expand", counting)
-    integrate._pair_strata.cache_clear()
     product._multiply_strata.cache_clear()
     assert check_gplus1(RamificationData(2, 2, 0, (2, -2))).passed
     assert counted[0] == 2164
+
+
+def test_verdict_searches_match_ungrouped_oracle():
+    # is_zero_mod_pairing pairs a class with blocks of 1, 2, 4, ...
+    # cogenerators, pair_classes with one block: the witness must still be
+    # the first cogenerator whose oracle pairing is nonzero, with that
+    # value, and pair_classes the coefficient-weighted oracle sum
+    rng = random.Random(1515)
+    oracle = {}
+
+    def oracle_pairing(x, y):
+        total = Fraction(0)
+        for s, c in x.terms.items():
+            for t, d in y.terms.items():
+                if s.degree + t.degree != 3 * x.g - 3 + x.n:
+                    continue
+                if (s, t) not in oracle:
+                    oracle[s, t] = ungrouped_pairing(s, t)
+                total += c * d * oracle[s, t]
+        return total
+
+    def random_class(g, n, d):
+        x = TautClass(g, n, d)
+        for s in generators(g, n, d):
+            if rng.random() < 0.4:
+                x.iadd_term(s, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        return x
+
+    def orthogonal_class(g, n, d, cogens):
+        # random classes, eliminated against each of cogens in turn, so
+        # the witness lies past them
+        pool = [random_class(g, n, d) for _ in range(len(cogens) + 1)]
+        for c in cogens:
+            values = [oracle_pairing(u, single(g, n, c)) for u in pool]
+            pivot = next((i for i, v in enumerate(values) if v), None)
+            if pivot is not None:
+                p, pv = pool.pop(pivot), values.pop(pivot)
+                pool = [u.sub(p.scale(v / pv)) for u, v in zip(pool, values)]
+        return pool[0]
+
+    cases = []
+    for g, n in [(0, 5), (1, 3), (2, 1)]:
+        dim = 3 * g - 3 + n
+        for d in range(dim + 1):
+            cogens = generators(g, n, dim - d)
+            run = sum(1 for c in cogens if c.graph == cogens[0].graph)
+            cases += [(random_class(g, n, d), 0),
+                      (orthogonal_class(g, n, d, cogens[:run]), run)]
+    irr = single(1, 3, make_stratum(make_graph([0], [(1, 2, 3)], [(0, 0)]),
+                                    {}, {}, {}))
+    cases.append((multiply(irr, irr), 0))  # pairs to zero with everything
+    witnesses = []
+    for x, skipped in cases:
+        dim = 3 * x.g - 3 + x.n
+        cogens = generators(x.g, x.n, dim - x.degree)
+        first = next(((i, v) for i, c in enumerate(cogens)
+                      if (v := oracle_pairing(x, single(x.g, x.n, c)))),
+                     None)
+        rep = is_zero_mod_pairing(x)
+        if first is None:
+            assert rep.verdict == "pass-mod-pairing-kernel"
+        else:
+            assert first[0] >= skipped
+            assert rep.verdict == "fail"
+            assert rep.witness == {"generator": cogens[first[0]].label(),
+                                   "pairing": first[1]}
+        witnesses.append(first and first[0])
+        y = random_class(x.g, x.n, dim - x.degree)
+        assert pair_classes(x, y) == oracle_pairing(x, y)
+        if 2 * x.degree == dim:
+            assert pair_classes(x, x) == oracle_pairing(x, x)
+    # some witnesses lie past the first cogenerator
+    assert witnesses[-1] is None and len([w for w in witnesses if w]) >= 3
