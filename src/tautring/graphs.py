@@ -582,11 +582,14 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int) -> tuple[StableGraph
     Generated by inverting edge contraction level by level: every graph with
     e+1 edges contracts (any one edge) to a graph with e edges, so splitting
     a vertex or dropping a loop from the level-e list reaches all of level
-    e+1.  Each bound extends the tuple of the bound below it by one level.
+    e+1.  Each bound extends the tuple of the bound below it by one level;
+    no graph has more than 3g - 3 + n edges, so a larger bound is that one.
     """
     check_stable_type(g, n)
     if max_edges < 0:
         raise DomainError("negative parameter")
+    if max_edges > 3 * g - 3 + n:
+        return enumerate_stable_graphs(g, n, 3 * g - 3 + n)
     if max_edges == 0:
         return (make_graph([g], [tuple(range(1, n + 1))], []),)
     below = enumerate_stable_graphs(g, n, max_edges - 1)

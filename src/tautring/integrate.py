@@ -21,22 +21,20 @@ evaluate integrates a top-degree TautClass: each decorated stratum
 contributes coeff / |Aut(graph)| times the product of local vertex integrals.
 Pairings integrate product monomials in place, with no product class
 built, through one primitive, the block ``pair_block(rows, cols)``.  It
-groups the rows and the columns by graph.  Per pair of graphs it finds the
-common degenerations and their compatible kept subsets once.  Per row graph
-it computes each stratum's side groups on a degeneration once, and drops
-them before the next row graph, so nothing is retained.  An entry adds the
-signed counts of its monomials per per-vertex kernel key, integrates each
-key once and sums in integers, with one Fraction at the end.  The pairing
-is symmetric, so a block with rows == cols (a middle-degree pairing
-matrix, 2d = dim) computes the entries with i <= j and mirrors them.
-pairing_matrix is one block, class_pairing_vector the coefficient-weighted
-rows of one block, and pair_strata, pair_with and pair_classes one block
-each; no pairing is memoised.  The blocks yield their entries per row
-graph, so a class pairing vector holds one row graph's sums at a time.
-The verdict searches of ``verify`` pair a class with blocks of 1, 2, 4,
-... cogenerators in order, and stop at the first nonzero pairing.
-pairing_matrix builds degrees 2d <= dim; degree dim - d is the transpose
-and shares its rank.
+consumes the ``product_walk`` of ``product``, the same walk ``multiply``
+consumes: the strata grouped by graph, common degenerations found once per
+pair of graphs, side groups once per degeneration and row stratum, and
+nothing retained past a row graph.  An entry adds the signed counts of its
+monomials per per-vertex kernel key, integrates each key once and sums in
+integers, with one Fraction at the end; the sums are flushed per row
+graph.  The pairing is symmetric, so a block with rows == cols (a
+middle-degree pairing matrix, 2d = dim) walks the entries with i <= j and
+mirrors them.  pairing_matrix is one block, class_pairing_vector the
+coefficient-weighted rows of one block, and pair_strata and pair_classes
+one block each; no pairing is memoised.  The verdict searches of
+``verify`` pair a class with blocks of 1, 2, 4, ... cogenerators in order,
+and stop at the first nonzero pairing.  pairing_matrix builds degrees
+2d <= dim; degree dim - d is the transpose and shares its rank.
 
 Ranks are exact and fraction-free: Bareiss elimination over the integers
 after clearing each row's denominators, on the matrix itself when it is
@@ -54,7 +52,7 @@ from math import comb, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import DomainError, StableGraph
-from .product import common_degenerations, expand, side_groups
+from .product import leg_psi, product_walk
 from .strata import DecoratedStratum, TautClass, generators
 
 
@@ -195,50 +193,20 @@ def evaluate(x: TautClass) -> Fraction:
 _ZERO = Fraction(0)
 
 
-def _by_graph(strata: Sequence[DecoratedStratum]) -> dict[StableGraph, list[int]]:
-    """The positions of the strata, grouped by graph in first-seen order."""
-    out: dict[StableGraph, list[int]] = {}
-    for i, s in enumerate(strata):
-        out.setdefault(s.graph, []).append(i)
-    return out
-
-
 def _pairings(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStratum]
               ) -> Iterator[tuple[int, int, Fraction]]:
     """The nonzero pairings (i, j, <rows[i], cols[j]>) of ``pair_block``,
-    yielded per row graph, so only one row graph's sums are held at a time.
-    When rows == cols only the entries with i <= j are computed, and each
-    is yielded with its mirror.  Refuses strata that are not all on one
-    (g, n)."""
+    yielded per row graph of the ``product_walk``, so only one row graph's
+    sums are held at a time.  When rows == cols only the entries with
+    i <= j are computed, and each is yielded with its mirror."""
     symmetric = rows == cols
-    row_graphs, col_graphs = _by_graph(rows), _by_graph(cols)
-    spaces = {(G.genus(), G.num_legs) for G in (*row_graphs, *col_graphs)}
-    if len(spaces) > 1:
-        raise DomainError("cannot pair classes on different moduli spaces")
-    if not spaces:
-        return
-    (g, n), = spaces
-    dim = 3 * g - 3 + n
-    col_items = list(col_graphs.items())
-    for a, (GA, row_ids) in enumerate(row_graphs.items()):
+    for GA, entries in product_walk(rows, cols, symmetric):
+        dim = 3 * GA.genus() - 3 + GA.num_legs
         totals: dict[tuple[int, int], list[int]] = {}  # (i, j) -> [num, den]
-        row_shares: dict[tuple, tuple] = {}
-        # symmetric: each unordered graph pair once, from GA = col_items[a] on
-        for GB, col_ids in col_items[a:] if symmetric else col_items:
-            diagonal = symmetric and GB == GA  # then only j >= i
-            for G, triples in common_degenerations(GA, GB):
-                col_shares = [side_groups(cols[j], G) for j in col_ids]
-                for i in row_ids:
-                    s = rows[i]
-                    share_s = row_shares.get((s, G))
-                    if share_s is None:
-                        share_s = row_shares[s, G] = side_groups(s, G)
-                    for j, share_t in zip(col_ids, col_shares):
-                        t = cols[j]
-                        if s.degree + t.degree != dim or diagonal and j < i:
-                            continue  # zero, or the mirror of a computed entry
-                        _add_monomials(totals, (i, j), G, s, t, expand(
-                            G, triples, share_s, share_t))
+        for i, j, G, monomials in entries:
+            s, t = rows[i], cols[j]
+            if s.degree + t.degree == dim:  # else zero
+                _add_monomials(totals, (i, j), G, s, t, monomials)
         for (i, j), (num, den) in totals.items():
             if num:
                 value = Fraction(num, den * GA.inverse_aut.denominator
@@ -269,9 +237,7 @@ def _add_monomials(totals: dict, entry: tuple[int, int], G: StableGraph,
     pl = None
     for ph, kp, sign in monomials:
         if pl is None:
-            pl = dict(s.psi_leg)
-            for m, e in t.psi_leg:
-                pl[m] = pl.get(m, 0) + e
+            pl = leg_psi(s, t)
         key = _vertex_keys(G, pl, ph, kp)
         signs[key] = signs.get(key, 0) + sign
     for keys, c in signs.items():
@@ -298,11 +264,6 @@ def class_pairing_vector(x: TautClass,
     for i, j, value in _pairings(tuple(x.terms), tuple(cogens)):
         out[j] += coeffs[i] * value
     return tuple(out)
-
-
-def pair_with(x: TautClass, t: DecoratedStratum) -> Fraction:
-    """Pairing of a class with one stratum, one ``pair_block``."""
-    return class_pairing_vector(x, (t,))[0]
 
 
 def pair_classes(x: TautClass, y: TautClass) -> Fraction:

@@ -37,18 +37,21 @@ degenerations G with their compatible (K_A, K_B, K_A & K_B) triples, and
 depends on the graphs alone.  ``side_groups(s, G)`` counts one factor's
 structures on G composed with its orbit, per kept subset.  ``expand``
 counts the structure pairs on G by transported decoration and shared edges
-and expands each count once, as a signed int.  ``product_monomials`` runs
-the three for one pair, and ``multiply_strata`` collects its monomials and
-applies 1/(|Aut A| * |Aut B|) once.  The pairing block of ``integrate``
-shares the same expansion, but finds the common degenerations once per
-pair of graphs and a row stratum's side groups once per degeneration.
+and expands each count once, as a signed int.
+
+One walk, ``product_walk(rows, cols)``, runs the three over blocks of
+products: strata grouped by graph, common degenerations found once per pair
+of graphs, a row stratum's side groups once per degeneration, expansions
+yielded lazily per row graph.  ``multiply`` consumes it over the terms of
+two classes (``multiply_strata`` is one entry), the pairings of
+``integrate`` integrate its monomials in place; no product is memoised.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import (
     DomainError,
@@ -57,7 +60,7 @@ from .graphs import (
     contract,
     enumerate_stable_graphs,
 )
-from .strata import DecoratedStratum, MixedClass, TautClass, make_stratum
+from .strata import DecoratedStratum, MixedClass, TautClass, make_stratum, single
 
 # A contraction structure of G onto a target graph GA:
 #   (kept edge subset K, half-edge transport GA-he -> G-he,
@@ -205,53 +208,84 @@ def expand(G: StableGraph, triples: list[Triple], side_a: tuple,
             yield ph, kp, -count if len(shared) % 2 else count
 
 
-def product_monomials(sa: DecoratedStratum, sb: DecoratedStratum) -> Iterator[tuple]:
-    """Monomials (G, psi_leg, psi_he, kappa, sign), sign an int, summing to
-    |Aut A| |Aut B| [sa] * [sb]: read-only dicts indexed on G, none above a
-    vertex dimension, so in complementary degree each vertex is met exactly."""
-    GA, GB = sa.graph, sb.graph
-    g, n = GA.genus(), GA.num_legs
-    if (GB.genus(), GB.num_legs) != (g, n):
-        raise DomainError("cannot multiply classes on different moduli spaces")
-    if sa.degree + sb.degree > 3 * g - 3 + n:
-        return
+def _by_graph(strata: Sequence[DecoratedStratum]) -> dict[StableGraph, list[int]]:
+    """The positions of the strata, grouped by graph in first-seen order."""
+    out: dict[StableGraph, list[int]] = {}
+    for i, s in enumerate(strata):
+        out.setdefault(s.graph, []).append(i)
+    return out
+
+
+def product_walk(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStratum],
+                 upper: bool = False) -> Iterator[tuple[StableGraph, Iterator]]:
+    """The walk of the module docstring over the products rows[i] * cols[j]:
+    per row graph GA, (GA, its entries (i, j, G, monomials)), monomials the
+    lazy ``expand`` on the common degeneration G, signs summing to |Aut A|
+    |Aut B| times the product there.  Consume one row graph's entries
+    before the next; its row side groups go with them.  With upper (for
+    rows == cols), only i <= j.  Refuses strata not all on one (g, n)."""
+    row_graphs, col_graphs = _by_graph(rows), _by_graph(cols)
+    if len({(G.genus(), G.num_legs) for G in (*row_graphs, *col_graphs)}) > 1:
+        raise DomainError("cannot combine strata on different moduli spaces")
+
+    def entries(GA, row_ids, col_items):
+        row_shares: dict[tuple, tuple] = {}
+        for GB, col_ids in col_items:
+            diagonal = upper and GB == GA  # then only j >= i
+            for G, triples in common_degenerations(GA, GB):
+                col_shares = [side_groups(cols[j], G) for j in col_ids]
+                for i in row_ids:
+                    s = rows[i]
+                    share_s = row_shares.get((s, G))
+                    if share_s is None:
+                        share_s = row_shares[s, G] = side_groups(s, G)
+                    for j, share_t in zip(col_ids, col_shares):
+                        if not (diagonal and j < i):
+                            yield i, j, G, expand(G, triples, share_s, share_t)
+
+    col_items = list(col_graphs.items())
+    for a, (GA, row_ids) in enumerate(row_graphs.items()):
+        # upper: each unordered graph pair once, from GB = GA on
+        yield GA, entries(GA, row_ids, col_items[a:] if upper else col_items)
+
+
+def leg_psi(sa: DecoratedStratum, sb: DecoratedStratum) -> dict[int, int]:
+    """The leg psi exponents of a product: the two factors' added."""
     pl = dict(sa.psi_leg)
     for m, e in sb.psi_leg:
         pl[m] = pl.get(m, 0) + e
-    for G, triples in common_degenerations(GA, GB):
-        for ph, kp, sign in expand(G, triples, side_groups(sa, G),
-                                   side_groups(sb, G)):
-            yield G, pl, ph, kp, sign
-
-
-def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
-    """Product of two stratum classes as a TautClass (shared; do not mutate)."""
-    if sb < sa:
-        sa, sb = sb, sa
-    return _multiply_strata(sa, sb)
-
-
-@functools.cache
-def _multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
-    out = TautClass(sa.graph.genus(), sa.graph.num_legs, sa.degree + sb.degree)
-    for G, pl, ph, kp, sign in product_monomials(sa, sb):
-        out.iadd_term(make_stratum(G, pl, ph, kp), sign)
-    return out.scale(sa.graph.inverse_aut * sb.graph.inverse_aut)
+    return pl
 
 
 def multiply(x: TautClass, y: TautClass) -> TautClass:
-    """Bilinear extension of multiply_strata."""
+    """Product of two classes, from one ``product_walk`` over their terms:
+    per entry and degeneration the int signs are added per stratum, then
+    scaled once by c_s c_t / (|Aut A| |Aut B|)."""
     if (x.g, x.n) != (y.g, y.n):
         raise DomainError("cannot multiply classes on different moduli spaces")
     out = TautClass(x.g, x.n, x.degree + y.degree)
     if out.degree > 3 * x.g - 3 + x.n:
         return out
-    for sa, ca in x.terms.items():
-        for sb, cb in y.terms.items():
-            c = ca * cb
-            for s, coeff in multiply_strata(sa, sb).terms.items():
-                out.iadd_term(s, c * coeff)
+    rows, cols = tuple(x.terms), tuple(y.terms)
+    for _, entries in product_walk(rows, cols):
+        for i, j, G, monomials in entries:
+            s, t = rows[i], cols[j]
+            signs: dict[DecoratedStratum, int] = {}
+            pl = leg_psi(s, t)
+            for ph, kp, sign in monomials:
+                st = make_stratum(G, pl, ph, kp)
+                signs[st] = signs.get(st, 0) + sign
+            c = (x.terms[s] * y.terms[t]
+                 * s.graph.inverse_aut * t.graph.inverse_aut)
+            for st, sign in signs.items():
+                out.iadd_term(st, c * sign)
     return out
+
+
+def multiply_strata(sa: DecoratedStratum, sb: DecoratedStratum) -> TautClass:
+    """Product of two stratum classes, the one-entry ``multiply``."""
+    return multiply(*(single(s.graph.genus(), s.graph.num_legs, s)
+                      for s in (sa, sb)))
 
 
 def multiply_mixed(x: MixedClass, y: MixedClass) -> MixedClass:

@@ -170,8 +170,8 @@ def fundamental_stratum(g: int, n: int) -> DecoratedStratum:
 class TautClass:
     """Fraction-linear combination of decorated strata of one codimension.
 
-    Returned classes may be shared (cached products, cycles, mixed parts):
-    never mutate them.  ``iadd_term`` is only for classes the caller built.
+    Returned classes may be shared (cycles, mixed parts): never mutate
+    them.  ``iadd_term`` is only for classes the caller built.
     """
 
     __slots__ = ("g", "n", "degree", "terms")

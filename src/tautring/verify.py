@@ -208,9 +208,8 @@ def check_multiplicativity(data_a: RamificationData, data_b: RamificationData,
     }
     data_ab = RamificationData(g, n, data_a.k + data_b.k,
                                tuple(x + y for x, y in zip(data_a.A, data_b.A)))
-    lhs = multiply(_drc(data_a), _drc(data_b))
-    rhs = multiply(_drc(data_a), _drc(data_ab))
-    diff = lhs.sub(rhs)
+    # D_A * D_B - D_A * D_{A+B} as one product, by bilinearity
+    diff = multiply(_drc(data_a), _drc(data_b).sub(_drc(data_ab)))
     if locus == "all":
         inner = is_zero_mod_pairing(diff)
     else:

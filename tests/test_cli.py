@@ -40,6 +40,19 @@ def test_graphs_listing(capsys):
         assert G.genus() == 1 and G.num_legs == 1
 
 
+def test_graphs_bound_above_dimension(capsys):
+    # no graph of type (g, n) has more than 3g - 3 + n edges, so a larger
+    # bound lists the graphs of bound 3g - 3 + n, with no recursion per bound
+    def listing(codim):
+        code, out = capture(capsys, ["graphs", "--g", "0", "--n", "3",
+                                     "--codim", codim, "--json"])
+        assert code == 0, codim
+        return json.loads(out)["graphs"]
+
+    assert listing("5000") == listing("900") == listing("0")
+    assert len(listing("0")) == 1
+
+
 def test_generators_round_trip(capsys):
     code, out = capture(capsys, ["generators", "--g", "1", "--n", "2",
                                  "--d", "1", "--json"])

@@ -18,15 +18,15 @@ from tautring.integrate import (
     evaluate,
     pair_classes,
     pair_strata,
-    pair_with,
     pairing_matrix,
 )
 from tautring.product import (
     contraction_structures,
+    leg_psi,
     multiply,
     multiply_mixed,
     multiply_strata,
-    product_monomials,
+    product_walk,
 )
 from tautring.strata import (
     MixedClass,
@@ -228,21 +228,26 @@ def test_product_monomials_stay_within_vertex_dimensions():
         gens = [s for d in range(dim + 1) for s in generators(g, n, d)]
         for i, s in enumerate(gens):
             for t in gens[i:]:
-                for G, pl, ph, kp, _ in product_monomials(s, t):
-                    for deg, vdim in _vertex_degrees(G, pl, ph, kp):
-                        assert deg <= vdim, (s, t)
-                        if s.degree + t.degree == dim:
-                            assert deg == vdim, (s, t)
-                    monomials += 1
+                pl = leg_psi(s, t)
+                for _, entries in product_walk((s,), (t,)):
+                    for _, _, G, expansion in entries:
+                        for ph, kp, _ in expansion:
+                            for deg, vdim in _vertex_degrees(G, pl, ph, kp):
+                                assert deg <= vdim, (s, t)
+                                if s.degree + t.degree == dim:
+                                    assert deg == vdim, (s, t)
+                            monomials += 1
     assert monomials > 0
 
 
 def test_grouped_products_match_ungrouped_oracle():
-    # product_monomials expands each group of structure pairs once, with a
+    # the product walk expands each group of structure pairs once, with a
     # signed multiplicity; the oracle expands every structure pair.  Both
     # sides are symmetric, so degrees d <= dim - d cover every pair.  The
     # pairing matrices and class pairing vectors, which integrate blocks of
-    # pairs at once, are held to the same oracle values.
+    # pairs at once, are held to the same oracle values, and so are the
+    # products of random classes in every degree pair that fits, x * x
+    # included, which walk many terms per graph at once.
     rng = random.Random(1414)
     pairs = nonzero = 0
     for g, n in [(0, 5), (1, 3), (2, 1)]:
@@ -259,12 +264,27 @@ def test_grouped_products_match_ungrouped_oracle():
                     oracle[s, t] = oracle[t, s] = value
                     pairs += 1
                     nonzero += value != 0
+        xs = []
         for d in range(dim + 1):
             x = random_class(rng, g, n, d)
+            xs.append(x)
             cogens = generators(g, n, dim - d)
             assert class_pairing_vector(x, cogens) == tuple(
                 sum((c * oracle[s, t] for s, c in x.terms.items()),
                     Fraction(0)) for t in cogens), (g, n, d)
+        products = {}
+        for x, y in itertools.product(xs, repeat=2):
+            if x.degree + y.degree > dim:
+                continue
+            expected = TautClass(g, n, x.degree + y.degree)
+            for s, cs in x.terms.items():
+                for t, ct in y.terms.items():
+                    if (s, t) not in products:
+                        products[s, t] = products[t, s] = \
+                            ungrouped_product(s, t)[0]
+                    for u, cu in products[s, t].terms.items():
+                        expected.iadd_term(u, cs * ct * cu)
+            assert multiply(x, y) == expected, (g, n, x.degree, y.degree)
     assert (pairs, nonzero) == (1413, 1046)
 
 
@@ -293,8 +313,9 @@ def test_frobenius_identity_on_generator_triples():
     for g, n, degrees in [(1, 3, (1, 1, 1)), (2, 1, (1, 1, 2))]:
         for x, y, z in itertools.product(*(generators(g, n, d)
                                             for d in degrees)):
-            left = pair_with(multiply_strata(x, y), z)
-            assert left == pair_with(multiply_strata(y, z), x), (x, y, z)
+            [left] = class_pairing_vector(multiply_strata(x, y), (z,))
+            [right] = class_pairing_vector(multiply_strata(y, z), (x,))
+            assert left == right, (x, y, z)
             triples += 1
             nonzero += left != 0
     assert (triples, nonzero) == (1001, 548)
