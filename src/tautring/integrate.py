@@ -19,26 +19,31 @@ run.  psi_integral is the kappa-free case of kappa_psi_integral.
 
 evaluate integrates a top-degree TautClass: each decorated stratum
 contributes coeff / |Aut(graph)| times the product of local vertex integrals.
-Pairings integrate product monomials in place, with no product class
-built, through one primitive, the block ``pair_block(rows, cols)``.  It
-consumes the ``product_walk`` of ``product``, the same walk ``multiply``
-consumes: the strata grouped by graph, common degenerations found once per
-pair of graphs, side groups once per degeneration and row stratum, and
-nothing retained past a row graph.  An entry adds the signed counts of its
-monomials per per-vertex kernel key, integrates each key once and sums in
-integers, with one Fraction at the end; the sums are flushed per row
-graph.  The pairing is symmetric, so a block with rows == cols (a
-middle-degree pairing matrix, 2d = dim) walks the entries with i <= j and
-mirrors them.  pairing_matrix is one block, class_pairing_vector the
-coefficient-weighted rows of one block, and pair_strata and pair_classes
-one block each; no pairing is memoised.  The verdict searches of
-``verify`` pair a class with blocks of 1, 2, 4, ... cogenerators in order,
-and stop at the first nonzero pairing.  pairing_matrix builds degrees
-2d <= dim; degree dim - d is the transpose and shares its rank.
+Pairings integrate product monomials in place, with no product class built,
+through one primitive, the block ``pair_block(rows, cols)``.  It consumes
+the ``product_walk`` of ``product``, the same walk ``multiply`` consumes:
+the strata grouped by graph, one walk of each row graph's degenerations for
+the common degenerations with every column graph, side groups once per
+degeneration and row stratum, and nothing retained past a row graph.  An
+entry adds the signed counts of its monomials per per-vertex kernel key,
+integrates each key once and sums in integers, with one Fraction at the
+end; the sums are flushed per row graph.  The pairing is symmetric, so a
+block with rows == cols (a middle-degree pairing matrix, 2d = dim) walks
+the entries with i <= j and mirrors them.  pairing_matrix is one block,
+class_pairing_vector the coefficient-weighted rows of one block, and
+pair_strata and pair_classes one block each; no pairing is memoised.  The
+verdict searches of ``verify`` pair a class with blocks of 1, 2, 4, ...
+cogenerators in order, and stop at the first nonzero pairing.
+pairing_matrix builds degrees 2d <= dim; degree dim - d is the transpose
+and shares its rank.
 
-Ranks are exact and fraction-free: Bareiss elimination over the integers
-after clearing each row's denominators, on the matrix itself when it is
-square and otherwise on the Gram matrix of its shorter side.
+Linear algebra is exact and fraction-free, through one elimination,
+``fraction_free_echelon``: each row's denominators are cleared, then rows
+are kept sparse and eliminated in column order, only the rows whose head is
+the pivot column are updated, and each updated row is divided by its
+content.  ``matrix_rank`` runs it on a square matrix itself and otherwise
+on the integer Gram matrix of its shorter side; ``solve_linear_system``
+runs it on the augmented matrix.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import DomainError, StableGraph
+from .graphs import DomainError, StableGraph, check_stable_type
 from .product import leg_psi, product_walk
 from .strata import DecoratedStratum, TautClass, generators
 
@@ -285,37 +290,53 @@ def _clear_row(row: Sequence[Fraction]) -> list[int]:
 
 def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
                           ) -> tuple[int, tuple[int, ...], list[list[int]]]:
-    """Bareiss elimination after per-row denominator clearing.
+    """Fraction-free elimination in column order over sparse integer rows,
+    after per-row denominator clearing.
 
-    Returns (rank, pivot column indices, echelon matrix as integer rows).
-    Row scaling by positive integers preserves rank and, on an augmented
-    matrix, the solution set.
+    Rows are filed by their head (first nonzero column).  At each column
+    the shortest row with that head is the pivot; every other row with
+    that head becomes (p * row - h * pivot) / gcd(p, h), divided by its
+    content, and is filed again.  Rows with another head are untouched.
+    Returns (rank, pivot column indices, echelon matrix as integer rows:
+    the pivot rows, then zero rows).  Scaling a row by a nonzero integer
+    preserves rank and, on an augmented matrix, the solution set.
     """
-    mat = [_clear_row(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
+    ncols = len(rows[0]) if rows else 0
+    by_head: dict[int, list[dict[int, int]]] = {}
+    for r in rows:
+        sparse = {k: x for k, x in enumerate(_clear_row(r)) if x}
+        if sparse:
+            by_head.setdefault(min(sparse), []).append(sparse)
     pivots: list[int] = []
-    rank = 0
-    prev = 1
+    echelon: list[dict[int, int]] = []
     for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if mat[i][col]), None)
-        if piv is None:
+        group = by_head.pop(col, None)
+        if group is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for i in range(rank + 1, nrows):
-            head = mat[i][col]
-            for j in range(col, ncols):
-                num = mat[i][j] * mat[rank][col] - mat[rank][j] * head
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                mat[i][j] = q
-        prev = mat[rank][col]
+        piv = min(group, key=len)
+        p = piv[col]
+        for r in group:
+            if r is piv:
+                continue
+            q = gcd(p, r[col])
+            a, b = p // q, r[col] // q
+            new = {k: a * x for k, x in r.items()}
+            for k, x in piv.items():
+                y = new.get(k, 0) - b * x
+                if y:
+                    new[k] = y
+                else:
+                    del new[k]
+            if new:
+                c = gcd(*new.values())
+                if c > 1:
+                    new = {k: x // c for k, x in new.items()}
+                by_head.setdefault(min(new), []).append(new)
         pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, tuple(pivots), mat
+        echelon.append(piv)
+    mat = [[r.get(k, 0) for k in range(ncols)] for r in echelon]
+    mat += [[0] * ncols for _ in range(len(rows) - len(mat))]
+    return len(pivots), tuple(pivots), mat
 
 
 def _gram(mat: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -352,9 +373,12 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
     """Solve A x = b exactly.  Returns (solution, None) with free variables
     set to zero, or (None, residual_row) where residual_row is an
     unsatisfiable echelon row of the augmented matrix (all-zero coefficients
-    with nonzero right side)."""
+    with nonzero right side).  Refuses a right side of another length."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    if len(rhs) != nrows:
+        raise DomainError("%d equations but %d right-hand sides"
+                          % (nrows, len(rhs)))
     if nrows == 0:
         return [], None
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -397,6 +421,7 @@ def pairing_matrix(g: int, n: int, d: int) -> PairingMatrix:
     """Rows are degree-d generators, columns the complementary generators,
     entries the integrals of the products; cached by (g, n, d).  For
     2d > dim, the transpose of ``pairing_matrix(g, n, dim - d)``."""
+    check_stable_type(g, n)
     dim = 3 * g - 3 + n
     if d < 0 or d > dim:
         return PairingMatrix(g, n, d, (), (), ())

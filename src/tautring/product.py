@@ -32,19 +32,23 @@ image weighted by its stabilizer order (``DecoratedStratum.orbit``).
 product visits only the common degenerations of its factors.
 
 A product splits into work on the two graphs and work on the two
-decorations.  ``common_degenerations(GA, GB)`` lists the common
-degenerations G with their compatible (K_A, K_B, K_A & K_B) triples, and
-depends on the graphs alone.  ``side_groups(s, G)`` counts one factor's
-structures on G composed with its orbit, per kept subset.  ``expand``
-counts the structure pairs on G by transported decoration and shared edges
-and expands each count once, as a signed int.
+decorations.  On the graphs: the common degenerations G of GA and GB, each
+with its compatible (K_A, K_B, K_A & K_B) triples.  ``side_groups(s, G)``
+counts one factor's structures on G composed with its orbit, per kept
+subset.  ``expand`` counts the structure pairs on G by transported
+decoration and shared edges and expands each count once, as a signed int.
 
 One walk, ``product_walk(rows, cols)``, runs the three over blocks of
-products: strata grouped by graph, common degenerations found once per pair
-of graphs, a row stratum's side groups once per degeneration, expansions
-yielded lazily per row graph.  ``multiply`` consumes it over the terms of
-two classes (``multiply_strata`` is one entry), the pairings of
-``integrate`` integrate its monomials in place; no product is memoised.
+products, with the strata grouped by graph.  Per row graph GA it walks
+GA's degenerations once, in one ``_degenerations`` entry whose bound covers
+the column graph with the most edges, and takes on each G the column
+graphs among G's contraction targets: every graph pair's common
+degenerations come from that one walk, and G with more edges than
+|E_A| + |E_B| are skipped.  A row stratum's side groups are computed once
+per degeneration, and expansions are yielded lazily per row graph.
+``multiply`` consumes the walk over the terms of two classes
+(``multiply_strata`` is one entry), the pairings of ``integrate`` integrate
+its monomials in place; no product is memoised.
 """
 
 from __future__ import annotations
@@ -109,27 +113,6 @@ def _degenerations(g: int, n: int, max_edges: int
 # Compatible kept-edge subsets on a common degeneration G:
 #   (K_A, K_B, K_A & K_B) with K_A | K_B = E(G)
 Triple = tuple[frozenset[int], frozenset[int], frozenset[int]]
-
-
-def common_degenerations(GA: StableGraph, GB: StableGraph
-                         ) -> list[tuple[StableGraph, list[Triple]]]:
-    """The graphs G that both GA and GB are contractions of with kept
-    subsets covering E(G), each with its compatible triples: the part of a
-    product that depends on the two graphs alone."""
-    g, n = GA.genus(), GA.num_legs
-    index = _degenerations(g, n, min(GA.num_edges + GB.num_edges, 3 * g - 3 + n))
-    da, db = index[GA], index[GB]
-    out = []
-    # walk the shorter; both list graphs in enumeration order
-    walk, other = (da, db) if len(da) <= len(db) else (db, da)
-    for G in walk:
-        if G in other:
-            E = G.num_edges
-            triples = [(ka, kb, ka & kb) for ka, _, _ in da[G]
-                       for kb, _, _ in db[G] if len(ka | kb) == E]
-            if triples:
-                out.append((G, triples))
-    return out
 
 
 def side_groups(st: DecoratedStratum, G: StableGraph
@@ -222,31 +205,43 @@ def product_walk(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStrat
     per row graph GA, (GA, its entries (i, j, G, monomials)), monomials the
     lazy ``expand`` on the common degeneration G, signs summing to |Aut A|
     |Aut B| times the product there.  Consume one row graph's entries
-    before the next; its row side groups go with them.  With upper (for
-    rows == cols), only i <= j.  Refuses strata not all on one (g, n)."""
+    before the next.  With upper (for rows == cols), only the column graphs
+    from GA on, and j >= i on GA itself.  Refuses strata not all on one
+    (g, n)."""
     row_graphs, col_graphs = _by_graph(rows), _by_graph(cols)
     if len({(G.genus(), G.num_legs) for G in (*row_graphs, *col_graphs)}) > 1:
         raise DomainError("cannot combine strata on different moduli spaces")
+    if not col_graphs:
+        return
+    order = {GB: b for b, GB in enumerate(col_graphs)}
+    max_b = max(GB.num_edges for GB in col_graphs)
 
-    def entries(GA, row_ids, col_items):
-        row_shares: dict[tuple, tuple] = {}
-        for GB, col_ids in col_items:
-            diagonal = upper and GB == GA  # then only j >= i
-            for G, triples in common_degenerations(GA, GB):
+    def entries(GA, a, row_ids):
+        g, n, ea = GA.genus(), GA.num_legs, GA.num_edges
+        index = _degenerations(g, n, min(ea + max_b, 3 * g - 3 + n))
+        for G, structs_a in index[GA].items():
+            E = G.num_edges
+            row_shares = {}
+            for GB, structs_b in _contractions(G).items():
+                b = order.get(GB)
+                if b is None or upper and b < a or E > ea + GB.num_edges:
+                    continue
+                triples = [(ka, kb, ka & kb) for ka, _, _ in structs_a
+                           for kb, _, _ in structs_b if len(ka | kb) == E]
+                if not triples:
+                    continue
+                col_ids = col_graphs[GB]
                 col_shares = [side_groups(cols[j], G) for j in col_ids]
                 for i in row_ids:
-                    s = rows[i]
-                    share_s = row_shares.get((s, G))
+                    share_s = row_shares.get(i)
                     if share_s is None:
-                        share_s = row_shares[s, G] = side_groups(s, G)
+                        share_s = row_shares[i] = side_groups(rows[i], G)
                     for j, share_t in zip(col_ids, col_shares):
-                        if not (diagonal and j < i):
+                        if not (upper and b == a and j < i):
                             yield i, j, G, expand(G, triples, share_s, share_t)
 
-    col_items = list(col_graphs.items())
-    for a, (GA, row_ids) in enumerate(row_graphs.items()):
-        # upper: each unordered graph pair once, from GB = GA on
-        yield GA, entries(GA, row_ids, col_items[a:] if upper else col_items)
+    for GA, row_ids in row_graphs.items():
+        yield GA, entries(GA, order.get(GA), row_ids)
 
 
 def leg_psi(sa: DecoratedStratum, sb: DecoratedStratum) -> dict[int, int]:

@@ -473,22 +473,30 @@ def _decorations(graph: StableGraph, budget: int) -> Iterator[
 
 @functools.cache
 def generators(g: int, n: int, d: int) -> tuple[DecoratedStratum, ...]:
-    """All canonical decorated strata of codimension d on Mbar_{g,n},
-    deduplicated across Aut-equivalent decorations, sorted."""
+    """All canonical decorated strata of codimension d on Mbar_{g,n}, one
+    per Aut-orbit of decorations, sorted by ``sort_key``.  A decoration is
+    kept when it is its own orbit minimum, the form ``make_stratum``
+    interns, and its stratum is built straight into the intern table."""
     check_stable_type(g, n)
     if d < 0:
         raise DomainError("negative codimension")
     if d > 3 * g - 3 + n:
         return ()
-    seen: dict[DecoratedStratum, None] = {}
-    for graph in enumerate_stable_graphs(g, n, d):
-        rem = d - graph.num_edges
-        if rem < 0:
-            continue
-        for pl, ph, kp in _decorations(graph, rem):
-            s = make_stratum(graph, pl, ph, kp)
-            seen.setdefault(s)
-    return tuple(sorted(seen, key=lambda s: s.sort_key()))
+    out: list[DecoratedStratum] = []
+    for graph in sorted(enumerate_stable_graphs(g, n, d),
+                        key=lambda G: (G.num_edges, G.encode())):
+        found = []
+        for pl, ph, kp in _decorations(graph, d - graph.num_edges):
+            deco = (tuple(sorted(ph.items())), tuple(sorted(kp.items())))
+            if min(_decoration_images(graph, *deco)) != deco:
+                continue
+            key = (graph, tuple(sorted(pl.items())), *deco)
+            s = _STRATUM_CACHE.get(key)
+            if s is None:
+                s = _STRATUM_CACHE[key] = DecoratedStratum(*key)
+            found.append(s)
+        out += sorted(found)  # one graph: field order is sort_key order
+    return tuple(out)
 
 
 _LOCI: dict[str, Callable[[StableGraph], bool]] = {

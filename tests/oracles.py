@@ -6,7 +6,10 @@ checks that kappa reduction, takes its pure psi integrals from
 tautring.integrate.psi_integral; dvv_correlator checks those.  The
 ungrouped product builds its structures from tautring.graphs and integrates
 one monomial at a time with tautring.integrate._decoration_integral, which
-also integrates a single stratum."""
+also integrates a single stratum.  The linear-algebra references (dense
+Bareiss, Gauss-Jordan over Fractions) share nothing with
+tautring.integrate, and the generator reference is the make_stratum round
+trip that tautring.strata.generators replaced."""
 
 import functools
 import itertools
@@ -21,7 +24,7 @@ from tautring.graphs import (
     isomorphisms,
 )
 from tautring.integrate import _decoration_integral, _vertex_keys, psi_integral
-from tautring.strata import TautClass, make_stratum
+from tautring.strata import TautClass, _decorations, make_stratum
 
 
 def psi_times(i, x):
@@ -270,3 +273,74 @@ def bssz_psi_integral(g, a, s):
     for k in range(2 * g + 1):
         quot.append(num[k] - sum(den[j] * quot[k - j] for j in range(1, k + 1)))
     return quot[2 * g]
+
+
+def bareiss_rank(rows):
+    """Rank by dense Bareiss elimination over the integers, after clearing
+    each row's denominators; every division by the previous pivot is
+    checked to be exact."""
+    mat = []
+    for r in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in r))
+        mat.append([int(Fraction(x) * den) for x in r])
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    rank, prev = 0, 1
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nrows) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(rank + 1, nrows):
+            head = mat[i][col]
+            for j in range(col, ncols):
+                q, rem = divmod(mat[i][j] * mat[rank][col]
+                                - mat[rank][j] * head, prev)
+                assert not rem, "Bareiss division not exact"
+                mat[i][j] = q
+        prev = mat[rank][col]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def gauss_jordan_solve(rows, rhs):
+    """(solution, None) of A x = b with free variables zero, or (None,
+    row) with row a reduced row of the augmented matrix whose coefficients
+    are all zero and whose right side is not: reduced row echelon form
+    over Fractions."""
+    aug = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][col] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        if col == ncols:
+            return None, aug[r]
+        pivots.append(col)
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][ncols]
+    return sol, None
+
+
+def make_stratum_generators(g, n, d):
+    """The generators of codimension d on Mbar_{g,n} as they were built
+    before orbit representatives: make_stratum on every decoration of every
+    graph, deduplicated, sorted by sort_key."""
+    if d > 3 * g - 3 + n:
+        return ()
+    seen = {}
+    for graph in enumerate_stable_graphs(g, n, d):
+        if graph.num_edges <= d:
+            for pl, ph, kp in _decorations(graph, d - graph.num_edges):
+                seen.setdefault(make_stratum(graph, pl, ph, kp))
+    return tuple(sorted(seen, key=lambda s: s.sort_key()))

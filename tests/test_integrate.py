@@ -14,6 +14,7 @@ from tautring.integrate import (
     fraction_free_echelon,
     kappa_psi_integral,
     matrix_rank,
+    pair_block,
     pair_classes,
     pair_strata,
     pairing_matrix,
@@ -24,7 +25,12 @@ from tautring.integrate import (
 from tautring.product import multiply_strata
 from tautring.strata import TautClass, generators, make_stratum, single
 
-from oracles import dvv_correlator, subset_kappa_integral
+from oracles import (
+    bareiss_rank,
+    dvv_correlator,
+    gauss_jordan_solve,
+    subset_kappa_integral,
+)
 
 
 def test_double_factorial():
@@ -264,6 +270,14 @@ def test_class_pairing_vector_type_check_and_zero_class():
         (Fraction(0),) * len(cogens)
 
 
+def test_pair_block_empty_shapes():
+    # no rows: no row lists; no columns: one empty row per row stratum
+    rows, cols = generators(1, 3, 1), generators(1, 3, 2)
+    assert pair_block((), cols) == []
+    assert pair_block(rows, ()) == [[]] * len(rows)
+    assert pair_block((), ()) == []
+
+
 def test_pairing_entries_pinned():
     # every entry of every pairing matrix on three spaces, one row per line
     digest = hashlib.sha256()
@@ -288,6 +302,13 @@ def test_pairing_matrix_values_and_rank():
     # out-of-range degrees give empty matrices
     assert pairing_matrix(1, 1, 2).rows == ()
     assert pairing_matrix(1, 1, -1).rows == ()
+
+
+def test_pairing_matrix_refuses_unstable_type():
+    # refused in every degree, as generators refuses it, not an empty matrix
+    for g, n, d in [(0, 2, 0), (0, 2, 5), (1, 0, 0), (-1, 4, 0)]:
+        with pytest.raises(DomainError):
+            pairing_matrix(g, n, d)
 
 
 def keel_betti(n):
@@ -318,6 +339,10 @@ def test_pairing_ranks_match_betti_numbers():
     ranks = [pairing_matrix(1, 3, d).rank for d in range(4)]
     assert ranks[1] == 2 ** 3 - 3
     assert ranks == ranks[::-1]
+    # (1,4): h^2 = 2^4 - 4, and 23 in the middle degree, the square
+    # 129 x 129 matrix, as the benchmark's oracle has it
+    assert [pairing_matrix(1, 4, d).rank for d in range(5)] == \
+        [1, 12, 23, 12, 1]
 
 
 def gauss_rank_oracle(rows):
@@ -354,8 +379,8 @@ def test_fraction_free_echelon_matches_gauss_oracle():
 
 def test_matrix_rank_matches_plain_bareiss():
     # non-square matrices are ranked through the Gram matrix of their
-    # shorter side, square ones by plain elimination: both must agree with
-    # Bareiss on the matrix itself
+    # shorter side, square ones by the sparse elimination itself: both must
+    # agree with dense Bareiss on the matrix itself (the oracle's)
     rng = random.Random(1515)
 
     def entry(zero=0.3):
@@ -373,8 +398,21 @@ def test_matrix_rank_matches_plain_bareiss():
                 rows[rng.randrange(m)] = [Fraction(0)] * n  # a zero row
             cases.append(rows)
         cases.append([[Fraction(0)] * n for _ in range(m)])
+    # square and rank-deficient, 30-70% zeros: an m x r times r x m
+    # product of sparse integer factors, rows scaled
+    for m in (3, 6, 9, 14, 20):
+        for r in range(1, m):
+            zero = rng.uniform(0.3, 0.7)
+            left = [[entry(zero).numerator for _ in range(r)] for _ in range(m)]
+            right = [[entry(zero).numerator for _ in range(m)] for _ in range(r)]
+            rows = [[Fraction(sum(a * right[k][j] for k, a in enumerate(row)),
+                              rng.randint(1, 6)) for j in range(m)]
+                    for row in left]
+            cases.append(rows)
     for rows in cases:
-        assert matrix_rank(rows) == fraction_free_echelon(rows)[0], rows
+        rank = bareiss_rank(rows)
+        assert matrix_rank(rows) == fraction_free_echelon(rows)[0] == rank, \
+            rows
     # planted rank r: an m x r times an r x n integer product, rows scaled
     for m, n, r in [(4, 9, 2), (9, 4, 3), (6, 6, 4), (3, 10, 3), (10, 3, 1),
                     (12, 7, 5)]:
@@ -383,7 +421,7 @@ def test_matrix_rank_matches_plain_bareiss():
         rows = [[Fraction(sum(a * right[k][j] for k, a in enumerate(row)),
                           den) for j in range(n)]
                 for row, den in zip(left, [rng.randint(1, 6) for _ in left])]
-        assert matrix_rank(rows) == fraction_free_echelon(rows)[0] == r
+        assert matrix_rank(rows) == bareiss_rank(rows) == r
     assert matrix_rank([]) == 0
     # every pairing matrix of three spaces, (0,5) from Keel's Betti numbers
     expected = {(0, 5): [1, 5, 1], (1, 3): [1, 5, 5, 1],
@@ -391,7 +429,7 @@ def test_matrix_rank_matches_plain_bareiss():
     for (g, n), ranks in expected.items():
         for d, rank in enumerate(ranks):
             pm = pairing_matrix(g, n, d)
-            assert pm.rank == fraction_free_echelon(pm.entries)[0] == rank
+            assert pm.rank == bareiss_rank(pm.entries) == rank
 
 
 def test_solve_linear_system():
@@ -406,3 +444,52 @@ def test_solve_linear_system():
     sol, res = solve_linear_system([[Fraction(0), Fraction(1)]], [Fraction(7)])
     assert res is None
     assert sol[1] == 7
+
+
+def test_solve_linear_system_rejects_mismatched_right_side():
+    # zip would drop the second equation and return x = 1
+    with pytest.raises(DomainError):
+        solve_linear_system([[Fraction(1)], [Fraction(2)]], [Fraction(1)])
+    with pytest.raises(DomainError):
+        solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
+    with pytest.raises(DomainError):
+        solve_linear_system([], [Fraction(1)])
+
+
+def test_solve_linear_system_matches_gauss_jordan():
+    # consistent systems with free variables: the same solution (free
+    # variables zero); inconsistent ones: a residual row with zero
+    # coefficients and a nonzero right side, as the reference finds one
+    rng = random.Random(4242)
+    consistent = inconsistent = 0
+    for _ in range(120):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        r = rng.randint(0, min(m, n))
+        left = [[rng.randint(-3, 3) * (rng.random() < 0.6) for _ in range(r)]
+                for _ in range(m)]
+        right = [[rng.randint(-3, 3) * (rng.random() < 0.6) for _ in range(n)]
+                 for _ in range(r)]
+        rows = [[Fraction(sum(a * right[k][j] for k, a in enumerate(row)),
+                          rng.randint(1, 4)) for j in range(n)]
+                for row in left]
+        if rng.random() < 0.5:  # b in the column space
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                 for _ in range(n)]
+            rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0))
+                   for row in rows]
+        else:
+            rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                   for _ in range(m)]
+        sol, res = solve_linear_system(rows, rhs)
+        ref_sol, ref_res = gauss_jordan_solve(rows, rhs)
+        assert sol == ref_sol, (rows, rhs)
+        if ref_res is None:
+            assert res is None
+            consistent += 1
+            assert all(sum((a * b for a, b in zip(row, sol)), Fraction(0)) == y
+                       for row, y in zip(rows, rhs))
+        else:
+            assert res is not None and len(res) == n + 1
+            assert not any(res[:n]) and res[n]
+            inconsistent += 1
+    assert consistent > 20 and inconsistent > 20

@@ -24,6 +24,8 @@ from tautring.strata import (
     unit,
 )
 
+from oracles import make_stratum_generators
+
 
 def smooth(g, n):
     return make_graph([g], [tuple(range(1, n + 1))], [])
@@ -41,9 +43,25 @@ def test_generator_counts():
                            (1, 3): [1, 9, 42, 115],
                            (1, 4): [1, 17, 129, 551, 1324],
                            (2, 1): [1, 4, 17, 49, 92],
-                           (2, 2): [1, 7, 38, 161, 463, 796]}.items():
+                           (2, 2): [1, 7, 38, 161, 463, 796],
+                           (3, 1): [1, 5, 27, 119, 430]}.items():
         assert [len(generators(g, n, d)) for d in range(len(counts))] == \
             counts, (g, n)
+
+
+def test_generators_match_make_stratum_construction():
+    # generators keeps each decoration that is its own orbit minimum; the
+    # oracle makes a stratum of every decoration and deduplicates.  Same
+    # strata, same order, and each is the object make_stratum interns
+    spaces = [(g, n) for g in range(3) for n in range(8)
+              if 2 * g - 2 + n > 0 and 3 * g - 3 + n <= 4]
+    assert (0, 7) in spaces and (2, 1) in spaces
+    for g, n in spaces:
+        for d in range(3 * g - 3 + n + 1):
+            gens = generators(g, n, d)
+            assert gens == make_stratum_generators(g, n, d), (g, n, d)
+            for s in gens:
+                assert make_stratum(s.graph, s.psi_leg, s.psi_he, s.kappa) is s
 
 
 def test_generator_degrees_and_uniqueness():
