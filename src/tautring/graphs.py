@@ -106,6 +106,11 @@ class StableGraph:
         return tuple(v for edge in self.edges for v in edge)
 
     @functools.cached_property
+    def leg_vertex(self) -> dict[int, int]:
+        """The vertex of each marking."""
+        return {m: v for v, legs in enumerate(self.legs) for m in legs}
+
+    @functools.cached_property
     def vertex_data(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...]:
         """Per vertex: (genus, legs, half-edges, dimension)."""
         hes: list[list[int]] = [[] for _ in self.genera]

@@ -24,10 +24,12 @@ through one primitive, the block ``pair_block(rows, cols)``.  It consumes
 the ``product_walk`` of ``product``, the same walk ``multiply`` consumes:
 the strata grouped by graph, one walk of each row graph's degenerations for
 the common degenerations with every column graph, side groups once per
-degeneration and row stratum, and nothing retained past a row graph.  An
-entry adds the signed counts of its monomials per per-vertex kernel key,
-integrates each key once and sums in integers, with one Fraction at the
-end; the sums are flushed per row graph.  The pairing is symmetric, so a
+degeneration and row stratum, and nothing retained past a row graph.  A
+factor on the graph with no edges is pulled back onto the other factor's
+graph there, with no degeneration walked.  An entry adds the signed counts
+of its monomials per per-vertex kernel key, integrates each key once and
+sums in integers, with one Fraction at the end; the sums are flushed per
+row graph.  The pairing is symmetric, so a
 block with rows == cols (a middle-degree pairing matrix, 2d = dim) walks
 the entries with i <= j and mirrors them.  pairing_matrix is one block,
 class_pairing_vector the coefficient-weighted rows of one block, and
@@ -38,12 +40,13 @@ pairing_matrix builds degrees 2d <= dim; degree dim - d is the transpose
 and shares its rank.
 
 Linear algebra is exact and fraction-free, through one elimination,
-``fraction_free_echelon``: each row's denominators are cleared, then rows
-are kept sparse and eliminated in column order, only the rows whose head is
-the pivot column are updated, and each updated row is divided by its
-content.  ``matrix_rank`` runs it on a square matrix itself and otherwise
-on the integer Gram matrix of its shorter side; ``solve_linear_system``
-runs it on the augmented matrix.
+``fraction_free_echelon``: each row is kept as its nonzero entries, their
+denominators cleared, and rows are eliminated in column order; only the
+rows whose head is the pivot column are updated, and each updated row is
+divided by its content.  ``matrix_rank`` runs it on a square matrix itself
+and otherwise on the integer Gram matrix of its shorter side, summed from
+the same sparse rows; ``solve_linear_system`` runs it on the augmented
+matrix.
 """
 
 from __future__ import annotations
@@ -155,20 +158,26 @@ def wk_cache_status() -> dict:
 
 
 def _vertex_keys(G: StableGraph, pl: dict, ph: dict, kp: dict) -> tuple:
-    """Per vertex of G: the kernel key (genus, sorted psi, sorted kappa)."""
-    return tuple([(gv, tuple(sorted([pl.get(m, 0) for m in legs]
-                                    + [ph.get(h, 0) for h in hes])),
-                   tuple(sorted(kp.get(v, ()))))
-                  for v, (gv, legs, hes, _) in enumerate(G.vertex_data)])
+    """Per vertex of G: the kernel key (genus, sorted psi, sorted kappa),
+    the psi of the points without one as leading zeros."""
+    psi: list[list[int]] = [[] for _ in G.genera]
+    for m, e in pl.items():
+        psi[G.leg_vertex[m]].append(e)
+    for h, e in ph.items():
+        psi[G.half_edge_vertex[h]].append(e)
+    return tuple([(gv, (0,) * (len(legs) + len(hes) - len(p))
+                   + tuple(sorted(p)), tuple(sorted(kp[v])) if v in kp else ())
+                  for v, ((gv, legs, hes, _), p)
+                  in enumerate(zip(G.vertex_data, psi))])
 
 
 def _decoration_parts(G: StableGraph, keys: tuple, mult: int) -> tuple[int, int]:
     """(numerator, denominator) of ``_decoration_integral``, unreduced."""
     num, den = mult, G.inverse_aut.denominator
     for key in keys:
-        local = _integral(*key)
-        num *= local.numerator
-        den *= local.denominator
+        p, q = _integral(*key).as_integer_ratio()
+        num *= p
+        den *= q
     return num, den
 
 
@@ -283,15 +292,20 @@ def pair_classes(x: TautClass, y: TautClass) -> Fraction:
 # exact linear algebra (fraction-free)
 
 
-def _clear_row(row: Sequence[Fraction]) -> list[int]:
-    denom = lcm(*(x.denominator for x in row))
-    return [x.numerator * (denom // x.denominator) for x in row]
+def _sparse_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """The nonzero entries of a row by column, times the lcm of their
+    denominators: integers, in column order."""
+    nz = [(k, x) for k, x in enumerate(row) if x]
+    if not nz:
+        return {}
+    denom = lcm(*[x.denominator for _, x in nz])
+    return {k: x.numerator * (denom // x.denominator) for k, x in nz}
 
 
 def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
                           ) -> tuple[int, tuple[int, ...], list[list[int]]]:
     """Fraction-free elimination in column order over sparse integer rows,
-    after per-row denominator clearing.
+    each the row's nonzero entries with their denominators cleared.
 
     Rows are filed by their head (first nonzero column).  At each column
     the shortest row with that head is the pivot; every other row with
@@ -304,9 +318,9 @@ def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
     ncols = len(rows[0]) if rows else 0
     by_head: dict[int, list[dict[int, int]]] = {}
     for r in rows:
-        sparse = {k: x for k, x in enumerate(_clear_row(r)) if x}
+        sparse = _sparse_row(r)
         if sparse:
-            by_head.setdefault(min(sparse), []).append(sparse)
+            by_head.setdefault(next(iter(sparse)), []).append(sparse)
     pivots: list[int] = []
     echelon: list[dict[int, int]] = []
     for col in range(ncols):
@@ -339,13 +353,13 @@ def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
     return len(pivots), tuple(pivots), mat
 
 
-def _gram(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The Gram matrix A^T A of an integer matrix: its upper triangle
-    summed from the nonzeros of each row, then mirrored."""
-    m = len(mat[0])
+def _gram(vectors: Iterable[dict[int, int]], m: int) -> list[list[int]]:
+    """The m x m integer matrix sum over the sparse vectors v (keys
+    ascending) of v v^T: its upper triangle summed from each vector's
+    nonzeros, then mirrored."""
     out = [[0] * m for _ in range(m)]
-    for row in mat:
-        nz = [(k, x) for k, x in enumerate(row) if x]
+    for v in vectors:
+        nz = list(v.items())
         for a, (k, x) in enumerate(nz):
             target = out[k]
             for l, y in nz[a:]:
@@ -362,8 +376,15 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     shorter side does: A A^T when A is wide, A^T A when it is tall.  Over
     Q, inside R, rank(A A^T) = rank(A), since x^T A A^T x = |A^T x|^2."""
     if rows and len(rows) != len(rows[0]):
-        mat = [_clear_row(r) for r in rows]
-        rows = _gram(mat if len(mat) > len(mat[0]) else list(zip(*mat)))
+        sparse = [_sparse_row(r) for r in rows]
+        if len(rows) > len(rows[0]):  # A^T A: the sum of the rows' squares
+            rows = _gram(sparse, len(rows[0]))
+        else:  # A A^T: the sum of the columns' squares
+            columns: list[dict[int, int]] = [{} for _ in rows[0]]
+            for i, r in enumerate(sparse):
+                for k, x in r.items():
+                    columns[k][i] = x
+            rows = _gram(columns, len(rows))
     return fraction_free_echelon(rows)[0]
 
 

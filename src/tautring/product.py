@@ -23,13 +23,22 @@ moduli dimension vanish; they are pruned as they are generated, by tracking
 how far each vertex is below its dimension (its deficit).
 
 For one kept subset K the maps phi_A are phi_0 o alpha, alpha in
-Aut(graph(S_A)), with phi_0 the inverse canonical relabeling of G/(E - K):
+Aut(graph(S_A)), with phi_0 any one isomorphism onto G/(E - K):
 transporting along phi_0 o alpha is transporting the alpha-image of the
 decoration along phi_0.  So ``_contractions`` keeps one structure per kept
-subset, and the sum over alpha runs over the orbit of the decoration, each
-image weighted by its stabilizer order (``DecoratedStratum.orbit``).
+subset, built through the contraction of one edge, and the sum over alpha
+runs over the orbit of the decoration, each image weighted by its
+stabilizer order (``DecoratedStratum.orbit``).
 ``_degenerations`` inverts those tables once per space and edge bound, so a
 product visits only the common degenerations of its factors.
+
+A factor on the graph with no edges admits one generic structure: K_A
+empty, so K_B = E(G) and G is the other factor's graph Gamma.  The product
+is the pullback [Gamma, xi^* alpha * beta]: psi_i at the vertex of leg i,
+kappa_a = sum over v of kappa_a(v).  That factor is invariant under
+Aut(Gamma), so the other's orbit images give images of the same monomials,
+and ``pullback`` takes its decoration alone, weighted by |Aut Gamma|.  No
+degeneration is walked for such a factor.
 
 A product splits into work on the two graphs and work on the two
 decorations.  On the graphs: the common degenerations G of GA and GB, each
@@ -45,7 +54,10 @@ the column graph with the most edges, and takes on each G the column
 graphs among G's contraction targets: every graph pair's common
 degenerations come from that one walk, and G with more edges than
 |E_A| + |E_B| are skipped.  A row stratum's side groups are computed once
-per degeneration, and expansions are yielded lazily per row graph.
+per degeneration, and expansions are yielded lazily per row graph.  An
+entry whose two factors' leg psi alone overfill a vertex of G is dropped
+before its side groups meet.  The row graph with no edges and the column
+graph with no edges are the ``pullback`` entries, on the other graph.
 ``multiply`` consumes the walk over the terms of two classes
 (``multiply_strata`` is one entry), the pairings of ``integrate`` integrate
 its monomials in place; no product is memoised.
@@ -54,7 +66,6 @@ its monomials in place; no product is memoised.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterator, Sequence
 
 from .graphs import (
@@ -74,20 +85,32 @@ Structure = tuple[frozenset[int], dict[int, int], tuple[tuple[int, ...], ...]]
 
 @functools.cache
 def _contractions(G: StableGraph) -> dict[StableGraph, tuple[Structure, ...]]:
-    """One contraction structure of G per kept-edge subset, filed under its
-    canonical target, subsets by size, then in combinations order.  Its maps
-    invert the canonical relabeling of the contraction; the target's
-    automorphisms enter through the factor's ``orbit``."""
-    out: dict[StableGraph, list[Structure]] = {}
+    """One contraction structure of the canonical graph G per kept-edge
+    subset K, filed under its canonical target.  K = E(G) is the identity.
+    Any other K has a least edge e outside it, and G/(E - K) is
+    (G/e)/(E' - K'): its structure is the one of the canonical G/e for the
+    image K' of K, composed with the relabeling of that one contraction.
+    The target's automorphisms enter through the factor's ``orbit``."""
     E = G.num_edges
-    for size in range(E + 1):
-        for kept in itertools.combinations(range(E), size):
-            H, vmap, hemap_c = contract(G, frozenset(range(E)) - frozenset(kept))
-            target, vcan, hcan = canonical(H)
-            vpre = tuple(tuple(w for w, v in enumerate(vmap) if vcan[v] == t)
-                         for t in range(target.num_vertices))
-            out.setdefault(target, []).append(
-                (frozenset(kept), {hcan[w]: h for h, w in hemap_c.items()}, vpre))
+    out: dict[StableGraph, list[Structure]] = {G: [(
+        frozenset(range(E)), {h: h for h in range(2 * E)},
+        tuple((v,) for v in range(G.num_vertices)))]}
+    for e in range(E):
+        H, vmap, hemap_c = contract(G, frozenset((e,)))
+        T, vcan, hcan = canonical(H)
+        back = {hcan[w]: h for h, w in hemap_c.items()}  # T-he -> G-he
+        below = frozenset(hcan[hemap_c[2 * f]] // 2 for f in range(e))
+        pre = [tuple(w for w, v in enumerate(vmap) if vcan[v] == u)
+               for u in range(T.num_vertices)]  # T-vertex -> G-vertices
+        for target, structs in _contractions(T).items():
+            for kept, he, vpre in structs:
+                if below <= kept:
+                    out.setdefault(target, []).append((
+                        frozenset(back[2 * k] // 2 for k in kept),
+                        {x: back[y] for x, y in he.items()},
+                        tuple([pre[vs[0]] if len(vs) == 1 else
+                               tuple(sorted([w for u in vs for w in pre[u]]))
+                               for vs in vpre])))
     return {T: tuple(structs) for T, structs in out.items()}
 
 
@@ -100,13 +123,16 @@ def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structu
 @functools.cache
 def _degenerations(g: int, n: int, max_edges: int
                    ) -> dict[StableGraph, dict[StableGraph, tuple[Structure, ...]]]:
-    """Every target graph of Mbar_{g,n}, mapped to the graphs with at most
-    max_edges edges that contract onto it, in enumeration order, each with
-    its structures: ``_contractions`` inverted once per space."""
+    """Every target graph of Mbar_{g,n} with edges, mapped to the graphs
+    with at most max_edges edges that contract onto it, in enumeration
+    order, each with its structures: ``_contractions`` inverted once per
+    space.  The graph with no edges is left out: its factors are pulled
+    back, not walked."""
     index: dict[StableGraph, dict[StableGraph, tuple[Structure, ...]]] = {}
     for G in enumerate_stable_graphs(g, n, max_edges):
         for target, structs in _contractions(G).items():
-            index.setdefault(target, {})[G] = structs
+            if target.num_edges:
+                index.setdefault(target, {})[G] = structs
     return index
 
 
@@ -116,12 +142,11 @@ Triple = tuple[frozenset[int], frozenset[int], frozenset[int]]
 
 
 def side_groups(st: DecoratedStratum, G: StableGraph
-                ) -> tuple[dict[frozenset[int], dict[tuple, int]], tuple[int, ...]]:
-    """One factor's share of a product on its degeneration G.  Per kept-edge
+                ) -> dict[frozenset[int], dict[tuple, int]]:
+    """One factor's share of a product on its degeneration G, per kept-edge
     subset: its structure composed with each orbit image, counted with the
     image's multiplicity by (transported (half-edge, exponent) pairs,
-    (kappa part, preimage vertices) pairs).  And per vertex of G: the
-    degree of the factor's leg psi there."""
+    (kappa part, preimage vertices) pairs)."""
     groups: dict[frozenset[int], dict[tuple, int]] = {}
     for kept, he, vpre in _contractions(G)[st.graph]:
         counts = groups[kept] = {}
@@ -131,11 +156,25 @@ def side_groups(st: DecoratedStratum, G: StableGraph
                    tuple(sorted([(a, vpre[v]) for v, parts in kappa
                                  for a in parts])) if kappa else ())
             counts[key] = counts.get(key, 0) + mult
-    if not st.psi_leg:
-        return groups, (0,) * G.num_vertices
-    pl = dict(st.psi_leg)
-    return groups, tuple(sum([pl.get(m, 0) for m in legs])
-                         for _, legs, _, _ in G.vertex_data)
+    return groups
+
+
+def _legs_at(st: DecoratedStratum, G: StableGraph) -> list[tuple[int, int]]:
+    """(vertex of G, exponent) of each leg psi of a factor."""
+    return [(G.leg_vertex[m], e) for m, e in st.psi_leg]
+
+
+def _less(room: list[int], legs: list[tuple[int, int]]) -> list[int] | None:
+    """The room per vertex left after the leg psi ``legs``, or None when
+    they overfill a vertex."""
+    if not legs:
+        return room
+    room = list(room)
+    for v, e in legs:
+        room[v] -= e
+        if room[v] < 0:
+            return None
+    return room
 
 
 def _merged(a: tuple, b: tuple) -> tuple:
@@ -143,24 +182,35 @@ def _merged(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b)) if a and b else a or b
 
 
-def expand(G: StableGraph, triples: list[Triple], side_a: tuple,
-           side_b: tuple) -> Iterator[tuple[dict, dict, int]]:
+def _placements(factors: list, room: list[int]) -> list[tuple]:
+    """Each choice of one target per factor (degree, ((vertex charged,
+    target), ...)) that keeps every vertex within its room: the branches
+    on a vertex already full are cut as they arise."""
+    level = [((), room)]
+    for a, options in factors:
+        level = [(c + (t,), d[:v] + [d[v] - a] + d[v + 1:])
+                 for c, d in level for v, t in options if d[v] >= a]
+    return [c for c, _ in level]
+
+
+def expand(G: StableGraph, triples: list[Triple], groups_a: dict,
+           groups_b: dict, room: list[int]
+           ) -> Iterator[tuple[dict, dict, int]]:
     """Monomials (psi_he, kappa, sign) of a product on G, from the two
-    factors' ``side_groups``, with sign an int: structure pairs are counted
-    by (merged psi_he, merged kappa parts, shared edges) and each count is
-    expanded once, none above a vertex dimension.  In complementary degree
-    each vertex is met exactly."""
-    (groups_a, legs_a), (groups_b, legs_b) = side_a, side_b
+    factors' ``side_groups`` and the room per vertex left by their leg psi,
+    with sign an int: structure pairs are counted by (merged psi_he, merged
+    kappa parts, shared edges) and each count is expanded once, none above
+    a vertex dimension.  In complementary degree each vertex is met
+    exactly."""
     counts: dict[tuple, int] = {}
     for ka, kb, shared in triples:
         for (psi_a, kappa_a), count_a in groups_a[ka].items():
             for (psi_b, kappa_b), count_b in groups_b[kb].items():
                 key = (_merged(psi_a, psi_b), _merged(kappa_a, kappa_b), shared)
                 counts[key] = counts.get(key, 0) + count_a * count_b
-    base = [vd[3] - a - b for vd, a, b in zip(G.vertex_data, legs_a, legs_b)]
     he_vertex = G.half_edge_vertex
     for (psi, kappa, shared), count in counts.items():
-        deficit = list(base)
+        deficit = list(room)
         ph0: dict[int, int] = {}
         for h, e in psi:
             ph0[h] = ph0.get(h, 0) + e
@@ -170,18 +220,13 @@ def expand(G: StableGraph, triples: list[Triple], side_a: tuple,
         if not kappa and not shared:
             yield ph0, {}, count
             continue
-        # (degree, ((vertex charged, target), ...)) per factor: a kappa
-        # part targets a vertex, an excess psi a half-edge
-        factors = [(a, tuple((w, w) for w in vs)) for a, vs in kappa]
+        # a kappa part targets a vertex, an excess psi a half-edge
+        factors = [(a, tuple(zip(vs, vs))) for a, vs in kappa]
         nk = len(factors)
-        factors += [(1, tuple((he_vertex[h], h) for h in (2 * e, 2 * e + 1)))
+        factors += [(1, ((he_vertex[2 * e], 2 * e),
+                         (he_vertex[2 * e + 1], 2 * e + 1)))
                     for e in sorted(shared)]
-        # branch only on targets whose vertex still has room
-        level = [((), deficit)]
-        for a, options in factors:
-            level = [(c + (t,), d[:v] + [d[v] - a] + d[v + 1:])
-                     for c, d in level for v, t in options if d[v] >= a]
-        for choice, _ in level:
+        for choice in _placements(factors, deficit):
             ph = dict(ph0)
             for h in choice[nk:]:
                 ph[h] = ph.get(h, 0) + 1
@@ -189,6 +234,31 @@ def expand(G: StableGraph, triples: list[Triple], side_a: tuple,
             for (a, _), w in zip(factors, choice[:nk]):
                 kp.setdefault(w, []).append(a)
             yield ph, kp, -count if len(shared) % 2 else count
+
+
+def pullback(smooth: DecoratedStratum, st: DecoratedStratum,
+             room: list[int]) -> list[tuple[dict, dict, int]]:
+    """Monomials (psi_he, kappa, sign) of smooth * st on st's own graph G,
+    for smooth on the graph with no edges: st's decoration, smooth's leg
+    psi at the vertices of its legs, and each of smooth's kappa parts on
+    one vertex, none above the ``room`` left by both factors' decorations
+    but smooth's kappa.  Each sign is |Aut G|, the orbit multiplicities of
+    st summed: smooth's share is Aut-invariant, so every orbit image of st
+    gives an image of the same monomials."""
+    G = st.graph
+    ph, kappa = dict(st.psi_he), dict(st.kappa)
+    weight = G.inverse_aut.denominator
+    if not smooth.kappa:
+        return [(ph, kappa, weight)]
+    everywhere = tuple(zip(range(G.num_vertices), range(G.num_vertices)))
+    parts = [a for _, ps in smooth.kappa for a in ps]
+    out = []
+    for choice in _placements([(a, everywhere) for a in parts], room):
+        kp = dict(kappa)
+        for a, v in zip(parts, choice):
+            kp[v] = kp.get(v, ()) + (a,)
+        out.append((ph, kp, weight))
+    return out
 
 
 def _by_graph(strata: Sequence[DecoratedStratum]) -> dict[StableGraph, list[int]]:
@@ -202,12 +272,14 @@ def _by_graph(strata: Sequence[DecoratedStratum]) -> dict[StableGraph, list[int]
 def product_walk(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStratum],
                  upper: bool = False) -> Iterator[tuple[StableGraph, Iterator]]:
     """The walk of the module docstring over the products rows[i] * cols[j]:
-    per row graph GA, (GA, its entries (i, j, G, monomials)), monomials the
-    lazy ``expand`` on the common degeneration G, signs summing to |Aut A|
-    |Aut B| times the product there.  Consume one row graph's entries
-    before the next.  With upper (for rows == cols), only the column graphs
-    from GA on, and j >= i on GA itself.  Refuses strata not all on one
-    (g, n)."""
+    per row graph GA, (GA, its entries (i, j, G, monomials)), monomials
+    (psi_he, kappa, sign) on the common degeneration G, signs summing to
+    |Aut A| |Aut B| times the product there.  An entry with a factor on the
+    graph with no edges is its ``pullback`` onto the other factor's graph.
+    An entry whose leg psi overfill a vertex of G is not yielded.  Consume
+    one row graph's entries before the next.  With upper (for rows ==
+    cols), only the column graphs from GA on, and j >= i on GA itself.
+    Refuses strata not all on one (g, n)."""
     row_graphs, col_graphs = _by_graph(rows), _by_graph(cols)
     if len({(G.genus(), G.num_legs) for G in (*row_graphs, *col_graphs)}) > 1:
         raise DomainError("cannot combine strata on different moduli spaces")
@@ -215,33 +287,72 @@ def product_walk(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStrat
         return
     order = {GB: b for b, GB in enumerate(col_graphs)}
     max_b = max(GB.num_edges for GB in col_graphs)
+    flat = next((GB for GB in col_graphs if not GB.num_edges), None)
 
-    def entries(GA, a, row_ids):
+    def pulled_back(a, row_ids):
+        """Entries of the row graph with no edges, on each column graph."""
+        for b, (GB, col_ids) in enumerate(col_graphs.items()):
+            if upper and b < a:
+                continue
+            rooms = [cols[j].room() for j in col_ids]
+            for i in row_ids:
+                legs = _legs_at(rows[i], GB)
+                for j, room_t in zip(col_ids, rooms):
+                    room = _less(room_t, legs)
+                    if room is not None and not (upper and b == a
+                                                 and j < i):
+                        yield i, j, GB, pullback(rows[i], cols[j], room)
+
+    def entries(a, GA, row_ids):
+        if flat is not None and not (upper and order[flat] < a):
+            rooms = [rows[i].room() for i in row_ids]
+            for j in col_graphs[flat]:
+                legs = _legs_at(cols[j], GA)
+                for i, room_s in zip(row_ids, rooms):
+                    room = _less(room_s, legs)
+                    if room is not None:
+                        yield i, j, GA, pullback(cols[j], rows[i], room)
+        if not max_b:
+            return
         g, n, ea = GA.genus(), GA.num_legs, GA.num_edges
         index = _degenerations(g, n, min(ea + max_b, 3 * g - 3 + n))
         for G, structs_a in index[GA].items():
             E = G.num_edges
+            dims = [vd[3] for vd in G.vertex_data]
             row_shares = {}
             for GB, structs_b in _contractions(G).items():
                 b = order.get(GB)
-                if b is None or upper and b < a or E > ea + GB.num_edges:
+                if b is None or upper and b < a or E > ea + GB.num_edges \
+                        or not GB.num_edges:
                     continue
                 triples = [(ka, kb, ka & kb) for ka, _, _ in structs_a
                            for kb, _, _ in structs_b if len(ka | kb) == E]
                 if not triples:
                     continue
-                col_ids = col_graphs[GB]
-                col_shares = [side_groups(cols[j], G) for j in col_ids]
+                col_shares = []  # of the columns whose leg psi fit on G
+                for j in col_graphs[GB]:
+                    legs_t = _legs_at(cols[j], G)
+                    if _less(dims, legs_t) is not None:
+                        col_shares.append((j, side_groups(cols[j], G), legs_t))
                 for i in row_ids:
-                    share_s = row_shares.get(i)
-                    if share_s is None:
-                        share_s = row_shares[i] = side_groups(rows[i], G)
-                    for j, share_t in zip(col_ids, col_shares):
-                        if not (upper and b == a and j < i):
-                            yield i, j, G, expand(G, triples, share_s, share_t)
+                    share = row_shares.get(i)
+                    if share is None:
+                        room_s = _less(dims, _legs_at(rows[i], G))
+                        share = row_shares[i] = (room_s, None if room_s is None
+                                                 else side_groups(rows[i], G))
+                    room_s, groups_s = share
+                    if room_s is None:
+                        continue
+                    for j, groups_t, legs_t in col_shares:
+                        room = _less(room_s, legs_t)
+                        if room is not None and not (upper and b == a
+                                                     and j < i):
+                            yield i, j, G, expand(G, triples, groups_s,
+                                                  groups_t, room)
 
     for GA, row_ids in row_graphs.items():
-        yield GA, entries(GA, order.get(GA), row_ids)
+        yield GA, (entries(order.get(GA), GA, row_ids) if GA.num_edges
+                   else pulled_back(order.get(GA), row_ids))
 
 
 def leg_psi(sa: DecoratedStratum, sb: DecoratedStratum) -> dict[int, int]:

@@ -56,11 +56,12 @@ class DecoratedStratum:
     psi_leg: PsiLeg
     psi_he: PsiHE
     kappa: Kappa
-    # set once at construction, neither compared nor shown; ``orbit`` holds
-    # each image of (psi_he, kappa) under Aut(graph) with its multiplicity
+    # neither compared nor shown; ``orbit`` holds each image of
+    # (psi_he, kappa) under Aut(graph) with its multiplicity, computed here
+    # unless the constructor already has it
+    orbit: tuple[tuple[tuple[PsiHE, Kappa], int], ...] | None = field(
+        default=None, compare=False, repr=False)
     degree: int = field(init=False, compare=False, repr=False)
-    orbit: tuple[tuple[tuple[PsiHE, Kappa], int], ...] = field(
-        init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -68,20 +69,31 @@ class DecoratedStratum:
                            + sum(e for (_, e) in self.psi_leg)
                            + sum(e for (_, e) in self.psi_he)
                            + sum(sum(p) for (_, p) in self.kappa))
-        object.__setattr__(self, "orbit", tuple(Counter(_decoration_images(
-            self.graph, self.psi_he, self.kappa)).items()))
+        if self.orbit is None:
+            object.__setattr__(self, "orbit", _orbit(
+                self.graph, self.psi_he, self.kappa))
         object.__setattr__(self, "_hash", hash(
             (self.graph, self.psi_leg, self.psi_he, self.kappa)))
 
     def __hash__(self) -> int:
         return self._hash
 
+    def room(self) -> list[int]:
+        """Per vertex of the graph: its moduli dimension minus the degree
+        of the decoration there."""
+        G = self.graph
+        room = [vd[3] for vd in G.vertex_data]
+        for m, e in self.psi_leg:
+            room[G.leg_vertex[m]] -= e
+        for h, e in self.psi_he:
+            room[G.half_edge_vertex[h]] -= e
+        for v, parts in self.kappa:
+            room[v] -= sum(parts)
+        return room
+
     def is_valid(self) -> bool:
         """False when some vertex is decorated beyond its moduli dimension."""
-        pl, ph, kp = dict(self.psi_leg), dict(self.psi_he), dict(self.kappa)
-        return all(sum([pl.get(m, 0) for m in legs]) + sum(kp.get(v, ()))
-                   + sum([ph.get(h, 0) for h in hes]) <= dim
-                   for v, (_, legs, hes, dim) in enumerate(self.graph.vertex_data))
+        return min(self.room()) >= 0
 
     def sort_key(self) -> tuple:
         return (self.graph.num_edges, self.graph.encode(),
@@ -107,6 +119,17 @@ def _decoration_images(graph: StableGraph, psi_he: Iterable, kappa: Iterable
     for vperm, ahe in automorphisms(graph):
         yield (tuple(sorted([(ahe[h], e) for h, e in psi_he])),
                tuple(sorted([(vperm[v], parts) for v, parts in kappa])))
+
+
+def _orbit(graph: StableGraph, psi_he: PsiHE, kappa: Kappa
+           ) -> tuple[tuple[tuple[PsiHE, Kappa], int], ...]:
+    """The images of a sorted decoration under Aut(graph), each once with
+    its multiplicity.  On a rigid graph that is the decoration alone, and
+    no image is computed.  Every decoration of an orbit has the same one,
+    so its least image is ``min(orbit)[0]``."""
+    if len(automorphisms(graph)) == 1:
+        return (((psi_he, kappa), 1),)
+    return tuple(Counter(_decoration_images(graph, psi_he, kappa)).items())
 
 
 # A dict, not functools.cache: it interns strata under raw and minimized keys.
@@ -152,8 +175,9 @@ def make_stratum(graph: StableGraph,
     stratum = _STRATUM_CACHE.get(key)
     if stratum is None:
         # intern on the minimized decoration: Aut-equivalent inputs share it
-        final = (cg, key[1], *min(_decoration_images(cg, key[2], key[3])))
-        stratum = _STRATUM_CACHE.get(final) or DecoratedStratum(*final)
+        orbit = _orbit(cg, key[2], key[3])
+        final = (cg, key[1], *min(orbit)[0])
+        stratum = _STRATUM_CACHE.get(final) or DecoratedStratum(*final, orbit)
         _STRATUM_CACHE[key] = _STRATUM_CACHE[final] = stratum
     return stratum
 
@@ -476,7 +500,9 @@ def generators(g: int, n: int, d: int) -> tuple[DecoratedStratum, ...]:
     """All canonical decorated strata of codimension d on Mbar_{g,n}, one
     per Aut-orbit of decorations, sorted by ``sort_key``.  A decoration is
     kept when it is its own orbit minimum, the form ``make_stratum``
-    interns, and its stratum is built straight into the intern table."""
+    interns, and its stratum is built straight into the intern table with
+    the orbit that check computed; on a rigid graph every decoration is
+    kept and no image is computed."""
     check_stable_type(g, n)
     if d < 0:
         raise DomainError("negative codimension")
@@ -488,12 +514,13 @@ def generators(g: int, n: int, d: int) -> tuple[DecoratedStratum, ...]:
         found = []
         for pl, ph, kp in _decorations(graph, d - graph.num_edges):
             deco = (tuple(sorted(ph.items())), tuple(sorted(kp.items())))
-            if min(_decoration_images(graph, *deco)) != deco:
+            orbit = _orbit(graph, *deco)
+            if min(orbit)[0] != deco:
                 continue
             key = (graph, tuple(sorted(pl.items())), *deco)
             s = _STRATUM_CACHE.get(key)
             if s is None:
-                s = _STRATUM_CACHE[key] = DecoratedStratum(*key)
+                s = _STRATUM_CACHE[key] = DecoratedStratum(*key, orbit)
             found.append(s)
         out += sorted(found)  # one graph: field order is sort_key order
     return tuple(out)

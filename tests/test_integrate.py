@@ -30,6 +30,7 @@ from oracles import (
     dvv_correlator,
     gauss_jordan_solve,
     subset_kappa_integral,
+    ungrouped_pairing,
 )
 
 
@@ -233,6 +234,26 @@ def test_fused_pairing_matches_product_route():
                     pairs += 1
                     nonzero += value != 0
     assert (pairs, nonzero) == (1553, 1118)
+
+
+def test_pullback_pairings_match_ungrouped_oracle():
+    # a factor on the graph with no edges is pulled back onto the other
+    # factor's graph instead of walking common degenerations; as a row
+    # and as a column it must give the oracle's excess-intersection sum
+    pairs = nonzero = 0
+    for g, n in [(0, 5), (1, 2), (1, 3), (2, 0), (0, 6)]:
+        dim = 3 * g - 3 + n
+        for d in range(dim + 1):
+            for s in generators(g, n, d):
+                if s.graph.num_edges:
+                    continue
+                for t in generators(g, n, dim - d):
+                    value = ungrouped_pairing(s, t)
+                    assert pair_strata(s, t) == value, (s, t)
+                    assert pair_strata(t, s) == value, (t, s)
+                    pairs += 1
+                    nonzero += value != 0
+    assert (pairs, nonzero) == (5273, 4006)
 
 
 def test_complementary_pairing_matrix_is_the_transpose():

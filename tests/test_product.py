@@ -8,6 +8,7 @@ import pytest
 from tautring.graphs import (
     DomainError,
     automorphism_count,
+    canonical,
     contract,
     enumerate_stable_graphs,
     isomorphisms,
@@ -16,6 +17,7 @@ from tautring.graphs import (
 from tautring.integrate import (
     class_pairing_vector,
     evaluate,
+    pair_block,
     pair_classes,
     pair_strata,
     pairing_matrix,
@@ -38,7 +40,12 @@ from tautring.strata import (
     unit,
 )
 
-from oracles import kappa1_times, psi_times, ungrouped_product
+from oracles import (
+    kappa1_times,
+    psi_times,
+    ungrouped_monomials,
+    ungrouped_product,
+)
 
 
 def smooth_psi(g, n, i):
@@ -105,6 +112,58 @@ def test_fast_paths_match_general_product():
         x = random_class(rng, g, n, 1)
         assert psi_times(1, x) == multiply(smooth_psi(g, n, 1), x)
         assert kappa1_times(x) == multiply(smooth_kappa1(g, n), x)
+
+
+def test_smooth_factors_match_fast_paths_on_loop_graphs():
+    # a factor on the graph with no edges is pulled back onto the other
+    # factor's graph: psi_i lands at the vertex of leg i, kappa_1 on each
+    # vertex in turn, on either side of the product
+    rng = random.Random(1818)
+    loops = 0
+    for g, n in [(1, 3), (2, 1)]:
+        for d in range(3 * g - 3 + n):
+            for _ in range(2):
+                x = random_class(rng, g, n, d)
+                loops += any(a == b for s in x.terms for a, b in s.graph.edges)
+                for i in range(1, n + 1):
+                    expected = psi_times(i, x)
+                    assert multiply(smooth_psi(g, n, i), x) == expected
+                    assert multiply(x, smooth_psi(g, n, i)) == expected
+                expected = kappa1_times(x)
+                assert multiply(smooth_kappa1(g, n), x) == expected
+                assert multiply(x, smooth_kappa1(g, n)) == expected
+    assert loops >= 8
+
+
+def test_leg_overfilled_entries_are_skipped():
+    # where the two factors' leg psi alone overfill a vertex of a common
+    # degeneration G, the walk yields no entry on G; the oracle's
+    # monomials there lie above a vertex dimension, so products and
+    # pairings still equal the oracle's
+    overfilled = paired = 0
+    for g, n in [(0, 5), (1, 3)]:
+        dim = 3 * g - 3 + n
+        gens = [s for d in range(1, dim) for s in generators(g, n, d)]
+        for s, t in itertools.product(gens, repeat=2):
+            if not (s.graph.num_edges and t.graph.num_edges) \
+                    or s.degree + t.degree > dim:
+                continue
+            pl = leg_psi(s, t)
+            walked = {G for _, entries in product_walk((s,), (t,))
+                      for _, _, G, _ in entries}
+            over = {canonical(G)[0]
+                    for G, _, _, _, _ in ungrouped_monomials(s, t)
+                    if any(sum(pl.get(m, 0) for m in legs) > vdim
+                           for _, legs, _, vdim in G.vertex_data)}
+            if over:
+                assert not over & walked, (s, t)
+                product, value = ungrouped_product(s, t)
+                assert multiply_strata(s, t) == product, (s, t)
+                if s.degree + t.degree == dim:
+                    assert pair_block((s,), (t,)) == [[value]], (s, t)
+                    paired += 1
+                overfilled += 1
+    assert (overfilled, paired) == (42, 42)
 
 
 def test_excess_intersection_loop_square():

@@ -97,8 +97,11 @@ def test_stratum_hash_and_equality_match_a_fresh_copy():
 
 def test_orbit_is_the_image_multiset_under_automorphisms():
     # the orbit lists each image of (psi_he, kappa) under Aut G once, with
-    # its stabilizer order; the stored decoration is the least image
-    strata = 0
+    # its stabilizer order; the stored decoration is the least image.  A
+    # rigid graph's orbit is built without images, so both kinds of graph
+    # are covered, and so are strata from make_stratum on a decoration
+    # that is not the least image
+    strata = rigid = 0
     for g, n in [(0, 5), (1, 3), (2, 1)]:
         for d in range(3 * g - 3 + n + 1):
             for s in generators(g, n, d):
@@ -111,7 +114,14 @@ def test_orbit_is_the_image_multiset_under_automorphisms():
                     automorphism_count(s.graph), s
                 assert min(images) == (s.psi_he, s.kappa)
                 strata += 1
+                rigid += automorphism_count(s.graph) == 1
     assert strata == 104 + 167 + 163
+    assert 0 < rigid < strata
+    loop = make_graph([0, 0], [(1,), (2,)], [(0, 0), (0, 1), (1, 1)])
+    s = make_stratum(loop, {}, {1: 1, 5: 1}, {0: (1,)})
+    assert (s.psi_he, s.kappa) == (((0, 1), (4, 1)), ((0, (1,)),))
+    assert sorted(s.orbit) == [((((h, 1), (k, 1)), ((0, (1,)),)), 1)
+                               for h in (0, 1) for k in (4, 5)]
 
 
 def test_make_stratum_rejects_bad_decorations():

@@ -147,22 +147,30 @@ def test_section7_bundle_verdicts():
 
 
 def test_gplus1_monomial_count_pinned(monkeypatch):
-    # each group of structure pairs is expanded once: 2,164 monomials reach
-    # the products and pairings of this check, where one per structure pair
-    # made 18,268; both go through product.expand
+    # each group of structure pairs is expanded once, and a factor on the
+    # graph with no edges is pulled back onto the other factor's graph:
+    # 2,096 monomials reach the products and pairings of this check through
+    # product.expand and product.pullback.  Expanding every entry made
+    # 2,164, and one monomial per structure pair made 18,268
     from tautring import product
 
     counted = [0]
-    original = product.expand
+    original_expand, original_pullback = product.expand, product.pullback
 
-    def counting(*args):
-        for monomial in original(*args):
+    def counting_expand(*args):
+        for monomial in original_expand(*args):
             counted[0] += 1
             yield monomial
 
-    monkeypatch.setattr(product, "expand", counting)
+    def counting_pullback(*args):
+        monomials = original_pullback(*args)
+        counted[0] += len(monomials)
+        return monomials
+
+    monkeypatch.setattr(product, "expand", counting_expand)
+    monkeypatch.setattr(product, "pullback", counting_pullback)
     assert check_gplus1(RamificationData(2, 2, 0, (2, -2))).passed
-    assert counted[0] == 2164
+    assert counted[0] == 2096
 
 
 def test_verdict_searches_match_ungrouped_oracle():
