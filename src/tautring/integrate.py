@@ -43,10 +43,11 @@ Linear algebra is exact and fraction-free, through one elimination,
 ``fraction_free_echelon``: each row is kept as its nonzero entries, their
 denominators cleared, and rows are eliminated in column order; only the
 rows whose head is the pivot column are updated, and each updated row is
-divided by its content.  ``matrix_rank`` runs it on a square matrix itself
-and otherwise on the integer Gram matrix of its shorter side, summed from
-the same sparse rows; ``solve_linear_system`` runs it on the augmented
-matrix.
+divided by its content.  It returns the pivot rows in that sparse form, the
+one shape its callers read.  ``matrix_rank`` runs it on a square matrix
+itself and otherwise on the integer Gram matrix of its shorter side, summed
+from the same sparse rows; ``solve_linear_system`` runs it on the augmented
+matrix and back-substitutes over the pivot rows' nonzeros.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def _sparse_row(row: Sequence[Fraction]) -> dict[int, int]:
 
 
 def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
-                          ) -> tuple[int, tuple[int, ...], list[list[int]]]:
+                          ) -> tuple[int, tuple[int, ...], list[dict[int, int]]]:
     """Fraction-free elimination in column order over sparse integer rows,
     each the row's nonzero entries with their denominators cleared.
 
@@ -311,9 +312,10 @@ def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
     the shortest row with that head is the pivot; every other row with
     that head becomes (p * row - h * pivot) / gcd(p, h), divided by its
     content, and is filed again.  Rows with another head are untouched.
-    Returns (rank, pivot column indices, echelon matrix as integer rows:
-    the pivot rows, then zero rows).  Scaling a row by a nonzero integer
-    preserves rank and, on an augmented matrix, the solution set.
+    Returns (rank, pivot column indices, pivot rows as their nonzero
+    integer entries by column), the k-th row headed by the k-th pivot.
+    Scaling a row by a nonzero integer preserves rank and, on an augmented
+    matrix, the solution set.
     """
     ncols = len(rows[0]) if rows else 0
     by_head: dict[int, list[dict[int, int]]] = {}
@@ -348,9 +350,7 @@ def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
                 by_head.setdefault(min(new), []).append(new)
         pivots.append(col)
         echelon.append(piv)
-    mat = [[r.get(k, 0) for k in range(ncols)] for r in echelon]
-    mat += [[0] * ncols for _ in range(len(rows) - len(mat))]
-    return len(pivots), tuple(pivots), mat
+    return len(pivots), tuple(pivots), echelon
 
 
 def _gram(vectors: Iterable[dict[int, int]], m: int) -> list[list[int]]:
@@ -400,20 +400,17 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
     if len(rhs) != nrows:
         raise DomainError("%d equations but %d right-hand sides"
                           % (nrows, len(rhs)))
-    if nrows == 0:
-        return [], None
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rank, pivots, ech = fraction_free_echelon(aug)
-    if pivots and pivots[-1] == ncols:
-        bad = ech[rank - 1]
-        return None, [Fraction(x) for x in bad]
+    _, pivots, ech = fraction_free_echelon(aug)
+    if pivots and pivots[-1] == ncols:  # 0 = b, b nonzero
+        return None, [Fraction(0)] * ncols + [Fraction(ech[-1][ncols])]
     sol = [Fraction(0)] * ncols
-    for i in range(rank - 1, -1, -1):
-        col = pivots[i]
-        acc = Fraction(ech[i][ncols])
-        for j in range(col + 1, ncols):
-            acc -= ech[i][j] * sol[j]
-        sol[col] = acc / ech[i][col]
+    for col, row in zip(reversed(pivots), reversed(ech)):
+        acc = Fraction(row.get(ncols, 0))
+        for k, x in row.items():
+            if col < k < ncols:
+                acc -= x * sol[k]
+        sol[col] = acc / row[col]
     return sol, None
 
 

@@ -56,11 +56,11 @@ degenerations come from that one walk, and G with more edges than
 |E_A| + |E_B| are skipped.  A row stratum's side groups are computed once
 per degeneration, and expansions are yielded lazily per row graph.  An
 entry whose two factors' leg psi alone overfill a vertex of G is dropped
-before its side groups meet.  The row graph with no edges and the column
-graph with no edges are the ``pullback`` entries, on the other graph.
-``multiply`` consumes the walk over the terms of two classes
-(``multiply_strata`` is one entry), the pairings of ``integrate`` integrate
-its monomials in place; no product is memoised.
+before its side groups meet.  Every entry with a factor on the graph with
+no edges, as row or as column, comes from one walker, ``pulled``, the only
+caller of ``pullback``.  ``multiply`` consumes the walk over the terms of
+two classes (``multiply_strata`` is one entry), the pairings of
+``integrate`` integrate its monomials in place; no product is memoised.
 """
 
 from __future__ import annotations
@@ -289,29 +289,29 @@ def product_walk(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStrat
     max_b = max(GB.num_edges for GB in col_graphs)
     flat = next((GB for GB in col_graphs if not GB.num_edges), None)
 
-    def pulled_back(a, row_ids):
-        """Entries of the row graph with no edges, on each column graph."""
-        for b, (GB, col_ids) in enumerate(col_graphs.items()):
-            if upper and b < a:
-                continue
-            rooms = [cols[j].room() for j in col_ids]
-            for i in row_ids:
-                legs = _legs_at(rows[i], GB)
-                for j, room_t in zip(col_ids, rooms):
-                    room = _less(room_t, legs)
-                    if room is not None and not (upper and b == a
-                                                 and j < i):
-                        yield i, j, GB, pullback(rows[i], cols[j], room)
+    def pulled(smooth, s_ids, other, o_ids, G):
+        """(s, o, G, monomials): the ``pullback`` of each smooth[s] on the
+        graph with no edges onto other[o] on G whose leg psi fit; with
+        upper and G also edgeless (the same strata), only o >= s."""
+        diagonal = upper and not G.num_edges
+        rooms = [other[o].room() for o in o_ids]
+        for s in s_ids:
+            legs = _legs_at(smooth[s], G)
+            for o, room_o in zip(o_ids, rooms):
+                room = _less(room_o, legs)
+                if room is not None and not (diagonal and o < s):
+                    yield s, o, G, pullback(smooth[s], other[o], room)
 
     def entries(a, GA, row_ids):
+        if not GA.num_edges:
+            for b, (GB, col_ids) in enumerate(col_graphs.items()):
+                if not (upper and b < a):
+                    yield from pulled(rows, row_ids, cols, col_ids, GB)
+            return
         if flat is not None and not (upper and order[flat] < a):
-            rooms = [rows[i].room() for i in row_ids]
-            for j in col_graphs[flat]:
-                legs = _legs_at(cols[j], GA)
-                for i, room_s in zip(row_ids, rooms):
-                    room = _less(room_s, legs)
-                    if room is not None:
-                        yield i, j, GA, pullback(cols[j], rows[i], room)
+            for j, i, G, monomials in pulled(cols, col_graphs[flat], rows,
+                                             row_ids, GA):
+                yield i, j, G, monomials
         if not max_b:
             return
         g, n, ea = GA.genus(), GA.num_legs, GA.num_edges
@@ -351,8 +351,7 @@ def product_walk(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStrat
                                                   groups_t, room)
 
     for GA, row_ids in row_graphs.items():
-        yield GA, (entries(order.get(GA), GA, row_ids) if GA.num_edges
-                   else pulled_back(order.get(GA), row_ids))
+        yield GA, entries(order.get(GA), GA, row_ids)
 
 
 def leg_psi(sa: DecoratedStratum, sb: DecoratedStratum) -> dict[int, int]:

@@ -13,6 +13,9 @@ separating stratum is the usual boundary divisor class, and the
 irreducible-boundary stratum on Mbar_{1,1} integrates to 1/2.  All other
 |Aut| bookkeeping lives in explicit rational coefficients of TautClass.
 
+``_intern`` alone builds and files strata, so Aut-equivalent decorations
+give one object; ``make_stratum`` (raw data) and ``generators`` call it.
+
 A TautClass is a finite Fraction-linear combination of decorated strata of a
 fixed codimension on a fixed Mbar_{g,n}; a MixedClass collects one TautClass
 per codimension.  Decoration monomials whose local degree at some vertex
@@ -57,10 +60,9 @@ class DecoratedStratum:
     psi_he: PsiHE
     kappa: Kappa
     # neither compared nor shown; ``orbit`` holds each image of
-    # (psi_he, kappa) under Aut(graph) with its multiplicity, computed here
-    # unless the constructor already has it
-    orbit: tuple[tuple[tuple[PsiHE, Kappa], int], ...] | None = field(
-        default=None, compare=False, repr=False)
+    # (psi_he, kappa) under Aut(graph) with its multiplicity
+    orbit: tuple[tuple[tuple[PsiHE, Kappa], int], ...] = field(
+        compare=False, repr=False)
     degree: int = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
@@ -69,9 +71,6 @@ class DecoratedStratum:
                            + sum(e for (_, e) in self.psi_leg)
                            + sum(e for (_, e) in self.psi_he)
                            + sum(sum(p) for (_, p) in self.kappa))
-        if self.orbit is None:
-            object.__setattr__(self, "orbit", _orbit(
-                self.graph, self.psi_he, self.kappa))
         object.__setattr__(self, "_hash", hash(
             (self.graph, self.psi_leg, self.psi_he, self.kappa)))
 
@@ -136,6 +135,20 @@ def _orbit(graph: StableGraph, psi_he: PsiHE, kappa: Kappa
 _STRATUM_CACHE: dict[tuple, DecoratedStratum] = {}
 
 
+def _intern(key: tuple, orbit: tuple | None = None) -> DecoratedStratum:
+    """The stratum of a canonical key (graph, psi_leg, psi_he, kappa), on a
+    miss built on the least image in ``orbit`` (computed if not given) and
+    filed under both the key and that image."""
+    stratum = _STRATUM_CACHE.get(key)
+    if stratum is None:
+        if orbit is None:
+            orbit = _orbit(key[0], key[2], key[3])
+        final = (key[0], key[1], *min(orbit)[0])
+        stratum = _STRATUM_CACHE.get(final) or DecoratedStratum(*final, orbit)
+        _STRATUM_CACHE[key] = _STRATUM_CACHE[final] = stratum
+    return stratum
+
+
 def make_stratum(graph: StableGraph,
                  psi_leg: Mapping[int, int] | Iterable[tuple[int, int]] = (),
                  psi_he: Mapping[int, int] | Iterable[tuple[int, int]] = (),
@@ -170,16 +183,8 @@ def make_stratum(graph: StableGraph,
     pl = {m: e for m, e in pl.items() if e}
     ph = {hemap[h]: e for h, e in ph.items() if e}
     kp = {vmap[v]: tuple(sorted(parts)) for v, parts in kp.items() if tuple(parts)}
-    key = (cg, tuple(sorted(pl.items())), tuple(sorted(ph.items())),
-           tuple(sorted(kp.items())))
-    stratum = _STRATUM_CACHE.get(key)
-    if stratum is None:
-        # intern on the minimized decoration: Aut-equivalent inputs share it
-        orbit = _orbit(cg, key[2], key[3])
-        final = (cg, key[1], *min(orbit)[0])
-        stratum = _STRATUM_CACHE.get(final) or DecoratedStratum(*final, orbit)
-        _STRATUM_CACHE[key] = _STRATUM_CACHE[final] = stratum
-    return stratum
+    return _intern((cg, tuple(sorted(pl.items())), tuple(sorted(ph.items())),
+                    tuple(sorted(kp.items()))))
 
 
 def fundamental_stratum(g: int, n: int) -> DecoratedStratum:
@@ -189,6 +194,10 @@ def fundamental_stratum(g: int, n: int) -> DecoratedStratum:
 
 # ---------------------------------------------------------------------------
 # TautClass
+
+
+# The keys to_payload writes: with no leading zeros, no two name one index.
+_PAYLOAD_KEY = re.compile(r"([mhv])(0|[1-9][0-9]*)")
 
 
 class TautClass:
@@ -306,23 +315,18 @@ class TautClass:
             # make_stratum refuses unknown markings, half-edges and
             # vertices, negative exponents and nonpositive kappa indices
             for k, e in psi.items():
-                m = re.match(r"^m(\d+)$", k)
-                h = re.match(r"^h(\d+)$", k)
-                e = read_int(e)
-                if m:
-                    pl[read_int(m.group(1))] = e
-                elif h:
-                    ph[read_int(h.group(1))] = e
-                else:
-                    raise DomainError("bad psi key %r" % k)
+                key = _PAYLOAD_KEY.fullmatch(k) if isinstance(k, str) else None
+                if key is None or key[1] == "v":
+                    raise DomainError("bad psi key %r" % (k,))
+                (pl if key[1] == "m" else ph)[read_int(key[2])] = read_int(e)
             kp: dict[int, tuple[int, ...]] = {}
             for k, parts in kappa.items():
-                v = re.match(r"^v(\d+)$", k)
-                if not v:
-                    raise DomainError("bad kappa key %r" % k)
+                key = _PAYLOAD_KEY.fullmatch(k) if isinstance(k, str) else None
+                if key is None or key[1] != "v":
+                    raise DomainError("bad kappa key %r" % (k,))
                 if not isinstance(parts, list):
                     raise DomainError("kappa parts must be a list")
-                kp[read_int(v.group(1))] = tuple(read_int(a) for a in parts)
+                kp[read_int(key[2])] = tuple(read_int(a) for a in parts)
             stratum = make_stratum(graph, pl, ph, kp)
             coeff = t["coeff"]
             # only what to_payload writes: floats are inexact, "1e9999999" huge
@@ -499,29 +503,23 @@ def _decorations(graph: StableGraph, budget: int) -> Iterator[
 def generators(g: int, n: int, d: int) -> tuple[DecoratedStratum, ...]:
     """All canonical decorated strata of codimension d on Mbar_{g,n}, one
     per Aut-orbit of decorations, sorted by ``sort_key``.  A decoration is
-    kept when it is its own orbit minimum, the form ``make_stratum``
-    interns, and its stratum is built straight into the intern table with
-    the orbit that check computed; on a rigid graph every decoration is
-    kept and no image is computed."""
+    kept when it is its own orbit minimum, the form ``_intern`` files, and
+    is interned with the orbit that check computed; on a rigid graph every
+    decoration is kept and no image is computed."""
     check_stable_type(g, n)
     if d < 0:
         raise DomainError("negative codimension")
     if d > 3 * g - 3 + n:
         return ()
     out: list[DecoratedStratum] = []
-    for graph in sorted(enumerate_stable_graphs(g, n, d),
-                        key=lambda G: (G.num_edges, G.encode())):
+    for graph in enumerate_stable_graphs(g, n, d):  # in sort_key graph order
         found = []
         for pl, ph, kp in _decorations(graph, d - graph.num_edges):
             deco = (tuple(sorted(ph.items())), tuple(sorted(kp.items())))
             orbit = _orbit(graph, *deco)
-            if min(orbit)[0] != deco:
-                continue
-            key = (graph, tuple(sorted(pl.items())), *deco)
-            s = _STRATUM_CACHE.get(key)
-            if s is None:
-                s = _STRATUM_CACHE[key] = DecoratedStratum(*key, orbit)
-            found.append(s)
+            if min(orbit)[0] == deco:
+                found.append(_intern((graph, tuple(sorted(pl.items())), *deco),
+                                     orbit))
         out += sorted(found)  # one graph: field order is sort_key order
     return tuple(out)
 

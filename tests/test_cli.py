@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautring.cli import main
 from tautring.graphs import decode_graph
@@ -14,7 +18,7 @@ from tautring.integrate import evaluate
 from tautring.pixton import RamificationData, pixton_class, pixton_mixed, \
     q_form
 from tautring.product import multiply_mixed
-from tautring.strata import MixedClass, TautClass
+from tautring.strata import MixedClass, TautClass, generators
 
 
 def run_cli(args, **kw):
@@ -208,6 +212,13 @@ def test_malformed_payload_shapes_exit_two(capsys, tmp_path):
         '"kappa":{"v0":[0]}}]}',
         '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
         '"kappa":{"v0":[-2]}}]}',
+        # keys with leading zeros name an index to_payload writes otherwise
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"psi":{"m1":1,"m01":1}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(0|1)#((0,0),(0,1))",'
+        '"coeff":"1","psi":{"h00":0}}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#","coeff":"1",'
+        '"kappa":{"v00":[1]}}]}',
         '{"g":-1,"n":1,"degree":0,"terms":[]}',
         # json parses 1e400 and Infinity to float inf
         '{"g":1e400,"n":1,"degree":1,"terms":[]}',
@@ -385,3 +396,67 @@ def test_missing_and_malformed_flags_exit_two(capsys):
     assert main(["check", "multiplicativity", "--g", "1", "--n", "3",
                  "--A", "2,4,-6", "--B", "-3,-1,4", "--locus", "nowhere"]) == 2
     assert "unknown locus 'nowhere'" in capsys.readouterr().err
+
+
+# Random JSON for the class-reading commands: arbitrary trees, and valid
+# class payloads on small spaces, pure or mixed, three in four of them with
+# one value replaced or one key added
+_SPACES = [(0, 4), (1, 1), (1, 2), (2, 0)]
+_leaf = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(),
+                  st.text("mhv01 #()|,/\u0661", max_size=3),
+                  st.sampled_from(["1/2", "1/0", "x", "(1|1)#", "-0"]))
+_tree = st.recursive(_leaf, lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.sampled_from(
+                         ["g", "n", "degree", "terms", "parts", "x"]),
+                         kids, max_size=3), max_leaves=6)
+_KEYS = ["m1", "m01", "m9", "h0", "h00", "h7", "v0", "v00", "v5", "m1\n",
+         "g", "n", "degree", "terms", "parts", "graph", "psi", "kappa",
+         "coeff"]
+
+
+@st.composite
+def _class_payload(draw, gn):
+    g, n = gn
+    d = draw(st.integers(0, 3 * g - 3 + n))
+    x = TautClass(g, n, d)
+    for s in draw(st.lists(st.sampled_from(generators(g, n, d)),
+                           min_size=1, max_size=3)):
+        x.iadd_term(s, Fraction(draw(st.integers(-3, 3)),
+                                draw(st.integers(1, 4))))
+    payload = x.to_payload()
+    if draw(st.booleans()):
+        payload = {"g": g, "n": n, "parts": [payload]}
+    places = []  # (container, key) of every value in the payload
+
+    def walk(node):
+        for k in sorted(node) if isinstance(node, dict) else range(len(node)):
+            places.append((node, k))
+            if isinstance(node[k], (dict, list)):
+                walk(node[k])
+
+    walk(payload)
+    if draw(st.integers(0, 3)):
+        node, k = draw(st.sampled_from(places[::-1]))  # deepest first
+        if isinstance(node, dict) and not draw(st.integers(0, 2)):
+            node[draw(st.sampled_from(_KEYS))] = draw(_leaf)
+        else:
+            node[k] = draw(_leaf | _tree)
+    return payload
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.sampled_from(["evaluate", "multiply", "pair"]),
+       st.sampled_from(_SPACES).flatmap(lambda gn: st.tuples(
+           _class_payload(gn) | _tree, _class_payload(gn))))
+def test_class_commands_exit_zero_or_two_on_random_json(command, payloads):
+    # evaluate reads the first payload, multiply and pair both; argparse
+    # exits 2 on a payload that looks like an option, such as "-1e+16"
+    args = [command] + [json.dumps(p) for p in payloads]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args[:2] if command == "evaluate" else args)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (args, err.getvalue())
+    assert "Traceback" not in err.getvalue()

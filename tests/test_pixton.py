@@ -306,6 +306,36 @@ def test_dr_psi_integrals_match_bssz(g, a, s):
     assert value == bssz_psi_integral(g, a, s) != 0
 
 
+def test_pixton_class_is_polynomial_and_even_in_A():
+    # P_g^{d,k}(A) is a polynomial of degree <= 2d in A (JPPZ): along a line
+    # a -> A(a), each stratum coefficient has vanishing differences of order
+    # 2d + 1, over 2d + 4 consecutive a through 0, and some coefficient has
+    # degree exactly 2d.  For k = 0 it is even: P(-A) = P(A)
+    def differences(values, order):
+        for _ in range(order):
+            values = [y - x for x, y in zip(values, values[1:])]
+        return values
+
+    for (g, n, k), line, d in [((1, 2, 0), lambda a: (a, -a), 1),
+                               ((2, 2, 0), lambda a: (a, -a), 1),
+                               ((2, 2, 0), lambda a: (a, -a), 2),
+                               ((1, 3, 0), lambda a: (a, 1, -a - 1), 2),
+                               ((2, 2, 1), lambda a: (a, 4 - a), 2)]:
+        classes = [pixton_class(RamificationData(g, n, k, line(a)), d)
+                   for a in range(-2, 2 * d + 2)]
+        top = False
+        for s in {s for x in classes for s in x.terms}:
+            values = [x.terms.get(s, Fraction(0)) for x in classes]
+            assert not any(differences(values, 2 * d + 1)), (g, n, k, d, s)
+            top = top or any(differences(values, 2 * d))
+        assert top, (g, n, k, d)
+    for g, A in [(2, (3, -3)), (1, (2, 4, -6))]:
+        P = pixton_class(RamificationData(g, len(A), 0, A), 2)
+        assert not P.is_zero()
+        assert pixton_class(RamificationData(
+            g, len(A), 0, tuple(-x for x in A)), 2) == P
+
+
 def test_pixton_mixed_collects_all_degrees():
     data = RamificationData(1, 2, 0, (1, -1))
     mix = pixton_mixed(data)

@@ -378,3 +378,26 @@ def test_frobenius_identity_on_generator_triples():
             triples += 1
             nonzero += left != 0
     assert (triples, nonzero) == (1001, 548)
+
+
+def test_product_walks_degenerations_only_up_to_the_edge_bound(monkeypatch):
+    # a product of two boundary divisors of Mbar_{0,8} meets on graphs with
+    # at most 2 edges.  An index of every degeneration of the space (5
+    # edges) made this product take about 40 s instead of 0.3 s
+    from tautring import product
+
+    bounds = []
+    original = product._degenerations
+
+    def recording(g, n, max_edges):
+        bounds.append(max_edges)
+        return original(g, n, max_edges)
+
+    monkeypatch.setattr(product, "_degenerations", recording)
+    two = make_graph([0, 0], [(1, 2), (3, 4, 5, 6, 7, 8)], [(0, 1)])
+    three = make_graph([0, 0], [(1, 2, 3), (4, 5, 6, 7, 8)], [(0, 1)])
+    a, b = make_stratum(two), make_stratum(three)
+    x = multiply(single(0, 8, a), single(0, 8, b))
+    assert bounds == [2] and not x.is_zero()
+    assert multiply(single(0, 8, b), single(0, 8, a)) == x
+    assert bounds == [2, 2]

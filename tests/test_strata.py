@@ -90,7 +90,7 @@ def test_stratum_hash_and_equality_match_a_fresh_copy():
     for s in generators(1, 3, 2):
         G = s.graph
         copy = DecoratedStratum(StableGraph(G.genera, G.legs, G.edges),
-                                s.psi_leg, s.psi_he, s.kappa)
+                                s.psi_leg, s.psi_he, s.kappa, s.orbit)
         assert copy is not s and copy == s
         assert {s: 1}[copy] == 1 and hash(copy) == hash(s)
 
@@ -172,6 +172,29 @@ def test_from_payload_rejects_garbage():
         TautClass.from_payload({"g": 1, "n": 1, "degree": 0, "terms": [
             {"graph": "(0|1,2,3)#", "psi": {}, "kappa": {}, "coeff": "1"},
         ]})
+    # only the keys to_payload writes: "m01" was read as "m1" and the later
+    # of the two exponents overwrote the earlier one.  The first six
+    # payloads are valid classes once the odd key is read as the index it
+    # spells; the last two put a key in the wrong field
+    smooth_11, loop_11 = "(1|1)#", "(0|1)#((0,0),(0,1))"
+    for graph, field, entries in [
+            (smooth_11, "psi", {"m1": 1, "m01": 1}),
+            (smooth_11, "psi", {"m01": 1}),
+            (smooth_11, "psi", {"m1\n": 1}),
+            (smooth_11, "psi", {"m\u0661": 1}),
+            (loop_11, "psi", {"h00": 0}),
+            (smooth_11, "kappa", {"v00": [1]}),
+            (smooth_11, "kappa", {"m1": [1]}),
+            (smooth_11, "psi", {"v0": 1})]:
+        with pytest.raises(DomainError):
+            TautClass.from_payload({"g": 1, "n": 1, "degree": 1, "terms": [
+                {"graph": graph, field: entries, "coeff": "1"}]})
+    for graph, psi, kappa in [(smooth_11, {"m1": 1}, {}),
+                              (smooth_11, {}, {"v0": [1]}),
+                              (loop_11, {"m1": 0, "h0": 0, "h1": 0}, {})]:
+        x = TautClass.from_payload({"g": 1, "n": 1, "degree": 1, "terms": [
+            {"graph": graph, "psi": psi, "kappa": kappa, "coeff": "1"}]})
+        assert len(x.terms) == 1
 
 
 def test_mixed_class_round_trip_and_parts():
