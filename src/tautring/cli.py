@@ -21,7 +21,7 @@ from .integrate import evaluate, pair_classes
 from .pixton import RamificationData, hain_divisor, pixton_class, \
     pixton_mixed, q_form
 from .product import multiply, multiply_mixed
-from .strata import MixedClass, TautClass, generators, single
+from .strata import MixedClass, TautClass, generators, read_json, single
 from . import verify
 
 
@@ -50,13 +50,13 @@ def _ram_data(args: argparse.Namespace) -> RamificationData:
 
 def _class_arg(text: str):
     """A class payload: inline JSON or @path to a JSON file."""
-    try:
-        if text.startswith("@"):
+    if text.startswith("@"):
+        try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise DomainError("bad class payload: %s" % exc) from None
+        except ValueError as exc:
+            raise DomainError("bad class payload: %s" % exc) from None
+    payload = read_json(text)
     if not isinstance(payload, dict):
         raise DomainError("class payload must be a JSON object")
     if "parts" in payload:

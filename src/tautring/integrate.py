@@ -17,24 +17,23 @@ equation, else a tau_1 by the dilaton equation (Witten 1991); only when every
 index is >= 2 does the DVV (KdV/Virasoro) recursion on the largest index
 run.  psi_integral is the kappa-free case of kappa_psi_integral.
 
-evaluate integrates a top-degree TautClass: each decorated stratum
-contributes coeff / |Aut(graph)| times the product of local vertex integrals.
-Pairings integrate product monomials in place, with no product class built,
-through one primitive, the block ``pair_block(rows, cols)``.  It consumes
-the ``product_walk`` of ``product``, the same walk ``multiply`` consumes:
-the strata grouped by graph, one walk of each row graph's degenerations for
-the common degenerations with every column graph, side groups once per
-degeneration and row stratum, and nothing retained past a row graph.  A
-factor on the graph with no edges is pulled back onto the other factor's
-graph there, with no degeneration walked.  An entry adds the signed counts
-of its monomials per per-vertex kernel key, integrates each key once and
-sums in integers, with one Fraction at the end; the sums are flushed per
-row graph.  The pairing is symmetric, so a
-block with rows == cols (a middle-degree pairing matrix, 2d = dim) walks
-the entries with i <= j and mirrors them.  pairing_matrix is one block,
-class_pairing_vector the coefficient-weighted rows of one block, and
-pair_strata and pair_classes one block each; no pairing is memoised.  The
-verdict searches of ``verify`` pair a class with blocks of 1, 2, 4, ...
+Every integral goes through one primitive, the block ``pair_block(rows,
+cols)``, which integrates product monomials in place, with no product class
+built.  It consumes the ``product_walk`` of ``product``, the same walk
+``multiply`` consumes: the strata grouped by graph, one walk of each row
+graph's degenerations for the common degenerations with every column graph,
+side groups once per degeneration and row stratum, and nothing retained
+past a row graph.  A factor on the graph with no edges is pulled back onto
+the other factor's graph there, with no degeneration walked.  An entry adds
+the signed counts of its monomials per per-vertex kernel key, integrates
+each key once and sums in integers, with one Fraction at the end; the sums
+are flushed per row graph.  The pairing is symmetric, so a block with
+rows == cols (a middle-degree pairing matrix, 2d = dim) walks the entries
+with i <= j and mirrors them.  pairing_matrix is one block,
+class_pairing_vector the coefficient-weighted rows of one block,
+pair_strata and pair_classes one block each, and evaluate the one-column
+block against the fundamental class; no pairing is memoised.  The verdict
+searches of ``verify`` pair a class with blocks of 1, 2, 4, ...
 cogenerators in order, and stop at the first nonzero pairing.
 pairing_matrix builds degrees 2d <= dim; degree dim - d is the transpose
 and shares its rank.
@@ -62,7 +61,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .graphs import DomainError, StableGraph, check_stable_type
 from .product import leg_psi, product_walk
-from .strata import DecoratedStratum, TautClass, generators
+from .strata import DecoratedStratum, TautClass, fundamental_stratum, \
+    generators, single
 
 
 def double_factorial(k: int) -> int:
@@ -172,37 +172,15 @@ def _vertex_keys(G: StableGraph, pl: dict, ph: dict, kp: dict) -> tuple:
                   in enumerate(zip(G.vertex_data, psi))])
 
 
-def _decoration_parts(G: StableGraph, keys: tuple, mult: int) -> tuple[int, int]:
-    """(numerator, denominator) of ``_decoration_integral``, unreduced."""
-    num, den = mult, G.inverse_aut.denominator
-    for key in keys:
-        p, q = _integral(*key).as_integer_ratio()
-        num *= p
-        den *= q
-    return num, den
-
-
-def _decoration_integral(G: StableGraph, keys: tuple, mult: int = 1) -> Fraction:
-    """mult/|Aut G| times the product of the local kappa-psi integrals at
-    the vertex keys of a decoration of G (zero where a degree is off)."""
-    return Fraction(*_decoration_parts(G, keys, mult))
-
-
 def stratum_integral(s: DecoratedStratum) -> Fraction:
     """Integral of the stratum class over Mbar_{g,n} (top degree only)."""
-    G = s.graph
-    if s.degree != 3 * G.genus() - 3 + G.num_legs:
-        return Fraction(0)
-    return _decoration_integral(G, _vertex_keys(
-        G, dict(s.psi_leg), dict(s.psi_he), dict(s.kappa)))
+    return evaluate(single(s.graph.genus(), s.graph.num_legs, s))
 
 
 def evaluate(x: TautClass) -> Fraction:
-    """Integral of a top-degree class; zero when the degree is not top."""
-    if x.degree != 3 * x.g - 3 + x.n:
-        return Fraction(0)
-    return sum((c * stratum_integral(s) for s, c in x.terms.items()),
-               Fraction(0))
+    """Integral of a top-degree class, its pairing with the fundamental
+    class: a one-column block.  Zero when the degree is not top."""
+    return class_pairing_vector(x, (fundamental_stratum(x.g, x.n),))[0]
 
 
 _ZERO = Fraction(0)
@@ -257,7 +235,11 @@ def _add_monomials(totals: dict, entry: tuple[int, int], G: StableGraph,
         signs[key] = signs.get(key, 0) + sign
     for keys, c in signs.items():
         if c:
-            num, den = _decoration_parts(G, keys, c)
+            num, den = c, G.inverse_aut.denominator
+            for key in keys:
+                p, q = _integral(*key).as_integer_ratio()
+                num *= p
+                den *= q
             acc = totals.setdefault(entry, [0, 1])
             both = lcm(acc[1], den)
             acc[0] = acc[0] * (both // acc[1]) + num * (both // den)

@@ -18,9 +18,12 @@ Each sample enumerates all r^{h1} free-weight vectors through that table in
 integer arithmetic (closed_weighting_value), and the constant term is
 interpolated from samples at r = C+1, C+2, ...
 
-The degree-1 part on tree graphs must reproduce twice Hain's divisor
-(hain_divisor below); that pin plus the vanishing of the degree-(g+1) cycle
-modulo the pairing fix every normalization choice here.
+pixton_class adds each graph's terms with _add_graph_terms; delta_factor
+adds only those of the one-vertex graphs, with A = 0 and k = 0.  The
+degree-1 part on trees must reproduce twice Hain's divisor, whose boundary
+divisors are the one-edge trees of enumerate_stable_graphs(g, n, 1); that
+pin plus the vanishing of the degree-(g+1) cycle modulo the pairing fix
+every normalization choice here.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .graphs import DomainError, StableGraph, check_stable_type, \
-    enumerate_stable_graphs, make_graph, read_int
+    enumerate_stable_graphs, read_int
 from .strata import MixedClass, TautClass, compositions, fundamental_stratum, \
     make_stratum, single, unit
 from .product import multiply_mixed
@@ -240,6 +243,46 @@ def _weighting_ct(G: StableGraph, data: RamificationData,
 # the cycles
 
 
+def _add_graph_terms(out: TautClass, G: StableGraph,
+                     data: RamificationData, d: int) -> None:
+    """Add to out the degree-d cycle's terms on G: each split of the d - |E|
+    free degrees over the legs with A_i != 0, the vertices (k != 0) and the
+    edges, times the constant term of its weighting sum."""
+    A = data.A
+    E = G.num_edges
+    active_legs = [m for m in G.markings() if A[m - 1] != 0]
+    nverts = G.num_vertices if data.k != 0 else 0
+    for comp in compositions(d - E, len(active_legs) + nverts + E):
+        p = comp[:len(active_legs)]
+        q = comp[len(active_legs):len(active_legs) + nverts]
+        mvec = comp[len(active_legs) + nverts:]
+        coeff = _weighting_ct(G, data, tuple(mvec))
+        if not coeff:
+            continue
+        pl: dict[int, int] = {}
+        for m, pw in zip(active_legs, p):
+            if pw:
+                coeff *= Fraction(A[m - 1] ** (2 * pw), factorial(pw))
+                pl[m] = pw
+        kp: dict[int, tuple[int, ...]] = {}
+        for v, qv in enumerate(q):
+            if qv:
+                coeff *= Fraction((-data.k * data.k) ** qv, factorial(qv))
+                kp[v] = (1,) * qv
+        for m in mvec:
+            coeff *= Fraction((-1) ** m, factorial(m + 1))
+        for split in itertools.product(*[range(m + 1) for m in mvec]):
+            mult = 1
+            ph: dict[int, int] = {}
+            for ei, (m, mh) in enumerate(zip(mvec, split)):
+                mult *= comb(m, mh)
+                if mh:
+                    ph[2 * ei] = mh
+                if m - mh:
+                    ph[2 * ei + 1] = m - mh
+            out.iadd_term(make_stratum(G, pl, ph, kp), coeff * mult)
+
+
 @functools.cache
 def pixton_class(data: RamificationData, d: int) -> TautClass:
     """The degree-d cycle P_g^{d,k}(A) as a TautClass (shared; do not mutate).
@@ -249,47 +292,10 @@ def pixton_class(data: RamificationData, d: int) -> TautClass:
     """
     if d < 0:
         raise DomainError("negative degree")
-    g, n = data.g, data.n
-    out = TautClass(g, n, d)
+    out = TautClass(data.g, data.n, d)
     if d <= data.dim:
-        A = data.A
-        ksq = data.k * data.k
-        for G in enumerate_stable_graphs(g, n, d):
-            E = G.num_edges
-            budget = d - E
-            active_legs = [m for m in G.markings() if A[m - 1] != 0]
-            nverts = G.num_vertices if data.k != 0 else 0
-            slots = len(active_legs) + nverts + E
-            for comp in compositions(budget, slots):
-                p = comp[:len(active_legs)]
-                q = comp[len(active_legs):len(active_legs) + nverts]
-                mvec = comp[len(active_legs) + nverts:]
-                ct = _weighting_ct(G, data, tuple(mvec))
-                if not ct:
-                    continue
-                coeff = ct
-                pl: dict[int, int] = {}
-                for m, pw in zip(active_legs, p):
-                    if pw:
-                        coeff *= Fraction(A[m - 1] ** (2 * pw), factorial(pw))
-                        pl[m] = pw
-                kp: dict[int, tuple[int, ...]] = {}
-                for v, qv in enumerate(q):
-                    if qv:
-                        coeff *= Fraction((-ksq) ** qv, factorial(qv))
-                        kp[v] = (1,) * qv
-                for m in mvec:
-                    coeff *= Fraction((-1) ** m, factorial(m + 1))
-                for split in itertools.product(*[range(m + 1) for m in mvec]):
-                    mult = 1
-                    ph: dict[int, int] = {}
-                    for ei, (m, mh) in enumerate(zip(mvec, split)):
-                        mult *= comb(m, mh)
-                        if mh:
-                            ph[2 * ei] = mh
-                        if m - mh:
-                            ph[2 * ei + 1] = m - mh
-                    out.iadd_term(make_stratum(G, pl, ph, kp), coeff * mult)
+        for G in enumerate_stable_graphs(data.g, data.n, d):
+            _add_graph_terms(out, G, data, d)
     return out
 
 
@@ -306,40 +312,22 @@ def hain_divisor(data: RamificationData) -> TautClass:
         - 1/2 sum_{(g',P)} (a_P - (2g'-1)k)^2 delta_{g',P}
 
     with each separating boundary divisor delta_{g',P} = delta_{g-g',P^c}
-    counted once; a_P sums a over P."""
-    g, n, k = data.g, data.n, data.k
-    a = data.a
+    counted once, as a one-edge tree; a_P sums a over P."""
+    g, n, k, a = data.g, data.n, data.k, data.a
     out = TautClass(g, n, 1)
-    main = make_graph([g], [tuple(range(1, n + 1))], [])
-    for i in range(1, n + 1):
-        c = Fraction((a[i - 1] + k) ** 2, 2)
-        if c:
-            out.iadd_term(make_stratum(main, psi_leg={i: 1}), c)
-    if k:
-        out.iadd_term(make_stratum(main, kappa={0: (1,)}), Fraction(-k * k, 2))
-    seen: dict = {}
-    marks = list(range(1, n + 1))
-    for gp in range(g + 1):
-        for size in range(n + 1):
-            for P in itertools.combinations(marks, size):
-                if 2 * gp - 2 + len(P) + 1 <= 0:
-                    continue
-                if 2 * (g - gp) - 2 + (n - len(P)) + 1 <= 0:
-                    continue
-                Pc = tuple(m for m in marks if m not in P)
-                graph = make_graph([gp, g - gp], [P, Pc], [(0, 1)])
-                stratum = make_stratum(graph)
-                x = sum(a[i - 1] for i in P) - (2 * gp - 1) * k
-                coeff = Fraction(-x * x, 2)
-                if stratum in seen:
-                    if seen[stratum] != coeff:
-                        raise ArithmeticError(
-                            "conjugate representatives disagree on %s"
-                            % stratum.label())
-                    continue
-                seen[stratum] = coeff
-                if coeff:
-                    out.iadd_term(stratum, coeff)
+    main, *boundary = enumerate_stable_graphs(g, n, 1)
+    for i in range(1, n + 1):  # iadd_term drops zero coefficients
+        out.iadd_term(make_stratum(main, psi_leg={i: 1}),
+                      Fraction((a[i - 1] + k) ** 2, 2))
+    out.iadd_term(make_stratum(main, kappa={0: (1,)}), Fraction(-k * k, 2))
+    for graph in [G for G in boundary if G.num_vertices == 2]:  # separating
+        left, right = (Fraction(-(sum(a[m - 1] for m in legs)
+                                  - (2 * gv - 1) * k) ** 2, 2)
+                       for gv, legs, _, _ in graph.vertex_data)
+        if left != right:
+            raise ArithmeticError("the two sides of %s disagree"
+                                  % graph.encode())
+        out.iadd_term(make_stratum(graph), left)
     return out
 
 
@@ -351,15 +339,14 @@ def q_form(data: RamificationData) -> TautClass:
 def delta_factor(g: int, n: int) -> MixedClass:
     """The loop factor: the sub-sum of the cycle over one-vertex graphs with
     no kappa decorations and no psi on legs (psi on loop half-edges kept).
-    Independent of the vector A, so it is computed once from A = 0, k = 0."""
+    Independent of A, so built from A = 0, k = 0, which give neither."""
     data = RamificationData(g, n, 0, (0,) * n)
     out = MixedClass(g, n)
     for d in range(data.dim + 1):
-        full = pixton_class(data, d)
         part = TautClass(g, n, d)
-        for s, c in full.terms.items():
-            if s.graph.num_vertices == 1 and not s.kappa and not s.psi_leg:
-                part.iadd_term(s, c)
+        for G in enumerate_stable_graphs(g, n, d):
+            if G.num_vertices == 1:
+                _add_graph_terms(part, G, data, d)
         out.set_part(part)
     return out
 

@@ -188,8 +188,7 @@ def make_stratum(graph: StableGraph,
 
 
 def fundamental_stratum(g: int, n: int) -> DecoratedStratum:
-    from .graphs import make_graph
-    return make_stratum(make_graph([g], [tuple(range(1, n + 1))], []))
+    return make_stratum(enumerate_stable_graphs(g, n, 0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +342,22 @@ class TautClass:
 
     @staticmethod
     def from_json(text: str) -> "TautClass":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError("bad JSON: %s" % exc) from None
-        return TautClass.from_payload(payload)
+        return TautClass.from_payload(read_json(text))
+
+
+def _unique_keys(pairs: list) -> dict:
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        raise DomainError("repeated key in a JSON object")
+    return out
+
+
+def read_json(text: str):
+    """json.loads, but a repeated key in any object is refused, not kept."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError("bad JSON: %s" % exc) from None
 
 
 def single(g: int, n: int, stratum: DecoratedStratum,

@@ -5,11 +5,14 @@ kappa reduction of tautring.integrate.  Only subset_kappa_integral, which
 checks that kappa reduction, takes its pure psi integrals from
 tautring.integrate.psi_integral; dvv_correlator checks those.  The
 ungrouped product builds its structures from tautring.graphs and integrates
-one monomial at a time with tautring.integrate._decoration_integral, which
-also integrates a single stratum.  The linear-algebra references (dense
-Bareiss, Gauss-Jordan over Fractions) share nothing with
-tautring.integrate, and the generator reference is the make_stratum round
-trip that tautring.strata.generators replaced."""
+one monomial at a time with monomial_integral, which reads each vertex's
+points off the graph and integrates them with subset_kappa_integral.  The
+linear-algebra references (dense Bareiss, Gauss-Jordan over Fractions)
+share nothing with tautring.integrate, and the generator reference is the
+make_stratum round trip that tautring.strata.generators replaced.  The
+weighting-sum constant terms have closed forms on one-vertex graphs and on
+trees (loop_constant_term, tree_constant_term), and hain_divisor_by_subsets
+is Hain's divisor summed over every (g', P) with both sides compared."""
 
 import functools
 import itertools
@@ -22,8 +25,9 @@ from tautring.graphs import (
     contract,
     enumerate_stable_graphs,
     isomorphisms,
+    make_graph,
 )
-from tautring.integrate import _decoration_integral, _vertex_keys, psi_integral
+from tautring.integrate import psi_integral
 from tautring.strata import TautClass, _decorations, make_stratum
 
 
@@ -99,6 +103,73 @@ def brute_force_weighting_value(G, data, mvec, r):
             term *= (we * (-we % r)) ** (m + 1)
         total += term
     return Fraction(total, r ** (E - V + 1))
+
+
+@functools.cache
+def bernoulli(m):
+    """B_m with B_1 = -1/2, by sum_{j<=m} binom(m+1, j) B_j = 0."""
+    if m == 0:
+        return Fraction(1)
+    return -sum((math.comb(m + 1, j) * bernoulli(j) for j in range(m)),
+                Fraction(0)) / (m + 1)
+
+
+def loop_constant_term(mvec):
+    """The r-constant term of the weighting sum of a one-vertex graph for
+    A = 0, k = 0: every loop weight runs freely over [0, r), so the average
+    is a product over the loops of r^{-1} sum_w (w(r-w))^{m+1}, whose
+    constant term is (-1)^{m+1} B_{2m+2}."""
+    return math.prod((-1) ** (m + 1) * bernoulli(2 * m + 2) for m in mvec)
+
+
+def tree_constant_term(G, data, mvec):
+    """The r-constant term of the weighting sum of a tree: edge e takes the
+    weight s_e mod r, s_e the sum of the weighting_targets on one side of
+    e, so it contributes (s_e (r - s_e))^{m_e+1} for r > |s_e|, with
+    constant term (-s_e^2)^{m_e+1}."""
+    targets = weighting_targets(G, data)
+    out = 1
+    for e, m in enumerate(mvec):
+        side = {G.edges[e][0]}
+        grown = True
+        while grown:
+            grown = False
+            for f, (u, v) in enumerate(G.edges):
+                if f != e and (u in side) != (v in side):
+                    side |= {u, v}
+                    grown = True
+        out *= (-sum(targets[v] for v in side) ** 2) ** (m + 1)
+    return out
+
+
+def hain_divisor_by_subsets(data):
+    """Hain's divisor with its boundary part summed over every genus g'
+    and marking set P on one side of a separating edge, both sides
+    computed and compared wherever a divisor is met twice."""
+    g, n, k = data.g, data.n, data.k
+    a = data.a
+    main = make_graph([g], [tuple(range(1, n + 1))], [])
+    out = TautClass(g, n, 1)
+    for i in range(1, n + 1):
+        out.iadd_term(make_stratum(main, psi_leg={i: 1}),
+                      Fraction((a[i - 1] + k) ** 2, 2))
+    out.iadd_term(make_stratum(main, kappa={0: (1,)}), Fraction(-k * k, 2))
+    seen = {}
+    marks = tuple(range(1, n + 1))
+    for gp in range(g + 1):
+        for size in range(n + 1):
+            for P in itertools.combinations(marks, size):
+                Pc = tuple(m for m in marks if m not in P)
+                if 2 * gp - 1 + len(P) <= 0 or 2 * (g - gp) - 1 + len(Pc) <= 0:
+                    continue
+                stratum = make_stratum(
+                    make_graph([gp, g - gp], [P, Pc], [(0, 1)]))
+                x = sum(a[i - 1] for i in P) - (2 * gp - 1) * k
+                coeff = Fraction(-x * x, 2)
+                assert seen.setdefault(stratum, coeff) == coeff
+    for stratum, coeff in seen.items():
+        out.iadd_term(stratum, coeff)
+    return out
 
 
 def _double_factorial(k):
@@ -229,22 +300,35 @@ def ungrouped_monomials(sa, sb):
                     yield G, dict(pl), dict(ph), kp, coeff
 
 
+def monomial_integral(G, pl, ph, kp):
+    """1/|Aut G| times the product over the vertices v of the integral of
+    the psi of v's legs (pl) and half-edges (ph) and of v's kappa parts."""
+    value = Fraction(1, automorphism_count(G))
+    for v, gv in enumerate(G.genera):
+        hes = [2 * e + i for e, ends in enumerate(G.edges)
+               for i in (0, 1) if ends[i] == v]
+        psi = tuple(pl.get(m, 0) for m in G.legs[v]) \
+            + tuple(ph.get(h, 0) for h in hes)
+        value *= subset_kappa_integral(gv, psi, tuple(kp.get(v, ())))
+    return value
+
+
 def ungrouped_product(s, t):
     """([s] * [t], <s, t>) from the ungrouped monomials: the product
     collected into strata, and the sum of each coefficient times
-    _decoration_integral, which is the pairing in complementary degree."""
+    monomial_integral, which is the pairing in complementary degree."""
     out = TautClass(s.graph.genus(), s.graph.num_legs, s.degree + t.degree)
     value = Fraction(0)
     for G, pl, ph, kp, c in ungrouped_monomials(s, t):
         out.iadd_term(make_stratum(G, pl, ph, kp), c)
-        value += c * _decoration_integral(G, _vertex_keys(G, pl, ph, kp))
+        value += c * monomial_integral(G, pl, ph, kp)
     return out, value
 
 
 def ungrouped_pairing(s, t):
     """<s, t> alone from the ungrouped monomials: the sum of each
-    coefficient times _decoration_integral, with no product collected."""
-    return sum((c * _decoration_integral(G, _vertex_keys(G, pl, ph, kp))
+    coefficient times monomial_integral, with no product collected."""
+    return sum((c * monomial_integral(G, pl, ph, kp)
                 for G, pl, ph, kp, c in ungrouped_monomials(s, t)),
                Fraction(0))
 

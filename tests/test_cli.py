@@ -359,6 +359,18 @@ def test_cli_writes_no_cache_files(tmp_path):
     assert run_cli(["cache", "status"], env=env).returncode == 2
 
 
+def test_repeated_json_keys_exit_two(capsys):
+    # the last of two equal keys used to win: this printed 1/24, exit 0
+    for text in [
+            '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#",'
+            '"psi":{"m1":0,"m1":1},"coeff":"1"}]}',
+            '{"g":1,"n":1,"parts":[],"parts":[{"g":1,"n":1,"degree":1,'
+            '"terms":[{"graph":"(1|1)#","psi":{"m1":1},"coeff":"1"}]}]}']:
+        assert main(["evaluate", text]) == 2, text
+        out, err = capsys.readouterr()
+        assert out == "" and "repeated key" in err and "Traceback" not in err
+
+
 def test_mixed_payloads_through_the_cli(capsys):
     data = RamificationData(1, 2, 0, (1, -1))
     mix = pixton_mixed(data)

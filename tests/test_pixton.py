@@ -26,7 +26,8 @@ from tautring.strata import MixedClass, generators, make_stratum, restrict, \
     single, unit
 
 from oracles import brute_force_weighting_value, bssz_psi_integral, \
-    max_cut_target, residue_bound, weighting_targets
+    hain_divisor_by_subsets, loop_constant_term, max_cut_target, \
+    residue_bound, tree_constant_term, weighting_targets
 
 
 def test_ramification_data_validation():
@@ -169,6 +170,66 @@ def test_delta_factor_frozen():
     assert t0 == {"[(1|1,2)# | 1]": Fraction(1)}
     assert t1 == {"[(0|1,2)#((0,0),(0,1)) | 1]": Fraction(-1, 6)}
     assert t2 == {"[(0|1,2)#((0,0),(0,1)) | psi(h0)]": Fraction(1, 30)}
+
+
+def test_weighting_constant_terms_match_closed_forms():
+    # one-vertex graphs with A = 0, k = 0: a Bernoulli number per loop;
+    # trees: (-s_e^2)^{m_e+1} per edge, s_e the target sum on one side
+    loops = 0
+    for g, n in [(1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]:
+        data = RamificationData(g, n, 0, (0,) * n)
+        for G in enumerate_stable_graphs(g, n, 3):
+            if G.num_vertices == 1 and G.num_edges:
+                for mvec in itertools.product(range(3), repeat=G.num_edges):
+                    loops += 1
+                    assert _weighting_ct(G, data, mvec) == \
+                        loop_constant_term(mvec), (G.encode(), mvec)
+    rng = random.Random(2121)
+    trees = 0
+    for g, n in [(0, 4), (0, 5), (1, 3), (1, 4), (2, 2)]:
+        for G in enumerate_stable_graphs(g, n, 3):
+            if G.h1 or not G.num_edges:
+                continue
+            for _ in range(3):
+                k = rng.randint(-1, 2)
+                A = [rng.randint(-3, 3) for _ in range(n - 1)]
+                A.append(k * (2 * g - 2 + n) - sum(A))
+                data = RamificationData(g, n, k, tuple(A))
+                mvec = tuple(rng.randint(0, 1) for _ in range(G.num_edges))
+                trees += 1
+                assert _weighting_ct(G, data, mvec) == \
+                    tree_constant_term(G, data, mvec), (G.encode(), data, mvec)
+    assert (loops, trees) == (69, 285)
+
+
+def test_delta_factor_is_the_one_vertex_part_of_the_cycle():
+    # the reference filters the full A = 0, k = 0 cycle, as delta_factor
+    # did before it built only the one-vertex graphs' terms
+    for g, n in [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
+        full = pixton_mixed(RamificationData(g, n, 0, (0,) * n))
+        df = delta_factor(g, n)
+        for d in range(3 * g - 2 + n):
+            ref = {s: c for s, c in full.part(d).terms.items()
+                   if s.graph.num_vertices == 1 and not s.kappa
+                   and not s.psi_leg}
+            assert df.part(d).terms == ref, (g, n, d)
+
+
+def test_hain_divisor_matches_sum_over_subsets():
+    rng = random.Random(4242)
+    for _ in range(24):
+        g = rng.randint(0, 3)
+        n = rng.randint(3 if g == 0 else 1, 5 if g < 3 else 3)
+        k = rng.randint(-2, 2)
+        A = [rng.randint(-4, 4) for _ in range(n - 1)]
+        A.append(k * (2 * g - 2 + n) - sum(A))
+        data = RamificationData(g, n, k, tuple(A))
+        assert hain_divisor(data) == hain_divisor_by_subsets(data), data
+    # a vector off k(2g-2+n) makes the two sides of a divisor disagree
+    data = RamificationData(1, 2, 0, (1, -1))
+    object.__setattr__(data, "A", (1, 0))
+    with pytest.raises(ArithmeticError):
+        hain_divisor(data)
 
 
 def test_weighting_sums_polynomial_above_threshold():

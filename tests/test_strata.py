@@ -197,6 +197,24 @@ def test_from_payload_rejects_garbage():
         assert len(x.terms) == 1
 
 
+def test_from_json_refuses_repeated_keys():
+    # json.loads keeps the last of two equal keys: {"m1":0,"m1":1} read as
+    # psi_1 and integrated to 1/24.  A repeated key anywhere is refused
+    term = '{"graph":"(1|1)#","psi":{"m1":1},"coeff":"1"}'
+    assert len(TautClass.from_json(
+        '{"g":1,"n":1,"degree":1,"terms":[%s]}' % term).terms) == 1
+    for text in [
+            '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#",'
+            '"psi":{"m1":0,"m1":1},"coeff":"1"}]}',
+            '{"g":1,"n":1,"degree":1,"degree":1,"terms":[%s]}' % term,
+            '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#",'
+            '"psi":{"m1":1},"coeff":"1","coeff":"2"}]}',
+            '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(1|1)#",'
+            '"kappa":{"v0":[1],"v0":[1]},"coeff":"1"}]}']:
+        with pytest.raises(DomainError):
+            TautClass.from_json(text)
+
+
 def test_mixed_class_round_trip_and_parts():
     m = MixedClass(1, 2)
     m.set_part(single(1, 2, fundamental_stratum(1, 2)))
