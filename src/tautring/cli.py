@@ -152,20 +152,7 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.bundle != "paper-section7" and (args.g is None or args.n is None):
-        raise DomainError("--g and --n are required for this bundle")
-    if args.bundle == "paper-section7":
-        reports = verify.check_section7()
-    elif args.bundle == "multiplicativity":
-        if args.A is None or args.B is None:
-            raise DomainError("multiplicativity needs --A and --B")
-        da = RamificationData(args.g, args.n, args.ka, args.A)
-        db = RamificationData(args.g, args.n, args.kb, args.B)
-        reports = [verify.check_multiplicativity(da, db, args.locus)]
-    elif args.bundle == "exp-identities":
-        reports = [verify.check_exp_identities(_ram_data(args))]
-    else:
-        reports = [verify.check_gplus1(_ram_data(args))]
+    reports = args.run(args)
     ok = all(r.passed for r in reports)
     payload = {"checks": [r.to_payload(with_runtime=args.timing)
                           for r in reports],
@@ -267,23 +254,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pair)
 
     p = sub.add_parser("check", help="run a named verification bundle")
-    _allow_negative_vectors(p)
-    p.add_argument("bundle", choices=["paper-section7", "multiplicativity",
-                                      "exp-identities", "gplus1"])
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=0)
-    mx = p.add_mutually_exclusive_group()
-    mx.add_argument("--A", type=_vec)
-    mx.add_argument("--a", type=_vec)
-    p.add_argument("--ka", type=int, default=0, help="first twist")
-    p.add_argument("--kb", type=int, default=0, help="second twist")
-    p.add_argument("--B", type=_vec, help="second vector")
-    p.add_argument("--locus", default="tl", help="all, tl, ct or sm")
-    p.add_argument("--timing", action="store_true",
-                   help="include runtimes (breaks byte-determinism)")
-    common(p)
-    p.set_defaults(fn=_cmd_check)
+    bundles = p.add_subparsers(dest="bundle", required=True)
+
+    def bundle(name, run):
+        b = bundles.add_parser(name)
+        _allow_negative_vectors(b)
+        b.add_argument("--timing", action="store_true",
+                       help="include runtimes (breaks byte-determinism)")
+        common(b)
+        b.set_defaults(fn=_cmd_check, run=run)
+        return b
+
+    bundle("paper-section7", lambda a: verify.check_section7())
+    b = bundle("multiplicativity", lambda a: [verify.check_multiplicativity(
+        RamificationData(a.g, a.n, a.ka, a.A),
+        RamificationData(a.g, a.n, a.kb, a.B), a.locus)])
+    b.add_argument("--g", type=int, required=True, help="genus")
+    b.add_argument("--n", type=int, required=True, help="number of markings")
+    b.add_argument("--A", type=_vec, required=True, help="first vector")
+    b.add_argument("--B", type=_vec, required=True, help="second vector")
+    b.add_argument("--ka", type=int, default=0, help="first twist")
+    b.add_argument("--kb", type=int, default=0, help="second twist")
+    b.add_argument("--locus", default="tl", help="all, tl, ct or sm")
+    _add_type_flags(bundle("exp-identities", lambda a: [
+        verify.check_exp_identities(_ram_data(a))]))
+    _add_type_flags(bundle("gplus1", lambda a: [
+        verify.check_gplus1(_ram_data(a))]))
 
     return ap
 

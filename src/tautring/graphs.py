@@ -17,9 +17,10 @@ Constraints enforced throughout:
   * stability         2 g_v - 2 + n_v > 0 at every vertex, where n_v counts
                       legs and half-edges at v.
 
-Canonical form: vertices are colored by (genus, legs, valence data), colors
-are refined by neighbor multisets until stable, and the lexicographically
-minimal relabeling over all color-preserving vertex permutations is taken.
+Canonical form: vertex colors (genus, legs, valence data) are refined by
+neighbor multisets until stable; the color classes fill consecutive blocks
+of positions in color order, and the lexicographically minimal relabeling
+over the arrangements within the blocks is taken.
 Automorphisms act on vertices AND half-edges: swapping the two half-edges of
 a loop, or interchanging parallel edges, are nontrivial automorphisms.
 """
@@ -85,9 +86,6 @@ class StableGraph:
 
     def markings(self) -> tuple[int, ...]:
         return tuple(sorted(m for l in self.legs for m in l))
-
-    def num_loops_at(self, v: int) -> int:
-        return sum(1 for (a, b) in self.edges if a == b == v)
 
     def half_edges_at(self, v: int) -> tuple[int, ...]:
         """Half-edge ids incident to v, loops contributing both halves."""
@@ -256,28 +254,26 @@ def decode_graph(text: str) -> StableGraph:
 
 
 def _refined_colors(graph: StableGraph) -> list:
-    """Iterated color refinement; returns one comparable color per vertex."""
-    V = graph.num_vertices
-    colors: list = [
-        (graph.genera[v], graph.legs[v], len(graph.half_edges_at(v)),
-         graph.num_loops_at(v))
-        for v in range(V)
-    ]
-    for _ in range(V):
-        neigh: list[list] = [[] for _ in range(V)]
-        for (a, b) in graph.edges:
-            if a != b:
-                neigh[a].append(colors[b])
-                neigh[b].append(colors[a])
-        new = [(colors[v], tuple(sorted(neigh[v]))) for v in range(V)]
-        # re-intern nested tuples as dense ints to keep colors comparable
-        palette = sorted(set(new))
-        new_ids = [palette.index(c) for c in new]
-        old_ids = [sorted(set(colors)).index(c) for c in colors]
-        if new_ids == old_ids:
-            break
-        colors = new_ids
-    return colors
+    """Iterated color refinement; returns one comparable color per vertex:
+    the initial tuples if the first round splits nothing, else dense ints."""
+    loops = [0] * graph.num_vertices
+    neighbours: list[list[int]] = [[] for _ in graph.genera]
+    for (a, b) in graph.edges:
+        if a == b:
+            loops[a] += 1
+        else:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    colors: list = [(g, l, 2 * k + len(nb), k) for g, l, k, nb
+                    in zip(graph.genera, graph.legs, loops, neighbours)]
+    while True:
+        new = [(c, tuple(sorted(colors[w] for w in nb)))
+               for c, nb in zip(colors, neighbours)]
+        palette = {c: i for i, c in enumerate(sorted(set(new)))}
+        # refinement only splits classes, so an unchanged count is stable
+        if len(palette) == len(set(colors)):
+            return colors
+        colors = [palette[c] for c in new]
 
 
 def _relabel(graph: StableGraph, perm: Sequence[int]) -> tuple:
@@ -295,52 +291,33 @@ def _relabel(graph: StableGraph, perm: Sequence[int]) -> tuple:
 
 
 def _candidate_perms(graph: StableGraph) -> Iterator[list[int]]:
-    """All vertex permutations compatible with the refined coloring."""
-    V = graph.num_vertices
-    colors = _refined_colors(graph)
+    """All vertex permutations compatible with the refined coloring: the
+    color classes, in color order, fill consecutive blocks of positions."""
     classes: dict = {}
-    for v in range(V):
-        classes.setdefault(colors[v], []).append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    starts = []
-    pos = 0
-    for cl in ordered:
-        starts.append(pos)
-        pos += len(cl)
-    for arrangement in itertools.product(
-        *(itertools.permutations(cl) for cl in ordered)
-    ):
-        perm = [0] * V
-        for cl_idx, placed in enumerate(arrangement):
-            for offset, v in enumerate(placed):
-                perm[v] = starts[cl_idx] + offset
+    for v, c in enumerate(_refined_colors(graph)):
+        classes.setdefault(c, []).append(v)
+    blocks = [itertools.permutations(classes[c]) for c in sorted(classes)]
+    for arrangement in itertools.product(*blocks):
+        perm = [0] * graph.num_vertices
+        for pos, v in enumerate(itertools.chain.from_iterable(arrangement)):
+            perm[v] = pos
         yield perm
 
 
-def _half_edge_map(graph: StableGraph, perm: Sequence[int],
-                   new_edges: tuple[tuple[int, int], ...]) -> list[int]:
+def _half_edge_map(graph: StableGraph, perm: Sequence[int]) -> list[int]:
     """Half-edge map induced by a vertex relabeling: hemap[h] is the image
-    half-edge id.
-
-    Parallel originals are matched to consecutive new slots in original edge
-    order; any other matching differs by an automorphism of the target.
-    """
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for j, pair in enumerate(new_edges):
-        buckets.setdefault(pair, []).append(j)
-    taken: dict[tuple[int, int], int] = {}
+    half-edge id.  The edges, stably sorted by image pair, take the new slots
+    in order; any other matching of parallel edges differs by an automorphism
+    of the target."""
+    images = [(min(perm[a], perm[b]), max(perm[a], perm[b]))
+              for (a, b) in graph.edges]
     hemap = [0] * (2 * graph.num_edges)
-    for i, (a, b) in enumerate(graph.edges):
-        pair = (min(perm[a], perm[b]), max(perm[a], perm[b]))
-        k = taken.get(pair, 0)
-        taken[pair] = k + 1
-        j = buckets[pair][k]
-        if a == b or perm[a] <= perm[b]:
-            hemap[2 * i] = 2 * j
-            hemap[2 * i + 1] = 2 * j + 1
-        else:
-            hemap[2 * i] = 2 * j + 1
-            hemap[2 * i + 1] = 2 * j
+    for j, i in enumerate(sorted(range(graph.num_edges),
+                                 key=images.__getitem__)):
+        a, b = graph.edges[i]
+        flip = perm[a] > perm[b]
+        hemap[2 * i] = 2 * j + flip
+        hemap[2 * i + 1] = 2 * j + 1 - flip
     return hemap
 
 
@@ -370,7 +347,7 @@ def canonical(graph: StableGraph) -> tuple[StableGraph, tuple[int, ...], tuple[i
     cgraph = _CANON_CACHE.setdefault(best, (
         StableGraph(*best), tuple(range(graph.num_vertices)),
         tuple(range(2 * graph.num_edges))))[0]
-    hemap = _half_edge_map(graph, best_perm, cgraph.edges)
+    hemap = _half_edge_map(graph, best_perm)
     result = (cgraph, tuple(best_perm), tuple(hemap))
     _CANON_CACHE[key] = result
     return result
@@ -425,7 +402,7 @@ def automorphisms(graph: StableGraph) -> tuple[tuple[tuple[int, ...], tuple[int,
     out = []
     for perm in _candidate_perms(graph):
         if _relabel(graph, perm) == base:
-            hemap = _half_edge_map(graph, perm, graph.edges)
+            hemap = _half_edge_map(graph, perm)
             out.extend((tuple(perm), tuple(sym[h] for h in hemap))
                        for sym in syms)
     return tuple(out)

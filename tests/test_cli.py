@@ -172,7 +172,9 @@ def test_usage_errors_exit_two(capsys):
     assert main(["pixton", "--g", "1", "--n", "2", "--k", "0",
                  "--A", "1,1"]) == 2  # bad sum
     assert main(["evaluate", "not json"]) == 2
-    assert main(["check", "exp-identities", "--k", "0", "--A", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "exp-identities", "--k", "0", "--A", "0"])
+    assert exc.value.code == 2
     # 2g - 2 + n > 0 holds for (g, n) = (-1, 5); the type is still invalid
     assert main(["check", "gplus1", "--g", "-1", "--n", "5",
                  "--A", "0,0,0,0,0"]) == 2
@@ -396,8 +398,10 @@ def test_mixed_payloads_through_the_cli(capsys):
 
 
 def test_missing_and_malformed_flags_exit_two(capsys):
-    assert main(["check", "multiplicativity", "--g", "1", "--n", "3",
-                 "--A", "2,4,-6"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "multiplicativity", "--g", "1", "--n", "3",
+              "--A", "2,4,-6"])
+    assert exc.value.code == 2
     assert "--B" in capsys.readouterr().err
     assert main(["pixton", "--g", "1", "--n", "2", "--deg", "1"]) == 2
     assert "--A or --a" in capsys.readouterr().err
@@ -472,3 +476,103 @@ def test_class_commands_exit_zero_or_two_on_random_json(command, payloads):
             code = exc.code
     assert code in (0, 2), (args, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# Each bundle's own flags, with values that make a valid call; every other
+# flag of `check` is foreign to it and must be refused, not ignored
+_BUNDLE_ARGS = {
+    "paper-section7": [],
+    "multiplicativity": ["--g", "1", "--n", "3", "--A", "2,4,-6",
+                         "--B", "-3,-1,4"],
+    "exp-identities": ["--g", "1", "--n", "2", "--A", "1,-1"],
+    "gplus1": ["--g", "1", "--n", "2", "--A", "1,-1"],
+}
+_FOREIGN_FLAGS = [
+    ("paper-section7", ["--g", "1"]), ("paper-section7", ["--n", "2"]),
+    ("paper-section7", ["--k", "0"]), ("paper-section7", ["--A", "1,-1"]),
+    ("paper-section7", ["--a", "1,-1"]), ("paper-section7", ["--ka", "0"]),
+    ("paper-section7", ["--kb", "0"]), ("paper-section7", ["--B", "1,-1"]),
+    ("paper-section7", ["--locus", "xx"]),
+    ("multiplicativity", ["--k", "5"]), ("multiplicativity", ["--a", "1,2,3"]),
+    ("exp-identities", ["--ka", "3"]), ("exp-identities", ["--kb", "3"]),
+    ("exp-identities", ["--B", "1,2"]), ("exp-identities", ["--locus", "all"]),
+    ("gplus1", ["--ka", "3"]), ("gplus1", ["--kb", "3"]),
+    ("gplus1", ["--B", "1,2"]), ("gplus1", ["--locus", "all"]),
+]
+
+
+@pytest.mark.parametrize("bundle,flag", _FOREIGN_FLAGS,
+                         ids=["%s%s" % (b, f[0]) for b, f in _FOREIGN_FLAGS])
+def test_check_refuses_flags_its_bundle_does_not_read(capsys, bundle, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", bundle] + _BUNDLE_ARGS[bundle] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+# Random argv: every subcommand and bundle with a draw of its own flags and
+# now and then a foreign one, values from a small vocabulary; (g, n) comes
+# only from small spaces, so no call runs long
+_TYPE_FLAGS = ["--g", "--n", "--k", "--A", "--a", "--json"]
+_OWN_FLAGS = {
+    "graphs": ["--g", "--n", "--codim", "--json"],
+    "generators": ["--g", "--n", "--d", "--json"],
+    "pixton": _TYPE_FLAGS + ["--deg"],
+    "hain": _TYPE_FLAGS + ["--doubled"],
+    "multiply": ["--json"],
+    "evaluate": ["--json"],
+    "pair": ["--json"],
+    "check paper-section7": ["--timing", "--json"],
+    "check multiplicativity": ["--g", "--n", "--A", "--B", "--ka", "--kb",
+                               "--locus", "--timing", "--json"],
+    "check exp-identities": _TYPE_FLAGS + ["--timing"],
+    "check gplus1": _TYPE_FLAGS + ["--timing"],
+}
+_ALL_FLAGS = sorted({f for flags in _OWN_FLAGS.values() for f in flags})
+
+
+@st.composite
+def _argv(draw):
+    g, n = draw(st.sampled_from(_SPACES))
+    # half the vectors sum to zero, which k = 0 needs
+    vec = (st.lists(st.integers(-4, 4), min_size=n // 2, max_size=n // 2)
+           .map(lambda h: h + [-x for x in h] + [0] * (n % 2))
+           | st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+           ).map(lambda v: ",".join(map(str, v)))
+    value = (st.integers(-2, 4).map(str) | vec
+             | st.sampled_from(["x", "", "@/nonexistent"]))
+    command = draw(st.sampled_from(sorted(_OWN_FLAGS)))
+    argv = command.split()
+    if command in ("multiply", "evaluate", "pair"):
+        argv += [draw(value) for _ in range(draw(st.integers(1, 2)))]
+    flags = [f for f in _OWN_FLAGS[command] if draw(st.integers(0, 3))]
+    if not draw(st.integers(0, 3)):
+        flags.append(draw(st.sampled_from(_ALL_FLAGS)))
+    for flag in flags:
+        argv.append(flag)
+        if flag in ("--g", "--n"):
+            argv.append(str(g if flag == "--g" else n))
+        elif flag in ("--A", "--a", "--B"):
+            argv.append(draw(vec | value))
+        elif flag == "--locus":
+            argv.append(draw(st.sampled_from(["all", "tl", "ct", "sm"])
+                             | value))
+        elif flag in ("--deg", "--d", "--codim"):
+            argv.append(str(draw(st.integers(-2, 3))))
+        elif flag not in ("--doubled", "--timing", "--json"):
+            argv.append(draw(value))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_argv())
+def test_random_argv_exits_zero_one_or_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    assert code != 1 or argv[0] == "check", argv

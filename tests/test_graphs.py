@@ -238,3 +238,44 @@ def test_enumeration_pinned():
                     + "\n").encode())
     assert digest.hexdigest() == ("78e1a3a0857f627901b6ad0c022c11e4"
                                   "4b8a21568d834273fa177635595a47ca")
+
+
+def test_canonical_maps_transport_raw_graphs_pinned():
+    # strata, contractions and products carry their decorations along the
+    # (vmap, hemap) that canonical returns for a raw graph
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    counts = []
+    for g, n in [(0, 6), (1, 4), (2, 2), (3, 1)]:
+        graphs = enumerate_stable_graphs(g, n, 3 * g - 3 + n)
+        counts.append(len(graphs))
+        for G, _ in itertools.product(graphs, range(3)):
+            nv = G.num_vertices
+            perm = list(range(nv))
+            rng.shuffle(perm)
+            genera, legs = [0] * nv, [()] * nv
+            for v in range(nv):
+                genera[perm[v]], legs[perm[v]] = G.genera[v], G.legs[v]
+            edges = [(perm[u], perm[v]) if rng.random() < 0.5
+                     else (perm[v], perm[u]) for u, v in G.edges]
+            rng.shuffle(edges)
+            raw = StableGraph(tuple(genera), tuple(legs), tuple(edges))
+            C, vmap, hemap = canonical(raw)
+            assert C == G
+            for v in range(nv):
+                assert C.genera[vmap[v]] == raw.genera[v]
+                assert C.legs[vmap[v]] == raw.legs[v]
+            assert sorted(hemap) == list(range(2 * raw.num_edges))
+            for h in range(2 * raw.num_edges):
+                assert hemap[h ^ 1] == hemap[h] ^ 1
+                assert (C.half_edge_vertex[hemap[h]]
+                        == vmap[raw.half_edge_vertex[h]])
+            slots: dict = {}
+            for i, (a, b) in enumerate(edges):
+                pair = frozenset((vmap[a], vmap[b]))
+                assert slots.get(pair, -1) < hemap[2 * i] // 2
+                slots[pair] = hemap[2 * i] // 2
+            digest.update(repr((C.encode(), vmap, hemap)).encode())
+    assert counts == [236, 163, 75, 181]
+    assert digest.hexdigest() == ("45001a56717ebd3e770b0b9a4f2f86af"
+                                  "ebd2f3a46babf2c4f306172aba42be26")
