@@ -197,10 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tautological-ring computations on small moduli "
                     "of stable curves.")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    ap.set_defaults(parser=ap)
 
-    def common(p):
+    def common(p):  # parser: the one whose usage a stray argument shows
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("graphs", help="list stable graphs up to a codimension")
     p.add_argument("--g", type=int, required=True)
@@ -286,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extra = ap.parse_known_args(argv)
+    if extra:
+        args.parser.error("unrecognized arguments: %s" % " ".join(extra))
     try:
         return args.fn(args)
     except (DomainError, OSError) as exc:

@@ -39,14 +39,14 @@ pairing_matrix builds degrees 2d <= dim; degree dim - d is the transpose
 and shares its rank.
 
 Linear algebra is exact and fraction-free, through one elimination,
-``fraction_free_echelon``: each row is kept as its nonzero entries, their
-denominators cleared, and rows are eliminated in column order; only the
-rows whose head is the pivot column are updated, and each updated row is
-divided by its content.  It returns the pivot rows in that sparse form, the
-one shape its callers read.  ``matrix_rank`` runs it on a square matrix
-itself and otherwise on the integer Gram matrix of its shorter side, summed
-from the same sparse rows; ``solve_linear_system`` runs it on the augmented
-matrix and back-substitutes over the pivot rows' nonzeros.
+``fraction_free_echelon``, over sparse integer rows: each row's nonzero
+entries with their denominators cleared.  Rows are eliminated in column
+order; only the rows whose head is the pivot column are updated, and each
+updated row is divided by its content.  It returns the pivot rows in that
+sparse form, the one shape its callers read.  ``matrix_rank`` runs it on
+the distinct primitive vectors of a matrix's longer side (its rows, or its
+columns when it is wide); ``solve_linear_system`` runs it on the augmented
+rows and back-substitutes over the pivot rows' nonzeros.
 """
 
 from __future__ import annotations
@@ -285,32 +285,37 @@ def _sparse_row(row: Sequence[Fraction]) -> dict[int, int]:
     return {k: x.numerator * (denom // x.denominator) for k, x in nz}
 
 
-def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
+def _primitive(v: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A nonzero sparse integer vector divided by the gcd of its entries,
+    signed so that its first entry is positive, as (columns, entries)."""
+    c = gcd(*v.values())
+    c = c if next(iter(v.values())) > 0 else -c
+    return tuple(v), tuple(x // c for x in v.values())
+
+
+def fraction_free_echelon(rows: Iterable[dict[int, int]]
                           ) -> tuple[int, tuple[int, ...], list[dict[int, int]]]:
     """Fraction-free elimination in column order over sparse integer rows,
-    each the row's nonzero entries with their denominators cleared.
+    each its nonzero entries keyed by ascending column.
 
-    Rows are filed by their head (first nonzero column).  At each column
-    the shortest row with that head is the pivot; every other row with
-    that head becomes (p * row - h * pivot) / gcd(p, h), divided by its
-    content, and is filed again.  Rows with another head are untouched.
-    Returns (rank, pivot column indices, pivot rows as their nonzero
-    integer entries by column), the k-th row headed by the k-th pivot.
-    Scaling a row by a nonzero integer preserves rank and, on an augmented
-    matrix, the solution set.
+    Rows are filed by their head (first nonzero column).  At each head, in
+    ascending order, the shortest row with that head is the pivot; every
+    other row with that head becomes (p * row - h * pivot) / gcd(p, h),
+    divided by its content, and is filed again.  Rows with another head are
+    untouched.  Returns (rank, pivot column indices, pivot rows as their
+    nonzero integer entries by column), the k-th row headed by the k-th
+    pivot.  Scaling a row by a nonzero integer preserves rank and, on an
+    augmented matrix, the solution set.
     """
-    ncols = len(rows[0]) if rows else 0
     by_head: dict[int, list[dict[int, int]]] = {}
     for r in rows:
-        sparse = _sparse_row(r)
-        if sparse:
-            by_head.setdefault(next(iter(sparse)), []).append(sparse)
+        if r:
+            by_head.setdefault(next(iter(r)), []).append(r)
     pivots: list[int] = []
     echelon: list[dict[int, int]] = []
-    for col in range(ncols):
-        group = by_head.pop(col, None)
-        if group is None:
-            continue
+    while by_head:
+        col = min(by_head)
+        group = by_head.pop(col)
         piv = min(group, key=len)
         p = piv[col]
         for r in group:
@@ -335,39 +340,18 @@ def fraction_free_echelon(rows: Sequence[Sequence[Fraction]]
     return len(pivots), tuple(pivots), echelon
 
 
-def _gram(vectors: Iterable[dict[int, int]], m: int) -> list[list[int]]:
-    """The m x m integer matrix sum over the sparse vectors v (keys
-    ascending) of v v^T: its upper triangle summed from each vector's
-    nonzeros, then mirrored."""
-    out = [[0] * m for _ in range(m)]
-    for v in vectors:
-        nz = list(v.items())
-        for a, (k, x) in enumerate(nz):
-            target = out[k]
-            for l, y in nz[a:]:
-                target[l] += x * y
-    for k in range(m):
-        for l in range(k):
-            out[k][l] = out[l][k]
-    return out
-
-
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank.  A square matrix goes to ``fraction_free_echelon``.
-    Otherwise, with denominators cleared per row, the Gram matrix of the
-    shorter side does: A A^T when A is wide, A^T A when it is tall.  Over
-    Q, inside R, rank(A A^T) = rank(A), since x^T A A^T x = |A^T x|^2."""
-    if rows and len(rows) != len(rows[0]):
-        sparse = [_sparse_row(r) for r in rows]
-        if len(rows) > len(rows[0]):  # A^T A: the sum of the rows' squares
-            rows = _gram(sparse, len(rows[0]))
-        else:  # A A^T: the sum of the columns' squares
-            columns: list[dict[int, int]] = [{} for _ in rows[0]]
-            for i, r in enumerate(sparse):
-                for k, x in r.items():
-                    columns[k][i] = x
-            rows = _gram(columns, len(rows))
-    return fraction_free_echelon(rows)[0]
+    """Exact rank, by ``fraction_free_echelon`` on the distinct primitive
+    vectors of the longer side: the rows of a tall or square matrix, the
+    columns of a wide one, each with its denominators cleared, divided by
+    the gcd of its entries and signed so its first entry is positive.
+    Nonzero multiples of one vector span one line, so the rank is kept.
+    The vectors are handed over one at a time, so the elimination frees
+    each as it replaces it, and the distinct keys once they are filed."""
+    side = rows if not rows or len(rows) >= len(rows[0]) else zip(*rows)
+    vectors = filter(None, map(_sparse_row, side))
+    return fraction_free_echelon(
+        dict(zip(*v)) for v in dict.fromkeys(map(_primitive, vectors)))[0]
 
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]],
@@ -382,8 +366,8 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
     if len(rhs) != nrows:
         raise DomainError("%d equations but %d right-hand sides"
                           % (nrows, len(rhs)))
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    _, pivots, ech = fraction_free_echelon(aug)
+    _, pivots, ech = fraction_free_echelon(
+        _sparse_row([*r, b]) for r, b in zip(rows, rhs))
     if pivots and pivots[-1] == ncols:  # 0 = b, b nonzero
         return None, [Fraction(0)] * ncols + [Fraction(ech[-1][ncols])]
     sol = [Fraction(0)] * ncols

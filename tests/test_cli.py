@@ -507,7 +507,17 @@ def test_check_refuses_flags_its_bundle_does_not_read(capsys, bundle, flag):
     with pytest.raises(SystemExit) as exc:
         main(["check", bundle] + _BUNDLE_ARGS[bundle] + flag)
     assert exc.value.code == 2
-    assert flag[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag[0] in err
+    assert "usage: tautring check %s" % bundle in err
+
+
+def test_subcommand_shows_its_own_usage_for_a_stray_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["graphs", "--g", "1", "--n", "2", "--codim", "1", "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: tautring graphs" in err and "--bogus" in err
 
 
 # Random argv: every subcommand and bundle with a draw of its own flags and

@@ -8,6 +8,7 @@ import pytest
 
 from tautring.graphs import DomainError, make_graph
 from tautring.integrate import (
+    _sparse_row,
     class_pairing_vector,
     double_factorial,
     evaluate,
@@ -393,15 +394,15 @@ def test_fraction_free_echelon_matches_gauss_oracle():
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5))
                  for _ in range(n)] for _ in range(m)]
         assert matrix_rank(rows) == gauss_rank_oracle(rows)
-    r, piv, ech = fraction_free_echelon([[Fraction(2), Fraction(4)],
-                                         [Fraction(1), Fraction(3)]])
+    r, piv, ech = fraction_free_echelon([{0: 2, 1: 4}, {0: 1, 1: 3}])
     assert r == 2 and piv == (0, 1)
 
 
 def test_matrix_rank_matches_plain_bareiss():
-    # non-square matrices are ranked through the Gram matrix of their
-    # shorter side, square ones by the sparse elimination itself: both must
-    # agree with dense Bareiss on the matrix itself (the oracle's)
+    # matrices are ranked through the distinct primitive vectors of their
+    # longer side (the columns of a wide one): that must agree with dense
+    # Bareiss on the matrix itself (the oracle's) and with the sparse
+    # elimination of its rows
     rng = random.Random(1515)
 
     def entry(zero=0.3):
@@ -432,7 +433,8 @@ def test_matrix_rank_matches_plain_bareiss():
             cases.append(rows)
     for rows in cases:
         rank = bareiss_rank(rows)
-        assert matrix_rank(rows) == fraction_free_echelon(rows)[0] == rank, \
+        assert matrix_rank(rows) == fraction_free_echelon(
+            [_sparse_row(r) for r in rows])[0] == rank, \
             rows
     # planted rank r: an m x r times an r x n integer product, rows scaled
     for m, n, r in [(4, 9, 2), (9, 4, 3), (6, 6, 4), (3, 10, 3), (10, 3, 1),
@@ -443,6 +445,27 @@ def test_matrix_rank_matches_plain_bareiss():
                           den) for j in range(n)]
                 for row, den in zip(left, [rng.randint(1, 6) for _ in left])]
         assert matrix_rank(rows) == bareiss_rank(rows) == r
+    # planted rank r with repeated vectors: rows, and separately columns,
+    # drawn from r independent ones up to nonzero multiples, zero ones mixed
+    # in, so the distinct primitive vectors are fewer than the side's
+    scales = [Fraction(1), Fraction(-1), Fraction(3), Fraction(-3),
+              Fraction(-1, 2)]
+    for m, n, r in [(1, 7, 1), (7, 1, 1), (1, 5, 0), (11, 4, 2), (4, 11, 3),
+                    (9, 9, 3), (15, 6, 4), (6, 15, 4)]:
+        for transpose in (False, True):
+            k, length = (n, m) if transpose else (m, n)
+            basis = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(length)] for _ in range(r)]
+            vectors = [b[:] for b in basis]
+            while len(vectors) < k:
+                c = rng.choice(scales) if r and rng.random() > 0.2 else 0
+                vectors.append([c * x for x in rng.choice(basis)]
+                               if c else [Fraction(0)] * length)
+            rng.shuffle(vectors)
+            rows = ([list(col) for col in zip(*vectors)] if transpose
+                    else vectors)
+            assert matrix_rank(rows) == bareiss_rank(rows) == \
+                bareiss_rank(basis), (rows, r)
     assert matrix_rank([]) == 0
     # every pairing matrix of three spaces, (0,5) from Keel's Betti numbers
     expected = {(0, 5): [1, 5, 1], (1, 3): [1, 5, 5, 1],
