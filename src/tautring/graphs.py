@@ -321,7 +321,8 @@ def _half_edge_map(graph: StableGraph, perm: Sequence[int]) -> list[int]:
     return hemap
 
 
-# A dict, not functools.cache: a miss also stores the canonical graph's identity map.
+# A dict, not functools.cache: it holds only canonical graphs, each with its
+# identity maps; a raw graph's key is not filed, as it is seldom met again.
 _CANON_CACHE: dict[tuple, tuple[StableGraph, tuple[int, ...], tuple[int, ...]]] = {}
 
 
@@ -330,6 +331,7 @@ def canonical(graph: StableGraph) -> tuple[StableGraph, tuple[int, ...], tuple[i
 
     Returns (canonical_graph, vertex_map, half_edge_map) where
     vertex_map[v] and half_edge_map[h] are images in the canonical graph.
+    A canonical input is looked up; a raw one is relabeled on every call.
     """
     key = (graph.genera, graph.legs, graph.edges)
     hit = _CANON_CACHE.get(key)
@@ -347,10 +349,7 @@ def canonical(graph: StableGraph) -> tuple[StableGraph, tuple[int, ...], tuple[i
     cgraph = _CANON_CACHE.setdefault(best, (
         StableGraph(*best), tuple(range(graph.num_vertices)),
         tuple(range(2 * graph.num_edges))))[0]
-    hemap = _half_edge_map(graph, best_perm)
-    result = (cgraph, tuple(best_perm), tuple(hemap))
-    _CANON_CACHE[key] = result
-    return result
+    return cgraph, tuple(best_perm), tuple(_half_edge_map(graph, best_perm))
 
 
 def make_graph(genera: Sequence[int], legs: Sequence[Sequence[int]],

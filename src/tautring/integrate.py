@@ -36,7 +36,7 @@ block against the fundamental class; no pairing is memoised.  The verdict
 searches of ``verify`` pair a class with blocks of 1, 2, 4, ...
 cogenerators in order, and stop at the first nonzero pairing.
 pairing_matrix builds degrees 2d <= dim; degree dim - d is the transpose
-and shares its rank.
+and shares its rank, and its entries are transposed only when read.
 
 Linear algebra is exact and fraction-free, through one elimination,
 ``fraction_free_echelon``, over sparse integer rows: each row's nonzero
@@ -390,7 +390,17 @@ class PairingMatrix:
     d: int
     rows: tuple[DecoratedStratum, ...]
     cols: tuple[DecoratedStratum, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The integrals of the products.  For 2d > dim, the transpose of
+        the complementary matrix's, built on first read: ``rank`` does not
+        read it."""
+        dim = 3 * self.g - 3 + self.n
+        if 2 * self.d > dim:
+            t = pairing_matrix(self.g, self.n, dim - self.d)
+            return tuple(zip(*t.entries))
+        return tuple(map(tuple, pair_block(self.rows, self.cols)))
 
     @functools.cached_property
     def rank(self) -> int:
@@ -403,16 +413,16 @@ class PairingMatrix:
 @functools.cache
 def pairing_matrix(g: int, n: int, d: int) -> PairingMatrix:
     """Rows are degree-d generators, columns the complementary generators,
-    entries the integrals of the products; cached by (g, n, d).  For
-    2d > dim, the transpose of ``pairing_matrix(g, n, dim - d)``."""
+    entries the integrals of the products, built in this call; cached by
+    (g, n, d).  For 2d > dim, the transpose of ``pairing_matrix(g, n,
+    dim - d)``, whose entries are transposed on first read."""
     check_stable_type(g, n)
     dim = 3 * g - 3 + n
     if d < 0 or d > dim:
-        return PairingMatrix(g, n, d, (), (), ())
+        return PairingMatrix(g, n, d, (), ())
     if 2 * d > dim:
         t = pairing_matrix(g, n, dim - d)
-        return PairingMatrix(g, n, d, t.cols, t.rows, tuple(zip(*t.entries)))
-    rows = generators(g, n, d)
-    cols = generators(g, n, dim - d)
-    return PairingMatrix(g, n, d, rows, cols,
-                         tuple(map(tuple, pair_block(rows, cols))))
+        return PairingMatrix(g, n, d, t.cols, t.rows)
+    pm = PairingMatrix(g, n, d, generators(g, n, d), generators(g, n, dim - d))
+    pm.entries  # integrated in this call, not on first read
+    return pm

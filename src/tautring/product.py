@@ -28,9 +28,12 @@ transporting along phi_0 o alpha is transporting the alpha-image of the
 decoration along phi_0.  So ``_contractions`` keeps one structure per kept
 subset, built through the contraction of one edge, and the sum over alpha
 runs over the orbit of the decoration, each image weighted by its
-stabilizer order (``DecoratedStratum.orbit``).
-``_degenerations`` inverts those tables once per space and edge bound, so a
-product visits only the common degenerations of its factors.
+stabilizer order (``DecoratedStratum.orbit``).  These tables live for the
+whole process, so they are kept small: an edge subset is an int bitmask,
+bit e for edge e, and a half-edge transport a tuple indexed by the
+target's half-edges.  ``_degenerations`` inverts the tables once per space
+and edge bound, so a product visits only the common degenerations of its
+factors.
 
 A factor on the graph with no edges admits one generic structure: K_A
 empty, so K_B = E(G) and G is the other factor's graph Gamma.  The product
@@ -78,36 +81,48 @@ from .graphs import (
 from .strata import DecoratedStratum, MixedClass, TautClass, make_stratum, single
 
 # A contraction structure of G onto a target graph GA:
-#   (kept edge subset K, half-edge transport GA-he -> G-he,
-#    per-GA-vertex tuple of preimage vertices of G)
-Structure = tuple[frozenset[int], dict[int, int], tuple[tuple[int, ...], ...]]
+#   (kept edges K as a bitmask over E(G), half-edge transport as a tuple
+#    indexed by GA-he with G-he entries, per-GA-vertex tuple of preimage
+#    vertices of G)
+Structure = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of an edge bitmask, as edge indices in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @functools.cache
 def _contractions(G: StableGraph) -> dict[StableGraph, tuple[Structure, ...]]:
     """One contraction structure of the canonical graph G per kept-edge
-    subset K, filed under its canonical target.  K = E(G) is the identity.
-    Any other K has a least edge e outside it, and G/(E - K) is
-    (G/e)/(E' - K'): its structure is the one of the canonical G/e for the
-    image K' of K, composed with the relabeling of that one contraction.
-    The target's automorphisms enter through the factor's ``orbit``."""
+    subset K, filed under its canonical target.  The full mask
+    (1 << |E|) - 1 is the identity, onto G itself.  Any other K has a least
+    edge e outside it, and G/(E - K) is (G/e)/(E' - K'): its structure is
+    the one of the canonical G/e for the image K' of K, composed with the
+    relabeling of that one contraction.  The target's automorphisms enter
+    through the factor's ``orbit``."""
     E = G.num_edges
     out: dict[StableGraph, list[Structure]] = {G: [(
-        frozenset(range(E)), {h: h for h in range(2 * E)},
+        (1 << E) - 1, tuple(range(2 * E)),
         tuple((v,) for v in range(G.num_vertices)))]}
     for e in range(E):
         H, vmap, hemap_c = contract(G, frozenset((e,)))
         T, vcan, hcan = canonical(H)
-        back = {hcan[w]: h for h, w in hemap_c.items()}  # T-he -> G-he
-        below = frozenset(hcan[hemap_c[2 * f]] // 2 for f in range(e))
+        back = [0] * (2 * E - 2)  # T-he -> G-he
+        for h, w in hemap_c.items():
+            back[hcan[w]] = h
+        below = sum(1 << (hcan[hemap_c[2 * f]] // 2) for f in range(e))
         pre = [tuple(w for w, v in enumerate(vmap) if vcan[v] == u)
                for u in range(T.num_vertices)]  # T-vertex -> G-vertices
         for target, structs in _contractions(T).items():
             for kept, he, vpre in structs:
-                if below <= kept:
+                if below & kept == below:
                     out.setdefault(target, []).append((
-                        frozenset(back[2 * k] // 2 for k in kept),
-                        {x: back[y] for x, y in he.items()},
+                        sum(1 << (back[2 * k] // 2) for k in _bits(kept)),
+                        tuple(map(back.__getitem__, he)),
                         tuple([pre[vs[0]] if len(vs) == 1 else
                                tuple(sorted([w for u in vs for w in pre[u]]))
                                for vs in vpre])))
@@ -116,7 +131,8 @@ def _contractions(G: StableGraph) -> dict[StableGraph, tuple[Structure, ...]]:
 
 def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structure, ...]:
     """How G contracts onto the canonical graph ``target``: one structure per
-    choice of kept edges K with G/(E-K) isomorphic to target."""
+    choice of kept edges K with G/(E-K) isomorphic to target, K as a bitmask
+    over E(G) and the transport as a tuple indexed by target's half-edges."""
     return _contractions(G).get(target, ())
 
 
@@ -136,18 +152,18 @@ def _degenerations(g: int, n: int, max_edges: int
     return index
 
 
-# Compatible kept-edge subsets on a common degeneration G:
-#   (K_A, K_B, K_A & K_B) with K_A | K_B = E(G)
-Triple = tuple[frozenset[int], frozenset[int], frozenset[int]]
+# Compatible kept-edge bitmasks on a common degeneration G:
+#   (K_A, K_B, K_A & K_B) with K_A | K_B the full mask of E(G)
+Triple = tuple[int, int, int]
 
 
 def side_groups(st: DecoratedStratum, G: StableGraph
-                ) -> dict[frozenset[int], dict[tuple, int]]:
+                ) -> dict[int, dict[tuple, int]]:
     """One factor's share of a product on its degeneration G, per kept-edge
-    subset: its structure composed with each orbit image, counted with the
+    bitmask: its structure composed with each orbit image, counted with the
     image's multiplicity by (transported (half-edge, exponent) pairs,
     (kappa part, preimage vertices) pairs)."""
-    groups: dict[frozenset[int], dict[tuple, int]] = {}
+    groups: dict[int, dict[tuple, int]] = {}
     for kept, he, vpre in _contractions(G)[st.graph]:
         counts = groups[kept] = {}
         for (psi_he, kappa), mult in st.orbit:
@@ -225,7 +241,7 @@ def expand(G: StableGraph, triples: list[Triple], groups_a: dict,
         nk = len(factors)
         factors += [(1, ((he_vertex[2 * e], 2 * e),
                          (he_vertex[2 * e + 1], 2 * e + 1)))
-                    for e in sorted(shared)]
+                    for e in _bits(shared)]
         for choice in _placements(factors, deficit):
             ph = dict(ph0)
             for h in choice[nk:]:
@@ -233,7 +249,7 @@ def expand(G: StableGraph, triples: list[Triple], groups_a: dict,
             kp: dict[int, list[int]] = {}
             for (a, _), w in zip(factors, choice[:nk]):
                 kp.setdefault(w, []).append(a)
-            yield ph, kp, -count if len(shared) % 2 else count
+            yield ph, kp, -count if shared.bit_count() % 2 else count
 
 
 def pullback(smooth: DecoratedStratum, st: DecoratedStratum,
@@ -318,6 +334,7 @@ def product_walk(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStrat
         index = _degenerations(g, n, min(ea + max_b, 3 * g - 3 + n))
         for G, structs_a in index[GA].items():
             E = G.num_edges
+            full = (1 << E) - 1
             dims = [vd[3] for vd in G.vertex_data]
             row_shares = {}
             for GB, structs_b in _contractions(G).items():
@@ -326,7 +343,7 @@ def product_walk(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStrat
                         or not GB.num_edges:
                     continue
                 triples = [(ka, kb, ka & kb) for ka, _, _ in structs_a
-                           for kb, _, _ in structs_b if len(ka | kb) == E]
+                           for kb, _, _ in structs_b if ka | kb == full]
                 if not triples:
                     continue
                 col_shares = []  # of the columns whose leg psi fit on G

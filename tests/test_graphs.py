@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from tautring.graphs import (
+    _CANON_CACHE,
     DomainError,
     StableGraph,
     automorphism_count,
@@ -238,6 +239,31 @@ def test_enumeration_pinned():
                     + "\n").encode())
     assert digest.hexdigest() == ("78e1a3a0857f627901b6ad0c022c11e4"
                                   "4b8a21568d834273fa177635595a47ca")
+
+
+def test_canonical_files_only_the_canonical_graph():
+    # a raw graph is relabeled again on every call, to the same maps, and
+    # the only key it may add is its canonical graph's, with identity maps
+    raws = 0
+    for G in enumerate_stable_graphs(1, 4, 3):
+        nv = G.num_vertices
+        raw = StableGraph(G.genera[::-1], G.legs[::-1], tuple(
+            (nv - 1 - b, nv - 1 - a) for a, b in reversed(G.edges)))
+        key = (raw.genera, raw.legs, raw.edges)
+        ckey = (G.genera, G.legs, G.edges)
+        if key == ckey:
+            continue
+        before = set(_CANON_CACHE)
+        first = canonical(raw)
+        assert canonical(raw) == first
+        assert first[0] == G
+        assert set(_CANON_CACHE) - before <= {ckey}
+        assert key not in _CANON_CACHE
+        assert _CANON_CACHE[ckey] == (G, tuple(range(nv)),
+                                      tuple(range(2 * G.num_edges)))
+        assert canonical(G) == _CANON_CACHE[ckey]
+        raws += 1
+    assert raws > 50
 
 
 def test_canonical_maps_transport_raw_graphs_pinned():

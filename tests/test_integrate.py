@@ -273,6 +273,25 @@ def test_complementary_pairing_matrix_is_the_transpose():
             assert pm.rank == matrix_rank(pm.entries)
 
 
+def test_complementary_entries_are_built_on_first_read():
+    # a 2d > dim matrix takes its rank from its complement and builds its
+    # transposed entries only when they are read; a 2d <= dim matrix has
+    # its entries from the call
+    pairing_matrix.cache_clear()
+    for g, n in [(0, 6), (1, 3), (2, 1)]:
+        dim = 3 * g - 3 + n
+        for d in range(dim + 1):
+            pm = pairing_matrix(g, n, d)
+            if 2 * d <= dim:
+                assert "entries" in vars(pm)
+                continue
+            assert pm.rank == pairing_matrix(g, n, dim - d).rank
+            assert "entries" not in vars(pm)
+            assert pm.entries == tuple(zip(*pairing_matrix(
+                g, n, dim - d).entries))
+            assert "entries" in vars(pm)
+
+
 def test_pair_classes_type_check():
     x = single(1, 1, generators(1, 1, 1)[0])
     y = single(1, 2, generators(1, 2, 1)[0])

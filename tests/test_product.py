@@ -23,6 +23,7 @@ from tautring.integrate import (
     pairing_matrix,
 )
 from tautring.product import (
+    _contractions,
     contraction_structures,
     leg_psi,
     multiply,
@@ -245,14 +246,30 @@ def _structures_by_target(G, target):
 def test_contraction_index_matches_per_target_search():
     # one structure per kept-edge subset, whose maps are one of the |Aut T|
     # isomorphisms the search lists for that subset; the decoration's orbit
-    # under Aut T supplies the others
+    # under Aut T supplies the others.  The index stores K as a bitmask and
+    # the transport as a tuple by T-half-edge; both are read back here as
+    # the oracle's edge set and (h, he[h]) pairs.  Onto G itself, the
+    # structure is the full mask and the identity
     pairs = 0
     for g, n, e in [(0, 5, 2), (1, 3, 3), (2, 1, 3)]:
         graphs = enumerate_stable_graphs(g, n, e)
         for G in graphs:
+            E = G.num_edges
+            table = _contractions(G)
+            assert table[G][0] == ((1 << E) - 1, tuple(range(2 * E)),
+                                   tuple((v,) for v in range(G.num_vertices)))
+            for T, structs in table.items():
+                for kept, he, _ in structs:
+                    assert type(kept) is int and 0 <= kept <= (1 << E) - 1
+                    assert kept.bit_count() == T.num_edges
+                    assert type(he) is tuple
+                    assert len(he) == 2 * T.num_edges, (G, T)
             for T in graphs:
                 oracle = _structures_by_target(G, T)
-                structs = contraction_structures(G, T)
+                structs = [(frozenset(k for k in range(G.num_edges)
+                                      if mask >> k & 1),
+                            dict(enumerate(he)), vpre)
+                           for mask, he, vpre in contraction_structures(G, T)]
                 kepts = [kept for kept, _, _ in structs]
                 assert len(set(kepts)) == len(kepts), (G, T)
                 assert set(kepts) == oracle.keys(), (G, T)
