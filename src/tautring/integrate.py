@@ -17,7 +17,7 @@ equation, else a tau_1 by the dilaton equation (Witten 1991); only when every
 index is >= 2 does the DVV (KdV/Virasoro) recursion on the largest index
 run.  psi_integral is the kappa-free case of kappa_psi_integral.
 
-Every integral goes through one primitive, the block ``pair_block(rows,
+Every integral goes through one primitive, the block ``_pairings(rows,
 cols)``, which integrates product monomials in place, with no product class
 built.  It consumes the ``product_walk`` of ``product``, the same walk
 ``multiply`` consumes: the strata grouped by graph, one walk of each row
@@ -26,41 +26,47 @@ side groups once per degeneration and row stratum, and nothing retained
 past a row graph.  A factor on the graph with no edges is pulled back onto
 the other factor's graph there, with no degeneration walked.  An entry adds
 the signed counts of its monomials per per-vertex kernel key, integrates
-each key once and sums in integers, with one Fraction at the end; the sums
-are flushed per row graph.  The pairing is symmetric, so a block with
-rows == cols (a middle-degree pairing matrix, 2d = dim) walks the entries
-with i <= j and mirrors them.  pairing_matrix is one block,
-class_pairing_vector the coefficient-weighted rows of one block,
-pair_strata and pair_classes one block each, and evaluate the one-column
-block against the fundamental class; no pairing is memoised.  The verdict
-searches of ``verify`` pair a class with blocks of 1, 2, 4, ...
-cogenerators in order, and stop at the first nonzero pairing.
-pairing_matrix builds degrees 2d <= dim; degree dim - d is the transpose
-and shares its rank, and its entries are transposed only when read.
+each key once and sums in integers.  Once its row graph is walked, each
+row is yielded as an ``IntRow``: its nonzero columns, their integer
+numerators and their least common denominator, with no Fraction made.  The
+pairing is symmetric, so a block with rows == cols (a middle-degree
+pairing matrix, 2d = dim) computes the entries with i <= j and holds each
+mirror for its row.  pair_block is the block as rows of Fractions,
+class_pairing_vector its coefficient-weighted rows, pair_strata and
+pair_classes one block each, and evaluate the one-column block against the
+fundamental class; no pairing is memoised.  The verdict searches of
+``verify`` pair a class with blocks of 1, 2, 4, ... cogenerators in order,
+and stop at the first nonzero pairing.  pairing_matrix keeps the integer
+rows of degrees 2d <= dim; degree dim - d is the transpose and shares its
+rank.  Its dense ``entries`` are built only when read.
 
 Linear algebra is exact and fraction-free, through one elimination,
 ``fraction_free_echelon``, over sparse integer rows: each row's nonzero
 entries with their denominators cleared.  Rows are eliminated in column
 order; only the rows whose head is the pivot column are updated, and each
 updated row is divided by its content.  It returns the pivot rows in that
-sparse form, the one shape its callers read.  ``matrix_rank`` runs it on
-the distinct primitive vectors of a matrix's longer side (its rows, or its
-columns when it is wide); ``solve_linear_system`` runs it on the augmented
+sparse form, the one shape its callers read.  ``_rank`` runs it on the
+distinct primitive vectors of a matrix's longer side (its rows, or its
+columns when it is wide): ``matrix_rank`` on a dense matrix,
+``PairingMatrix.rank`` on the integer rows, a wide one's columns merged
+from them one at a time; ``solve_linear_system`` runs it on the augmented
 rows and back-substitutes over the pivot rows' nonzeros.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import DomainError, StableGraph, check_stable_type
-from .product import leg_psi, product_walk
+from .product import _by_graph, leg_psi, product_walk
 from .strata import DecoratedStratum, TautClass, fundamental_stratum, \
     generators, single
 
@@ -185,28 +191,49 @@ def evaluate(x: TautClass) -> Fraction:
 
 _ZERO = Fraction(0)
 
+# A block row's nonzero pairings: its columns ascending, their integer
+# numerators and their least common denominator
+IntRow = tuple[tuple[int, ...], tuple[int, ...], int]
+
 
 def _pairings(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStratum]
-              ) -> Iterator[tuple[int, int, Fraction]]:
-    """The nonzero pairings (i, j, <rows[i], cols[j]>) of ``pair_block``,
-    yielded per row graph of the ``product_walk``, so only one row graph's
-    sums are held at a time.  When rows == cols only the entries with
-    i <= j are computed, and each is yielded with its mirror."""
+              ) -> Iterator[tuple[int, IntRow]]:
+    """The nonzero rows (i, IntRow) of a block, each yielded once its row
+    graph is walked.  When rows == cols only the entries with i <= j are
+    computed, and each is held for its mirror's row."""
     symmetric = rows == cols
+    mirrored: dict[int, dict[int, list[int]]] = {}  # i -> j -> [num, den]
+    row_ids = _by_graph(rows)
     for GA, entries in product_walk(rows, cols, symmetric):
         dim = 3 * GA.genus() - 3 + GA.num_legs
-        totals: dict[tuple[int, int], list[int]] = {}  # (i, j) -> [num, den]
+        totals: dict[int, dict[int, list[int]]] = {}
         for i, j, G, monomials in entries:
             s, t = rows[i], cols[j]
             if s.degree + t.degree == dim:  # else zero
-                _add_monomials(totals, (i, j), G, s, t, monomials)
-        for (i, j), (num, den) in totals.items():
-            if num:
-                value = Fraction(num, den * GA.inverse_aut.denominator
-                                 * cols[j].graph.inverse_aut.denominator)
-                yield i, j, value
-                if symmetric and i != j:
-                    yield j, i, value
+                _add_monomials(totals.setdefault(i, {}), j, G, s, t, monomials)
+        for i in row_ids[GA]:
+            row = {j: v for j, v in totals.pop(i, {}).items() if v[0]}
+            if symmetric:
+                for j in row:
+                    if j != i:
+                        mirrored.setdefault(j, {})[i] = row[j]
+                row.update(mirrored.pop(i, {}))
+            if row:
+                js = sorted(row)
+                den = lcm(*[row[j][1] for j in js])
+                nums = [row[j][0] * (den // row[j][1]) for j in js]
+                c = gcd(den, *nums)
+                yield i, (tuple(js), tuple([x // c for x in nums]), den // c)
+
+
+def _dense(rows: Iterable[tuple[int, IntRow]], nrows: int, ncols: int
+           ) -> list[list[Fraction]]:
+    """Integer rows (i, IntRow) as nrows rows of ncols Fractions."""
+    out = [[_ZERO] * ncols for _ in range(nrows)]
+    for i, (js, nums, den) in rows:
+        for j, x in zip(js, nums):
+            out[i][j] = Fraction(x, den)
+    return out
 
 
 def pair_block(rows: Iterable[DecoratedStratum],
@@ -214,18 +241,16 @@ def pair_block(rows: Iterable[DecoratedStratum],
     """The pairings <rows[i], cols[j]> as rows of Fractions, zero where the
     degrees are not complementary; the block of the module docstring."""
     rows, cols = tuple(rows), tuple(cols)
-    out = [[_ZERO] * len(cols) for _ in rows]
-    for i, j, value in _pairings(rows, cols):
-        out[i][j] = value
-    return out
+    return _dense(_pairings(rows, cols), len(rows), len(cols))
 
 
-def _add_monomials(totals: dict, entry: tuple[int, int], G: StableGraph,
+def _add_monomials(totals: dict, entry: int, G: StableGraph,
                    s: DecoratedStratum, t: DecoratedStratum,
                    monomials: Iterator[tuple[dict, dict, int]]) -> None:
-    """Add to ``totals[entry]`` the integral of the monomials (psi_he,
-    kappa, sign) of s * t on G, 1/|Aut G| included: their signs are added
-    per per-vertex kernel key and each key is integrated once."""
+    """Add to ``totals[entry]`` the pairing of s and t from the monomials
+    (psi_he, kappa, sign) of s * t on G, 1/(|Aut G| |Aut s| |Aut t|)
+    included: their signs are added per per-vertex kernel key and each key
+    is integrated once."""
     signs: dict[tuple, int] = {}
     pl = None
     for ph, kp, sign in monomials:
@@ -235,7 +260,8 @@ def _add_monomials(totals: dict, entry: tuple[int, int], G: StableGraph,
         signs[key] = signs.get(key, 0) + sign
     for keys, c in signs.items():
         if c:
-            num, den = c, G.inverse_aut.denominator
+            num, den = c, (G.inverse_aut.denominator * s.graph.inverse_aut
+                           .denominator * t.graph.inverse_aut.denominator)
             for key in keys:
                 p, q = _integral(*key).as_integer_ratio()
                 num *= p
@@ -258,8 +284,10 @@ def class_pairing_vector(x: TautClass,
     the coefficient-weighted rows of one ``pair_block``."""
     coeffs = tuple(x.terms.values())
     out = [_ZERO] * len(cogens)
-    for i, j, value in _pairings(tuple(x.terms), tuple(cogens)):
-        out[j] += coeffs[i] * value
+    for i, (cols, nums, den) in _pairings(tuple(x.terms), tuple(cogens)):
+        c = coeffs[i] / den
+        for j, num in zip(cols, nums):
+            out[j] += c * num
     return tuple(out)
 
 
@@ -340,18 +368,22 @@ def fraction_free_echelon(rows: Iterable[dict[int, int]]
     return len(pivots), tuple(pivots), echelon
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank, by ``fraction_free_echelon`` on the distinct primitive
-    vectors of the longer side: the rows of a tall or square matrix, the
-    columns of a wide one, each with its denominators cleared, divided by
-    the gcd of its entries and signed so its first entry is positive.
-    Nonzero multiples of one vector span one line, so the rank is kept.
-    The vectors are handed over one at a time, so the elimination frees
-    each as it replaces it, and the distinct keys once they are filed."""
-    side = rows if not rows or len(rows) >= len(rows[0]) else zip(*rows)
-    vectors = filter(None, map(_sparse_row, side))
+def _rank(vectors: Iterable[dict[int, int]]) -> int:
+    """Exact rank of nonzero sparse integer vectors, by
+    ``fraction_free_echelon`` on their distinct primitive forms: nonzero
+    multiples of one vector span one line, so the rank is kept.  The
+    vectors are handed over one at a time, so the elimination frees each
+    as it replaces it, and the distinct keys once they are filed."""
     return fraction_free_echelon(
         dict(zip(*v)) for v in dict.fromkeys(map(_primitive, vectors)))[0]
+
+
+def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank, the ``_rank`` of the longer side: the rows of a tall or
+    square matrix, the columns of a wide one, each with its denominators
+    cleared."""
+    side = rows if not rows or len(rows) >= len(rows[0]) else zip(*rows)
+    return _rank(filter(None, map(_sparse_row, side)))
 
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]],
@@ -383,46 +415,61 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
 @dataclass(frozen=True)
 class PairingMatrix:
     """Intersection pairing of degree-d generators against the complementary
-    generators."""
+    generators.  For 2d <= dim, ``int_rows`` holds each row's IntRow; for
+    2d > dim it is None, and the matrix is the complement's transpose."""
 
     g: int
     n: int
     d: int
     rows: tuple[DecoratedStratum, ...]
     cols: tuple[DecoratedStratum, ...]
+    int_rows: tuple[IntRow, ...] | None = field(default=None, compare=False,
+                                                repr=False)
+
+    def _complement(self) -> PairingMatrix:
+        return pairing_matrix(self.g, self.n, 3 * self.g - 3 + self.n - self.d)
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The integrals of the products.  For 2d > dim, the transpose of
-        the complementary matrix's, built on first read: ``rank`` does not
-        read it."""
-        dim = 3 * self.g - 3 + self.n
-        if 2 * self.d > dim:
-            t = pairing_matrix(self.g, self.n, dim - self.d)
-            return tuple(zip(*t.entries))
-        return tuple(map(tuple, pair_block(self.rows, self.cols)))
+        """The integrals of the products as rows of Fractions, built on
+        first read for library callers: ``rank`` does not read them."""
+        if self.int_rows is None:
+            return tuple(zip(*self._complement().entries))
+        return tuple(map(tuple, _dense(enumerate(self.int_rows),
+                                       len(self.rows), len(self.cols))))
 
     @functools.cached_property
     def rank(self) -> int:
-        dim = 3 * self.g - 3 + self.n
-        if 2 * self.d > dim:  # the transpose's rank, computed once
-            return pairing_matrix(self.g, self.n, dim - self.d).rank
-        return matrix_rank(self.entries)
+        """The ``_rank`` of the longer side of the integer rows, each row
+        scaled by its denominator, which keeps the rank: the rows, or the
+        columns of a wide matrix, merged from the rows one at a time."""
+        rows = self.int_rows
+        if rows is None:  # the transpose's rank, computed once
+            return self._complement().rank
+        if len(rows) >= len(self.cols):
+            return _rank(dict(zip(js, nums)) for js, nums, _ in rows if js)
+        merged = heapq.merge(*[zip(js, itertools.repeat(i), nums)
+                               for i, (js, nums, _) in enumerate(rows)])
+        return _rank({i: x for _, i, x in column} for _, column
+                     in itertools.groupby(merged, itemgetter(0)))
 
 
 @functools.cache
 def pairing_matrix(g: int, n: int, d: int) -> PairingMatrix:
     """Rows are degree-d generators, columns the complementary generators,
-    entries the integrals of the products, built in this call; cached by
-    (g, n, d).  For 2d > dim, the transpose of ``pairing_matrix(g, n,
-    dim - d)``, whose entries are transposed on first read."""
+    entries the integrals of the products; cached by (g, n, d).  For
+    2d <= dim the rows are integrated in this call and kept as integer
+    rows; for 2d > dim it is the transpose of ``pairing_matrix(g, n,
+    dim - d)``."""
     check_stable_type(g, n)
     dim = 3 * g - 3 + n
     if d < 0 or d > dim:
-        return PairingMatrix(g, n, d, (), ())
+        return PairingMatrix(g, n, d, (), (), ())
     if 2 * d > dim:
         t = pairing_matrix(g, n, dim - d)
         return PairingMatrix(g, n, d, t.cols, t.rows)
-    pm = PairingMatrix(g, n, d, generators(g, n, d), generators(g, n, dim - d))
-    pm.entries  # integrated in this call, not on first read
-    return pm
+    rows, cols = generators(g, n, d), generators(g, n, dim - d)
+    int_rows = [((), (), 1)] * len(rows)
+    for i, row in _pairings(rows, cols):
+        int_rows[i] = row
+    return PairingMatrix(g, n, d, rows, cols, tuple(int_rows))

@@ -31,9 +31,10 @@ runs over the orbit of the decoration, each image weighted by its
 stabilizer order (``DecoratedStratum.orbit``).  These tables live for the
 whole process, so they are kept small: an edge subset is an int bitmask,
 bit e for edge e, and a half-edge transport a tuple indexed by the
-target's half-edges.  ``_degenerations`` inverts the tables once per space
-and edge bound, so a product visits only the common degenerations of its
-factors.
+target's half-edges; each transport and preimage tuple, which recur across
+graphs, is the one ``shared`` copy of its value.  ``_degenerations``
+inverts the tables once per space and edge bound, so a product visits only
+the common degenerations of its factors.
 
 A factor on the graph with no edges admits one generic structure: K_A
 empty, so K_B = E(G) and G is the other factor's graph Gamma.  The product
@@ -78,7 +79,8 @@ from .graphs import (
     contract,
     enumerate_stable_graphs,
 )
-from .strata import DecoratedStratum, MixedClass, TautClass, make_stratum, single
+from .strata import DecoratedStratum, MixedClass, TautClass, make_stratum, \
+    shared, single
 
 # A contraction structure of G onto a target graph GA:
 #   (kept edges K as a bitmask over E(G), half-edge transport as a tuple
@@ -106,8 +108,8 @@ def _contractions(G: StableGraph) -> dict[StableGraph, tuple[Structure, ...]]:
     through the factor's ``orbit``."""
     E = G.num_edges
     out: dict[StableGraph, list[Structure]] = {G: [(
-        (1 << E) - 1, tuple(range(2 * E)),
-        tuple((v,) for v in range(G.num_vertices)))]}
+        (1 << E) - 1, shared(tuple(range(2 * E))),
+        shared(tuple([shared((v,)) for v in range(G.num_vertices)])))]}
     for e in range(E):
         H, vmap, hemap_c = contract(G, frozenset((e,)))
         T, vcan, hcan = canonical(H)
@@ -115,17 +117,17 @@ def _contractions(G: StableGraph) -> dict[StableGraph, tuple[Structure, ...]]:
         for h, w in hemap_c.items():
             back[hcan[w]] = h
         below = sum(1 << (hcan[hemap_c[2 * f]] // 2) for f in range(e))
-        pre = [tuple(w for w, v in enumerate(vmap) if vcan[v] == u)
+        pre = [shared(tuple(w for w, v in enumerate(vmap) if vcan[v] == u))
                for u in range(T.num_vertices)]  # T-vertex -> G-vertices
         for target, structs in _contractions(T).items():
             for kept, he, vpre in structs:
                 if below & kept == below:
                     out.setdefault(target, []).append((
                         sum(1 << (back[2 * k] // 2) for k in _bits(kept)),
-                        tuple(map(back.__getitem__, he)),
-                        tuple([pre[vs[0]] if len(vs) == 1 else
-                               tuple(sorted([w for u in vs for w in pre[u]]))
-                               for vs in vpre])))
+                        shared(tuple(map(back.__getitem__, he))),
+                        shared(tuple([pre[vs[0]] if len(vs) == 1 else shared(
+                            tuple(sorted([w for u in vs for w in pre[u]])))
+                            for vs in vpre]))))
     return {T: tuple(structs) for T, structs in out.items()}
 
 

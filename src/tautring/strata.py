@@ -15,6 +15,10 @@ irreducible-boundary stratum on Mbar_{1,1} integrates to 1/2.  All other
 
 ``_intern`` alone builds and files strata, so Aut-equivalent decorations
 give one object; ``make_stratum`` (raw data) and ``generators`` call it.
+Strata live for the whole process, so they are kept small: their (point,
+exponent) pairs and decoration tuples go through ``shared``, one table of
+small tuples that the contraction tables of ``product`` share too, and a
+stratum on a rigid graph stores no orbit, only reads it.
 
 A TautClass is a finite Fraction-linear combination of decorated strata of a
 fixed codimension on a fixed Mbar_{g,n}; a MixedClass collects one TautClass
@@ -59,14 +63,17 @@ class DecoratedStratum:
     psi_leg: PsiLeg
     psi_he: PsiHE
     kappa: Kappa
-    # neither compared nor shown; ``orbit`` holds each image of
-    # (psi_he, kappa) under Aut(graph) with its multiplicity
-    orbit: tuple[tuple[tuple[PsiHE, Kappa], int], ...] = field(
+    # neither compared nor shown: each image of (psi_he, kappa) under
+    # Aut(graph) with its multiplicity, None on a rigid graph; read it
+    # through ``orbit``
+    images: tuple[tuple[tuple[PsiHE, Kappa], int], ...] | None = field(
         compare=False, repr=False)
     degree: int = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.images == (((self.psi_he, self.kappa), 1),):  # rigid graph
+            object.__setattr__(self, "images", None)
         object.__setattr__(self, "degree", self.graph.num_edges
                            + sum(e for (_, e) in self.psi_leg)
                            + sum(e for (_, e) in self.psi_he)
@@ -76,6 +83,12 @@ class DecoratedStratum:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def orbit(self) -> tuple[tuple[tuple[PsiHE, Kappa], int], ...]:
+        """Each image of (psi_he, kappa) under Aut(graph), once, with its
+        multiplicity; on a rigid graph the decoration alone."""
+        return self.images or (((self.psi_he, self.kappa), 1),)
 
     def room(self) -> list[int]:
         """Per vertex of the graph: its moduli dimension minus the degree
@@ -131,6 +144,22 @@ def _orbit(graph: StableGraph, psi_he: PsiHE, kappa: Kappa
     return tuple(Counter(_decoration_images(graph, psi_he, kappa)).items())
 
 
+# The one stored copy of each small tuple that the process-lifetime tables
+# (strata, contraction structures) repeat.
+_SHARED: dict[tuple, tuple] = {}
+
+
+def shared(t: tuple) -> tuple:
+    """The stored tuple equal to t, filed on first sight: equal tuples
+    passed here come back as one object."""
+    return _SHARED.setdefault(t, t)
+
+
+def _shared_pairs(pairs: tuple) -> tuple:
+    """A tuple of (point, exponent) pairs, it and each pair ``shared``."""
+    return shared(tuple([shared(p) for p in pairs]))
+
+
 # A dict, not functools.cache: it interns strata under raw and minimized keys.
 _STRATUM_CACHE: dict[tuple, DecoratedStratum] = {}
 
@@ -138,14 +167,19 @@ _STRATUM_CACHE: dict[tuple, DecoratedStratum] = {}
 def _intern(key: tuple, orbit: tuple | None = None) -> DecoratedStratum:
     """The stratum of a canonical key (graph, psi_leg, psi_he, kappa), on a
     miss built on the least image in ``orbit`` (computed if not given) and
-    filed under both the key and that image."""
+    filed under both that image and the key, every tuple ``shared``."""
     stratum = _STRATUM_CACHE.get(key)
     if stratum is None:
         if orbit is None:
             orbit = _orbit(key[0], key[2], key[3])
-        final = (key[0], key[1], *min(orbit)[0])
+        orbit = tuple([((_shared_pairs(he), shared(kp)), m)
+                       for (he, kp), m in orbit])
+        graph, psi_leg = key[0], _shared_pairs(key[1])
+        final = (graph, psi_leg, *min(orbit)[0])
         stratum = _STRATUM_CACHE.get(final) or DecoratedStratum(*final, orbit)
-        _STRATUM_CACHE[key] = _STRATUM_CACHE[final] = stratum
+        _STRATUM_CACHE[final] = stratum
+        _STRATUM_CACHE[graph, psi_leg, _shared_pairs(key[2]),
+                       shared(key[3])] = stratum
     return stratum
 
 

@@ -274,22 +274,44 @@ def test_complementary_pairing_matrix_is_the_transpose():
 
 
 def test_complementary_entries_are_built_on_first_read():
-    # a 2d > dim matrix takes its rank from its complement and builds its
-    # transposed entries only when they are read; a 2d <= dim matrix has
-    # its entries from the call
+    # a 2d <= dim matrix holds integer rows from the call; no matrix holds
+    # dense entries until they are read, and a 2d > dim matrix takes its
+    # rank from its complement and its entries as the transpose of the
+    # complement's
     pairing_matrix.cache_clear()
     for g, n in [(0, 6), (1, 3), (2, 1)]:
         dim = 3 * g - 3 + n
         for d in range(dim + 1):
             pm = pairing_matrix(g, n, d)
-            if 2 * d <= dim:
-                assert "entries" in vars(pm)
-                continue
-            assert pm.rank == pairing_matrix(g, n, dim - d).rank
+            assert (pm.int_rows is not None) == (2 * d <= dim)
             assert "entries" not in vars(pm)
-            assert pm.entries == tuple(zip(*pairing_matrix(
-                g, n, dim - d).entries))
+            if 2 * d > dim:
+                assert pm.rank == pairing_matrix(g, n, dim - d).rank
+                assert "entries" not in vars(pm)
+                assert pm.entries == tuple(zip(*pairing_matrix(
+                    g, n, dim - d).entries))
+            else:
+                assert len(pm.entries) == len(pm.rows)
             assert "entries" in vars(pm)
+
+
+def test_integer_rows_hold_the_entries():
+    # each stored row is its nonzero columns ascending, with numerators
+    # over the least common denominator; every other entry is zero
+    for g, n in [(0, 5), (1, 3), (2, 1), (0, 6)]:
+        dim = 3 * g - 3 + n
+        for d in range(dim + 1):
+            pm = pairing_matrix(g, n, d)
+            assert pm.rank == matrix_rank(pm.entries)
+            if 2 * d > dim:
+                assert pm.int_rows is None
+                continue
+            assert len(pm.int_rows) == len(pm.rows)
+            for (cols, nums, den), row in zip(pm.int_rows, pm.entries):
+                assert list(cols) == sorted(set(cols)) and len(nums) == len(cols)
+                assert den > 0 and all(nums) and math.gcd(den, *nums) == 1
+                assert [Fraction(x, den) for x in nums] == [row[j] for j in cols]
+                assert not any(x for j, x in enumerate(row) if j not in cols)
 
 
 def test_pair_classes_type_check():

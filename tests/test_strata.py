@@ -8,9 +8,11 @@ from tautring.graphs import (
     DomainError,
     StableGraph,
     automorphism_count,
+    enumerate_stable_graphs,
     isomorphisms,
     make_graph,
 )
+from tautring.product import _contractions
 from tautring.strata import (
     DecoratedStratum,
     MixedClass,
@@ -122,6 +124,33 @@ def test_orbit_is_the_image_multiset_under_automorphisms():
     assert (s.psi_he, s.kappa) == (((0, 1), (4, 1)), ((0, (1,)),))
     assert sorted(s.orbit) == [((((h, 1), (k, 1)), ((0, (1,)),)), 1)
                                for h in (0, 1) for k in (4, 5)]
+
+
+def test_small_tuples_are_shared():
+    # the tables that live for the process hold one object per value of
+    # their small tuples: the transports and vertex preimages of the
+    # contraction structures, and the (point, exponent) pairs and
+    # decoration tuples of the strata
+    first = {}
+
+    def one_object(*tuples):
+        return all(first.setdefault(t, t) is t for t in tuples)
+
+    for g, n in [(0, 6), (1, 4)]:
+        for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
+            for structs in _contractions(G).values():
+                for _, he, vpre in structs:
+                    assert one_object(he, vpre, *vpre)
+    strata = [s for d in range(5) for s in generators(1, 4, d)]
+    for s in strata:
+        assert one_object(s.psi_leg, s.psi_he, s.kappa, *s.psi_leg, *s.psi_he)
+    # a stratum on a rigid graph stores no images, yet reads its orbit
+    rigid = [automorphism_count(s.graph) == 1 for s in strata]
+    assert 0 < sum(rigid) < len(strata)
+    for s, is_rigid in zip(strata, rigid):
+        assert (s.images is None) == is_rigid
+        if is_rigid:
+            assert s.orbit == (((s.psi_he, s.kappa), 1),)
 
 
 def test_make_stratum_rejects_bad_decorations():
