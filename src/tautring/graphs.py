@@ -23,6 +23,8 @@ of positions in color order, and the lexicographically minimal relabeling
 over the arrangements within the blocks is taken.
 Automorphisms act on vertices AND half-edges: swapping the two half-edges of
 a loop, or interchanging parallel edges, are nontrivial automorphisms.
+Canonical graphs, their records, automorphisms and identity maps live for
+the whole process; each small tuple they repeat is filed once, in ``shared``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,18 @@ def check_stable_type(g: int, n: int) -> None:
     """Refuse (g, n) unless g, n >= 0 and 2g - 2 + n > 0."""
     if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
         raise DomainError("unstable type (g, n) = (%d, %d)" % (g, n))
+
+
+_SHARED: dict[tuple, tuple] = {}
+
+
+def shared(t: tuple) -> tuple:
+    """The one stored copy of t, filed on first sight, each inner tuple too."""
+    hit = _SHARED.get(t)
+    if hit is None:
+        hit = tuple([shared(x) if type(x) is tuple else x for x in t])
+        _SHARED[hit] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +115,13 @@ class StableGraph:
     @functools.cached_property
     def half_edge_vertex(self) -> tuple[int, ...]:
         """The vertex of each half-edge id."""
-        return tuple(v for edge in self.edges for v in edge)
+        return shared(tuple([v for edge in self.edges for v in edge]))
 
     @functools.cached_property
-    def leg_vertex(self) -> dict[int, int]:
-        """The vertex of each marking."""
-        return {m: v for v, legs in enumerate(self.legs) for m in legs}
+    def leg_vertex(self) -> tuple[int, ...]:
+        """The vertex of each marking, indexed by marking (slot 0 unused)."""
+        return shared((0, *[v for _, v in sorted(
+            (m, v) for v, legs in enumerate(self.legs) for m in legs)]))
 
     @functools.cached_property
     def vertex_data(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], int], ...]:
@@ -114,8 +129,8 @@ class StableGraph:
         hes: list[list[int]] = [[] for _ in self.genera]
         for h, v in enumerate(self.half_edge_vertex):
             hes[v].append(h)
-        return tuple((g, l, tuple(x), 3 * g - 3 + len(l) + len(x))
-                     for g, l, x in zip(self.genera, self.legs, hes))
+        return shared(tuple([(g, l, tuple(x), 3 * g - 3 + len(l) + len(x))
+                             for g, l, x in zip(self.genera, self.legs, hes)]))
 
     @functools.cached_property
     def inverse_aut(self) -> Fraction:
@@ -346,10 +361,10 @@ def canonical(graph: StableGraph) -> tuple[StableGraph, tuple[int, ...], tuple[i
             best_perm = perm
     assert best is not None and best_perm is not None
     # one instance per canonical graph, so its cached data is computed once
-    cgraph = _CANON_CACHE.setdefault(best, (
-        StableGraph(*best), tuple(range(graph.num_vertices)),
-        tuple(range(2 * graph.num_edges))))[0]
-    return cgraph, tuple(best_perm), tuple(_half_edge_map(graph, best_perm))
+    hit = _CANON_CACHE.get(best) or _CANON_CACHE.setdefault(shared(best), (
+        StableGraph(*shared(best)), shared(tuple(range(graph.num_vertices))),
+        shared(tuple(range(2 * graph.num_edges)))))
+    return hit[0], tuple(best_perm), tuple(_half_edge_map(graph, best_perm))
 
 
 def make_graph(genera: Sequence[int], legs: Sequence[Sequence[int]],
@@ -404,7 +419,7 @@ def automorphisms(graph: StableGraph) -> tuple[tuple[tuple[int, ...], tuple[int,
             hemap = _half_edge_map(graph, perm)
             out.extend((tuple(perm), tuple(sym[h] for h in hemap))
                        for sym in syms)
-    return tuple(out)
+    return shared(tuple(out))
 
 
 def automorphism_count(graph: StableGraph) -> int:

@@ -31,10 +31,10 @@ runs over the orbit of the decoration, each image weighted by its
 stabilizer order (``DecoratedStratum.orbit``).  These tables live for the
 whole process, so they are kept small: an edge subset is an int bitmask,
 bit e for edge e, and a half-edge transport a tuple indexed by the
-target's half-edges; each transport and preimage tuple, which recur across
-graphs, is the one ``shared`` copy of its value.  ``_degenerations``
-inverts the tables once per space and edge bound, so a product visits only
-the common degenerations of its factors.
+target's half-edges; each target's tuple of structures and each tuple in
+it is the one ``shared`` copy of its value.  ``_degenerations`` inverts
+the tables once per space and edge bound, a flat tuple per target, so a
+product visits only the common degenerations of its factors.
 
 A factor on the graph with no edges admits one generic structure: K_A
 empty, so K_B = E(G) and G is the other factor's graph Gamma.  The product
@@ -78,9 +78,10 @@ from .graphs import (
     canonical,
     contract,
     enumerate_stable_graphs,
+    shared,
 )
 from .strata import DecoratedStratum, MixedClass, TautClass, make_stratum, \
-    shared, single
+    single
 
 # A contraction structure of G onto a target graph GA:
 #   (kept edges K as a bitmask over E(G), half-edge transport as a tuple
@@ -107,9 +108,9 @@ def _contractions(G: StableGraph) -> dict[StableGraph, tuple[Structure, ...]]:
     relabeling of that one contraction.  The target's automorphisms enter
     through the factor's ``orbit``."""
     E = G.num_edges
-    out: dict[StableGraph, list[Structure]] = {G: [(
-        (1 << E) - 1, shared(tuple(range(2 * E))),
-        shared(tuple([shared((v,)) for v in range(G.num_vertices)])))]}
+    out: dict[StableGraph, list[Structure]] = {G: [shared((
+        (1 << E) - 1, tuple(range(2 * E)),
+        tuple([(v,) for v in range(G.num_vertices)])))]}
     for e in range(E):
         H, vmap, hemap_c = contract(G, frozenset((e,)))
         T, vcan, hcan = canonical(H)
@@ -117,18 +118,17 @@ def _contractions(G: StableGraph) -> dict[StableGraph, tuple[Structure, ...]]:
         for h, w in hemap_c.items():
             back[hcan[w]] = h
         below = sum(1 << (hcan[hemap_c[2 * f]] // 2) for f in range(e))
-        pre = [shared(tuple(w for w, v in enumerate(vmap) if vcan[v] == u))
+        pre = [tuple(w for w, v in enumerate(vmap) if vcan[v] == u)
                for u in range(T.num_vertices)]  # T-vertex -> G-vertices
         for target, structs in _contractions(T).items():
             for kept, he, vpre in structs:
                 if below & kept == below:
-                    out.setdefault(target, []).append((
+                    out.setdefault(target, []).append(shared((
                         sum(1 << (back[2 * k] // 2) for k in _bits(kept)),
-                        shared(tuple(map(back.__getitem__, he))),
-                        shared(tuple([pre[vs[0]] if len(vs) == 1 else shared(
-                            tuple(sorted([w for u in vs for w in pre[u]])))
-                            for vs in vpre]))))
-    return {T: tuple(structs) for T, structs in out.items()}
+                        tuple(map(back.__getitem__, he)),
+                        tuple([tuple(sorted([w for u in vs for w in pre[u]]))
+                               for vs in vpre]))))
+    return {T: shared(tuple(structs)) for T, structs in out.items()}
 
 
 def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structure, ...]:
@@ -139,18 +139,19 @@ def contraction_structures(G: StableGraph, target: StableGraph) -> tuple[Structu
 
 
 @functools.cache
-def _degenerations(g: int, n: int, max_edges: int
-                   ) -> dict[StableGraph, dict[StableGraph, tuple[Structure, ...]]]:
-    """Every target graph of Mbar_{g,n} with edges, mapped to the graphs
-    with at most max_edges edges that contract onto it, in enumeration
-    order, each with its structures: ``_contractions`` inverted once per
-    space.  The graph with no edges is left out: its factors are pulled
-    back, not walked."""
-    index: dict[StableGraph, dict[StableGraph, tuple[Structure, ...]]] = {}
+def _degenerations(g: int, n: int, max_edges: int) -> dict[StableGraph, tuple]:
+    """Every target graph of Mbar_{g,n} with edges, mapped to one flat
+    tuple (G, structures, G', structures', ...) of the graphs with at most
+    max_edges edges that contract onto it, in enumeration order:
+    ``_contractions`` inverted once per space.  The graph with no edges is
+    left out: its factors are pulled back, not walked."""
+    index: dict[StableGraph, list] = {}
     for G in enumerate_stable_graphs(g, n, max_edges):
         for target, structs in _contractions(G).items():
             if target.num_edges:
-                index.setdefault(target, {})[G] = structs
+                index.setdefault(target, []).extend((G, structs))
+    for target, flat in index.items():
+        index[target] = tuple(flat)
     return index
 
 
@@ -333,8 +334,8 @@ def product_walk(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStrat
         if not max_b:
             return
         g, n, ea = GA.genus(), GA.num_legs, GA.num_edges
-        index = _degenerations(g, n, min(ea + max_b, 3 * g - 3 + n))
-        for G, structs_a in index[GA].items():
+        flat_a = iter(_degenerations(g, n, min(ea + max_b, 3 * g - 3 + n))[GA])
+        for G, structs_a in zip(flat_a, flat_a):
             E = G.num_edges
             full = (1 << E) - 1
             dims = [vd[3] for vd in G.vertex_data]

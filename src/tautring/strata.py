@@ -16,9 +16,9 @@ irreducible-boundary stratum on Mbar_{1,1} integrates to 1/2.  All other
 ``_intern`` alone builds and files strata, so Aut-equivalent decorations
 give one object; ``make_stratum`` (raw data) and ``generators`` call it.
 Strata live for the whole process, so they are kept small: their (point,
-exponent) pairs and decoration tuples go through ``shared``, one table of
-small tuples that the contraction tables of ``product`` share too, and a
-stratum on a rigid graph stores no orbit, only reads it.
+exponent) pairs and decoration tuples go through ``graphs.shared``, the
+package's one table of small tuples, and a stratum on a rigid graph stores
+no orbit, only reads it.
 
 A TautClass is a finite Fraction-linear combination of decorated strata of a
 fixed codimension on a fixed Mbar_{g,n}; a MixedClass collects one TautClass
@@ -47,6 +47,7 @@ from .graphs import (
     decode_graph,
     enumerate_stable_graphs,
     read_int,
+    shared,
 )
 
 PsiLeg = tuple[tuple[int, int], ...]
@@ -144,22 +145,6 @@ def _orbit(graph: StableGraph, psi_he: PsiHE, kappa: Kappa
     return tuple(Counter(_decoration_images(graph, psi_he, kappa)).items())
 
 
-# The one stored copy of each small tuple that the process-lifetime tables
-# (strata, contraction structures) repeat.
-_SHARED: dict[tuple, tuple] = {}
-
-
-def shared(t: tuple) -> tuple:
-    """The stored tuple equal to t, filed on first sight: equal tuples
-    passed here come back as one object."""
-    return _SHARED.setdefault(t, t)
-
-
-def _shared_pairs(pairs: tuple) -> tuple:
-    """A tuple of (point, exponent) pairs, it and each pair ``shared``."""
-    return shared(tuple([shared(p) for p in pairs]))
-
-
 # A dict, not functools.cache: it interns strata under raw and minimized keys.
 _STRATUM_CACHE: dict[tuple, DecoratedStratum] = {}
 
@@ -172,14 +157,12 @@ def _intern(key: tuple, orbit: tuple | None = None) -> DecoratedStratum:
     if stratum is None:
         if orbit is None:
             orbit = _orbit(key[0], key[2], key[3])
-        orbit = tuple([((_shared_pairs(he), shared(kp)), m)
-                       for (he, kp), m in orbit])
-        graph, psi_leg = key[0], _shared_pairs(key[1])
+        orbit = tuple([(shared(deco), m) for deco, m in orbit])
+        graph, psi_leg = key[0], shared(key[1])
         final = (graph, psi_leg, *min(orbit)[0])
         stratum = _STRATUM_CACHE.get(final) or DecoratedStratum(*final, orbit)
         _STRATUM_CACHE[final] = stratum
-        _STRATUM_CACHE[graph, psi_leg, _shared_pairs(key[2]),
-                       shared(key[3])] = stratum
+        _STRATUM_CACHE[(graph, psi_leg, *map(shared, key[2:]))] = stratum
     return stratum
 
 

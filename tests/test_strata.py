@@ -8,6 +8,8 @@ from tautring.graphs import (
     DomainError,
     StableGraph,
     automorphism_count,
+    automorphisms,
+    canonical,
     enumerate_stable_graphs,
     isomorphisms,
     make_graph,
@@ -128,9 +130,11 @@ def test_orbit_is_the_image_multiset_under_automorphisms():
 
 def test_small_tuples_are_shared():
     # the tables that live for the process hold one object per value of
-    # their small tuples: the transports and vertex preimages of the
-    # contraction structures, and the (point, exponent) pairs and
-    # decoration tuples of the strata
+    # their small tuples: the contraction structures, each target's tuple
+    # of them and their transports and vertex preimages; the encodings,
+    # per-vertex records, half-edge and leg vertices, automorphisms and
+    # filed identity maps of the graphs; and the (point, exponent) pairs
+    # and decoration tuples of the strata
     first = {}
 
     def one_object(*tuples):
@@ -139,8 +143,18 @@ def test_small_tuples_are_shared():
     for g, n in [(0, 6), (1, 4)]:
         for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
             for structs in _contractions(G).values():
+                assert one_object(structs, *structs)
                 for _, he, vpre in structs:
                     assert one_object(he, vpre, *vpre)
+            auts = automorphisms(G)
+            assert one_object(G.genera, G.legs, *G.legs, G.edges, *G.edges,
+                              *canonical(G)[1:], G.vertex_data, *G.vertex_data,
+                              *(hes for _, _, hes, _ in G.vertex_data),
+                              G.half_edge_vertex, G.leg_vertex, auts, *auts,
+                              *(m for aut in auts for m in aut))
+            assert type(G.leg_vertex) is tuple
+            for m in range(1, n + 1):
+                assert m in G.legs[G.leg_vertex[m]]
     strata = [s for d in range(5) for s in generators(1, 4, d)]
     for s in strata:
         assert one_object(s.psi_leg, s.psi_he, s.kappa, *s.psi_leg, *s.psi_he)
