@@ -31,26 +31,24 @@ row is yielded as an ``IntRow``: its nonzero columns, their integer
 numerators and their least common denominator, with no Fraction made.  The
 pairing is symmetric, so a block with rows == cols (a middle-degree
 pairing matrix, 2d = dim) computes the entries with i <= j and holds each
-mirror for its row.  pair_block is the block as rows of Fractions,
-class_pairing_vector its coefficient-weighted rows, pair_strata and
-pair_classes one block each, and evaluate the one-column block against the
-fundamental class; no pairing is memoised.  The verdict searches of
-``verify`` pair a class with blocks of 1, 2, 4, ... cogenerators in order,
-and stop at the first nonzero pairing.  pairing_matrix keeps the integer
-rows of degrees 2d <= dim; degree dim - d is the transpose and shares its
-rank.  Its dense ``entries`` are built only when read.
+mirror for its row.  class_pairing_vector is a block's coefficient-weighted
+rows, pair_strata, pair_classes and a span certificate one block each, and
+evaluate the one-column block against the fundamental class; no pairing is
+memoised.  The verdict searches of ``verify`` pair a class with blocks of
+1, 2, 4, ... cogenerators in order, and stop at the first nonzero pairing.
+pairing_matrix keeps the integer rows of degrees 2d <= dim, whose transpose
+is degree dim - d; its dense ``entries`` are built only when read.
 
 Linear algebra is exact and fraction-free, through one elimination,
 ``fraction_free_echelon``, over sparse integer rows: each row's nonzero
 entries with their denominators cleared.  Rows are eliminated in column
 order; only the rows whose head is the pivot column are updated, and each
 updated row is divided by its content.  It returns the pivot rows in that
-sparse form, the one shape its callers read.  ``_rank`` runs it on the
-distinct primitive vectors of a matrix's longer side (its rows, or its
-columns when it is wide): ``matrix_rank`` on a dense matrix,
-``PairingMatrix.rank`` on the integer rows, a wide one's columns merged
-from them one at a time; ``solve_linear_system`` runs it on the augmented
-rows and back-substitutes over the pivot rows' nonzeros.
+sparse form, the one shape its callers read.  One rank route, ``_rank``,
+runs it on the distinct primitive vectors of the longer side of sparse
+integer rows (a wide matrix's columns merged from its rows one at a time).
+One solve core, ``_solve``, runs it on augmented rows and back-substitutes
+over the pivot rows' nonzeros, for dense systems and span certificates.
 """
 
 from __future__ import annotations
@@ -226,24 +224,6 @@ def _pairings(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStratum]
                 yield i, (tuple(js), tuple([x // c for x in nums]), den // c)
 
 
-def _dense(rows: Iterable[tuple[int, IntRow]], nrows: int, ncols: int
-           ) -> list[list[Fraction]]:
-    """Integer rows (i, IntRow) as nrows rows of ncols Fractions."""
-    out = [[_ZERO] * ncols for _ in range(nrows)]
-    for i, (js, nums, den) in rows:
-        for j, x in zip(js, nums):
-            out[i][j] = Fraction(x, den)
-    return out
-
-
-def pair_block(rows: Iterable[DecoratedStratum],
-               cols: Iterable[DecoratedStratum]) -> list[list[Fraction]]:
-    """The pairings <rows[i], cols[j]> as rows of Fractions, zero where the
-    degrees are not complementary; the block of the module docstring."""
-    rows, cols = tuple(rows), tuple(cols)
-    return _dense(_pairings(rows, cols), len(rows), len(cols))
-
-
 def _add_monomials(totals: dict, entry: int, G: StableGraph,
                    s: DecoratedStratum, t: DecoratedStratum,
                    monomials: Iterator[tuple[dict, dict, int]]) -> None:
@@ -274,14 +254,15 @@ def _add_monomials(totals: dict, entry: int, G: StableGraph,
 
 def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
     """Integral of the product of two stratum classes of complementary degree,
-    the one-entry ``pair_block``; it equals ``evaluate(multiply_strata(s, t))``."""
-    return pair_block((s,), (t,))[0][0]
+    the one-entry block; it equals ``evaluate(multiply_strata(s, t))``."""
+    return sum((Fraction(nums[0], den)
+                for _, (_, nums, den) in _pairings((s,), (t,))), _ZERO)
 
 
 def class_pairing_vector(x: TautClass,
                          cogens: Sequence[DecoratedStratum]) -> tuple[Fraction, ...]:
     """Pairing of a class against a list of complementary-degree generators:
-    the coefficient-weighted rows of one ``pair_block``."""
+    the coefficient-weighted rows of one block."""
     coeffs = tuple(x.terms.values())
     out = [_ZERO] * len(cogens)
     for i, (cols, nums, den) in _pairings(tuple(x.terms), tuple(cogens)):
@@ -292,7 +273,7 @@ def class_pairing_vector(x: TautClass,
 
 
 def pair_classes(x: TautClass, y: TautClass) -> Fraction:
-    """Bilinear extension of the stratum pairing, one ``pair_block``."""
+    """Bilinear extension of the stratum pairing, one block."""
     if (x.g, x.n) != (y.g, y.n):
         raise DomainError("pairing type mismatch")
     return sum((d * value for d, value in zip(
@@ -304,13 +285,22 @@ def pair_classes(x: TautClass, y: TautClass) -> Fraction:
 
 
 def _sparse_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """The nonzero entries of a row by column, times the lcm of their
-    denominators: integers, in column order."""
-    nz = [(k, x) for k, x in enumerate(row) if x]
-    if not nz:
-        return {}
-    denom = lcm(*[x.denominator for _, x in nz])
-    return {k: x.numerator * (denom // x.denominator) for k, x in nz}
+    """The nonzero entries of a row by column, ``_cleared``."""
+    return _cleared({k: x for k, x in enumerate(row) if x})
+
+
+def _cleared(row: dict[int, Fraction]) -> dict[int, int]:
+    """Nonzero entries by ascending column, times their denominators' lcm."""
+    denom = lcm(*[x.denominator for x in row.values()])
+    return {k: x.numerator * (denom // x.denominator) for k, x in row.items()}
+
+
+def _width(rows: Sequence[Sequence]) -> int:
+    """The length of every row, 0 with no rows; refuses ragged rows."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise DomainError("rows of unequal length")
+    return ncols
 
 
 def _primitive(v: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -368,41 +358,36 @@ def fraction_free_echelon(rows: Iterable[dict[int, int]]
     return len(pivots), tuple(pivots), echelon
 
 
-def _rank(vectors: Iterable[dict[int, int]]) -> int:
-    """Exact rank of nonzero sparse integer vectors, by
-    ``fraction_free_echelon`` on their distinct primitive forms: nonzero
-    multiples of one vector span one line, so the rank is kept.  The
-    vectors are handed over one at a time, so the elimination frees each
-    as it replaces it, and the distinct keys once they are filed."""
+def _rank(rows: Sequence[tuple], ncols: int) -> int:
+    """Exact rank of sparse integer rows (columns ascending, entries, ...)
+    of ncols columns: ``fraction_free_echelon`` on the distinct primitive
+    forms (one per line spanned) of the longer side, handed over one at a
+    time, the rows or a wide matrix's columns merged from the rows."""
+    if len(rows) >= ncols:
+        vectors = (dict(zip(js, xs)) for js, xs, *_ in rows if js)
+    else:
+        merged = heapq.merge(*[zip(js, itertools.repeat(i), xs)
+                               for i, (js, xs, *_) in enumerate(rows)])
+        vectors = ({i: x for _, i, x in column} for _, column
+                   in itertools.groupby(merged, itemgetter(0)))
     return fraction_free_echelon(
         dict(zip(*v)) for v in dict.fromkeys(map(_primitive, vectors)))[0]
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank, the ``_rank`` of the longer side: the rows of a tall or
-    square matrix, the columns of a wide one, each with its denominators
-    cleared."""
-    side = rows if not rows or len(rows) >= len(rows[0]) else zip(*rows)
-    return _rank(filter(None, map(_sparse_row, side)))
+    """Exact rank, the ``_rank`` of the cleared rows; refuses ragged rows."""
+    ncols = _width(rows)
+    return _rank([(r, r.values()) for r in map(_sparse_row, rows)], ncols)
 
 
-def solve_linear_system(rows: Sequence[Sequence[Fraction]],
-                        rhs: Sequence[Fraction]
-                        ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Solve A x = b exactly.  Returns (solution, None) with free variables
-    set to zero, or (None, residual_row) where residual_row is an
-    unsatisfiable echelon row of the augmented matrix (all-zero coefficients
-    with nonzero right side).  Refuses a right side of another length."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if len(rhs) != nrows:
-        raise DomainError("%d equations but %d right-hand sides"
-                          % (nrows, len(rhs)))
-    _, pivots, ech = fraction_free_echelon(
-        _sparse_row([*r, b]) for r, b in zip(rows, rhs))
+def _solve(rows: Iterable[dict[int, int]], ncols: int
+           ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """``fraction_free_echelon`` on sparse integer rows augmented at column
+    ncols, then back-substitution: the result of ``solve_linear_system``."""
+    _, pivots, ech = fraction_free_echelon(rows)
     if pivots and pivots[-1] == ncols:  # 0 = b, b nonzero
-        return None, [Fraction(0)] * ncols + [Fraction(ech[-1][ncols])]
-    sol = [Fraction(0)] * ncols
+        return None, [_ZERO] * ncols + [Fraction(ech[-1][ncols])]
+    sol = [_ZERO] * ncols
     for col, row in zip(reversed(pivots), reversed(ech)):
         acc = Fraction(row.get(ncols, 0))
         for k, x in row.items():
@@ -410,6 +395,41 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
                 acc -= x * sol[k]
         sol[col] = acc / row[col]
     return sol, None
+
+
+def solve_linear_system(rows: Sequence[Sequence[Fraction]],
+                        rhs: Sequence[Fraction]
+                        ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """Solve A x = b exactly: (solution, None) with free variables zero, or
+    (None, residual_row), an unsatisfiable echelon row of the augmented
+    matrix (zero coefficients, nonzero right side).  Refuses ragged rows
+    and a right side of another length."""
+    ncols = _width(rows)
+    if len(rhs) != len(rows):
+        raise DomainError("%d equations but %d right-hand sides"
+                          % (len(rows), len(rhs)))
+    return _solve([_sparse_row([*r, b]) for r, b in zip(rows, rhs)], ncols)
+
+
+def _span_solution(x: TautClass, strata: Sequence[DecoratedStratum]
+                   ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """Solve sum_j lambda_j <strata[j], c> = <x, c> over the complementary
+    generators c, from one block of the strata and x's terms: a row files
+    its column c into equation c, at j for strata[j], or weighted by its
+    coefficient at the right side's column k.  The solution is checked."""
+    k, coeffs = len(strata), tuple(x.terms.values())
+    cogens = generators(x.g, x.n, 3 * x.g - 3 + x.n - x.degree)
+    eqs: list[dict[int, Fraction]] = [{} for _ in cogens]
+    for i, (cols, nums, den) in _pairings((*strata, *x.terms), cogens):
+        j, w = (i, Fraction(1, den)) if i < k else (k, coeffs[i - k] / den)
+        for c, num in zip(cols, nums):
+            eqs[c][j] = eqs[c].get(j, _ZERO) + w * num
+    rows = [_cleared({j: e[j] for j in sorted(e) if e[j]}) for e in eqs]
+    sol, residual = _solve(rows, k)
+    if sol is not None and any(sum((sol[j] * v for j, v in r.items() if j < k),
+                                   _ZERO) != r.get(k, 0) for r in rows):
+        raise ArithmeticError("solver verification failed")
+    return sol, residual
 
 
 @dataclass(frozen=True)
@@ -435,23 +455,18 @@ class PairingMatrix:
         first read for library callers: ``rank`` does not read them."""
         if self.int_rows is None:
             return tuple(zip(*self._complement().entries))
-        return tuple(map(tuple, _dense(enumerate(self.int_rows),
-                                       len(self.rows), len(self.cols))))
+        out = [[_ZERO] * len(self.cols) for _ in self.rows]
+        for row, (js, nums, den) in zip(out, self.int_rows):
+            for j, x in zip(js, nums):
+                row[j] = Fraction(x, den)
+        return tuple(map(tuple, out))
 
     @functools.cached_property
     def rank(self) -> int:
-        """The ``_rank`` of the longer side of the integer rows, each row
-        scaled by its denominator, which keeps the rank: the rows, or the
-        columns of a wide matrix, merged from the rows one at a time."""
-        rows = self.int_rows
-        if rows is None:  # the transpose's rank, computed once
+        """The ``_rank`` of the integer rows; scaling keeps the rank."""
+        if self.int_rows is None:  # the transpose's rank, computed once
             return self._complement().rank
-        if len(rows) >= len(self.cols):
-            return _rank(dict(zip(js, nums)) for js, nums, _ in rows if js)
-        merged = heapq.merge(*[zip(js, itertools.repeat(i), nums)
-                               for i, (js, nums, _) in enumerate(rows)])
-        return _rank({i: x for _, i, x in column} for _, column
-                     in itertools.groupby(merged, itemgetter(0)))
+        return _rank(self.int_rows, len(self.cols))
 
 
 @functools.cache

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import DomainError, make_graph
-from .integrate import (
-    class_pairing_vector,
-    matrix_rank,
-    pair_block,
-    solve_linear_system,
-)
+from .integrate import _span_solution, class_pairing_vector, matrix_rank
 from .pixton import (
     RamificationData,
     delta_factor,
@@ -140,8 +135,9 @@ def is_zero_mod_pairing(x: TautClass) -> CheckReport:
 
 def in_span_mod_pairing(x: TautClass,
                         strata: list[DecoratedStratum]) -> CheckReport:
-    """Solve <x - sum lambda_s s, c> = 0 over all complementary generators c;
-    pass returns the coefficients, fail an unsatisfiable echelon row."""
+    """Solve <x - sum lambda_s s, c> = 0 over all complementary generators c
+    as integer equations read from one pairing block; pass returns the
+    coefficients, fail an unsatisfiable echelon row."""
     t0 = time.monotonic()
     name = "in-span-mod-pairing"
     params = {"g": x.g, "n": x.n, "degree": x.degree,
@@ -156,26 +152,15 @@ def in_span_mod_pairing(x: TautClass,
             "coefficients": {},
             "note": "degree exceeds the dimension",
         }), t0)
-    cogens = generators(x.g, x.n, dim - x.degree)
-    target = class_pairing_vector(x, cogens)
-    span_vectors = pair_block(strata, cogens)
-    rows = [[span_vectors[j][i] for j in range(len(strata))]
-            for i in range(len(cogens))]
-    sol, residual = solve_linear_system(rows, list(target))
+    sol, residual = _span_solution(x, strata)
     if sol is None:
         return _timed(CheckReport(name, params, FAIL, {
             "residual_row": residual,
             "note": "unsatisfiable echelon row of the augmented system "
                     "(zero coefficients, nonzero right side)",
         }), t0)
-    for i in range(len(cogens)):
-        check = sum((sol[j] * rows[i][j] for j in range(len(strata))),
-                    Fraction(0))
-        if check != target[i]:
-            raise ArithmeticError("solver verification failed")
     return _timed(CheckReport(name, params, PASS_MOD, {
-        "coefficients": {strata[j].label(): sol[j]
-                         for j in range(len(strata))},
+        "coefficients": {s.label(): c for s, c in zip(strata, sol)},
     }), t0)
 
 
@@ -365,8 +350,8 @@ def check_section7() -> list[CheckReport]:
     i2 = multiply(da, irr)
     i3 = multiply(irr, db.sub(dab))
     cogens2 = generators(g, n, dim - 2)
-    vecs = [class_pairing_vector(v, cogens2) for v in (i1, i2, i3)]
-    rank = matrix_rank([list(v) for v in vecs])
+    rank = matrix_rank([class_pairing_vector(v, cogens2)
+                        for v in (i1, i2, i3)])
     verdict = PASS if rank == 3 else FAIL
     reports.append(_timed(CheckReport(
         "section7-rank-three", dict(base_params), verdict,

@@ -8,6 +8,7 @@ import pytest
 
 from tautring.graphs import DomainError, make_graph
 from tautring.integrate import (
+    _pairings,
     _sparse_row,
     class_pairing_vector,
     double_factorial,
@@ -15,7 +16,6 @@ from tautring.integrate import (
     fraction_free_echelon,
     kappa_psi_integral,
     matrix_rank,
-    pair_block,
     pair_classes,
     pair_strata,
     pairing_matrix,
@@ -333,12 +333,15 @@ def test_class_pairing_vector_type_check_and_zero_class():
         (Fraction(0),) * len(cogens)
 
 
-def test_pair_block_empty_shapes():
-    # no rows: no row lists; no columns: one empty row per row stratum
+def test_pairing_block_empty_shapes():
+    # no rows or no columns: a block yields no nonzero row, and a class
+    # paired with no column gives no pairings
     rows, cols = generators(1, 3, 1), generators(1, 3, 2)
-    assert pair_block((), cols) == []
-    assert pair_block(rows, ()) == [[]] * len(rows)
-    assert pair_block((), ()) == []
+    assert list(_pairings((), cols)) == []
+    assert list(_pairings(rows, ())) == []
+    assert list(_pairings((), ())) == []
+    assert class_pairing_vector(single(1, 3, rows[0]), ()) == ()
+    assert class_pairing_vector(TautClass(1, 3, 1), ()) == ()
 
 
 def test_pairing_entries_pinned():
@@ -539,6 +542,20 @@ def test_solve_linear_system_rejects_mismatched_right_side():
         solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
     with pytest.raises(DomainError):
         solve_linear_system([], [Fraction(1)])
+
+
+def test_ragged_rows_are_refused():
+    # zip(*rows) would truncate the columns to rank [[1, 2, 3], [3]] as 1,
+    # and the flattened augmented rows would read the second right side as
+    # a coefficient and return [-1/2, 3/4]
+    with pytest.raises(DomainError):
+        matrix_rank([[Fraction(1), Fraction(2), Fraction(3)], [Fraction(3)]])
+    with pytest.raises(DomainError):
+        solve_linear_system([[Fraction(1), Fraction(2)], [Fraction(3)]],
+                            [Fraction(1), Fraction(2)])
+    assert matrix_rank([[], []]) == 0
+    assert solve_linear_system([[], []], [Fraction(0), Fraction(0)]) == \
+        ([], None)
 
 
 def test_solve_linear_system_matches_gauss_jordan():

@@ -17,7 +17,6 @@ from tautring.graphs import (
 from tautring.integrate import (
     class_pairing_vector,
     evaluate,
-    pair_block,
     pair_classes,
     pair_strata,
     pairing_matrix,
@@ -161,7 +160,7 @@ def test_leg_overfilled_entries_are_skipped():
                 product, value = ungrouped_product(s, t)
                 assert multiply_strata(s, t) == product, (s, t)
                 if s.degree + t.degree == dim:
-                    assert pair_block((s,), (t,)) == [[value]], (s, t)
+                    assert pair_strata(s, t) == value, (s, t)
                     paired += 1
                 overfilled += 1
     assert (overfilled, paired) == (42, 42)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from tautring.verify import (
     is_zero_mod_pairing,
 )
 
-from oracles import ungrouped_pairing
+from oracles import gauss_jordan_solve, ungrouped_pairing
 
 
 def smooth(g, n):
@@ -244,3 +245,67 @@ def test_verdict_searches_match_ungrouped_oracle():
             assert pair_classes(x, x) == oracle_pairing(x, x)
     # some witnesses lie past the first cogenerator
     assert witnesses[-1] is None and len([w for w in witnesses if w]) >= 3
+
+
+def test_span_certificates_match_ungrouped_oracle():
+    # in_span_mod_pairing solves sum_j lambda_j <s_j, c> = <x, c> over every
+    # complementary generator c: it must pass exactly when the oracle's
+    # system is consistent, with coefficients that satisfy each oracle
+    # equation, and fail with a residual row (zero coefficients, nonzero
+    # right side) otherwise.  Spans: empty, random, a repeated stratum and
+    # one holding x's own strata
+    rng = random.Random(2828)
+    oracle = {}
+
+    def pairing(s, c):
+        if (s, c) not in oracle:
+            oracle[s, c] = ungrouped_pairing(s, c)
+        return oracle[s, c]
+
+    payloads = []
+    passes = fails = 0
+    for g, n in [(0, 5), (1, 3), (2, 1)]:
+        dim = 3 * g - 3 + n
+        for d in range(dim + 1):
+            gens, cogens = generators(g, n, d), generators(g, n, dim - d)
+            for _ in range(2):
+                x = TautClass(g, n, d)
+                for s in gens:
+                    if rng.random() < 0.3:
+                        x.iadd_term(s, Fraction(rng.randint(-6, 6),
+                                                rng.randint(1, 4)))
+                few = rng.sample(gens, min(len(gens), rng.randint(1, 4)))
+                twice = rng.choice(gens)
+                spans = [[], few, [twice, *few, twice],
+                         [*rng.sample(gens, min(len(gens), 2)), *x.terms]]
+                for span in spans:
+                    rep = in_span_mod_pairing(x, span)
+                    payloads.append(rep.to_json(with_runtime=False))
+                    rows = [[pairing(s, c) for s in span] for c in cogens]
+                    rhs = [sum((w * pairing(s, c) for s, w in x.terms.items()),
+                               Fraction(0)) for c in cogens]
+                    _, ref_residual = gauss_jordan_solve(rows, rhs)
+                    assert rep.passed == (ref_residual is None), (x, span)
+                    if not rep.passed:
+                        row = rep.witness["residual_row"]
+                        assert len(row) == len(span) + 1
+                        assert row[-1] and not any(row[:-1])
+                        fails += 1
+                        continue
+                    passes += 1
+                    coeffs = rep.witness["coefficients"]
+                    assert set(coeffs) == {s.label() for s in span}
+                    if len(coeffs) < len(span):
+                        continue  # a repeated stratum has one label
+                    for row, y in zip(rows, rhs):
+                        assert sum((coeffs[s.label()] * v
+                                    for s, v in zip(span, row)),
+                                   Fraction(0)) == y
+    assert passes > 20 and fails > 10, (passes, fails)
+    x = single(1, 3, generators(1, 3, 1)[0])
+    with pytest.raises(DomainError):
+        in_span_mod_pairing(x, [generators(1, 3, 1)[1],
+                                generators(0, 5, 1)[0]])
+    digest = hashlib.sha256("\n".join(payloads).encode()).hexdigest()
+    assert digest == \
+        "5a03e30e6461a8b82de6c3d5be885d545efacb844a74af666c00db43a7ee1456"
