@@ -31,10 +31,10 @@ row is yielded as an ``IntRow``: its nonzero columns, their integer
 numerators and their least common denominator, with no Fraction made.  The
 pairing is symmetric, so a block with rows == cols (a middle-degree
 pairing matrix, 2d = dim) computes the entries with i <= j and holds each
-mirror for its row.  class_pairing_vector is a block's coefficient-weighted
-rows, pair_strata, pair_classes and a span certificate one block each, and
-evaluate the one-column block against the fundamental class; no pairing is
-memoised.  The verdict searches of ``verify`` pair a class with blocks of
+mirror for its row.  class_pairing_vector (and a span certificate's right
+side) sums a block's coefficient-weighted rows in integers over one
+denominator; pair_strata and pair_classes are one block each, evaluate the
+one-column block against the fundamental class; no pairing is memoised.  The verdict searches of ``verify`` pair a class with blocks of
 1, 2, 4, ... cogenerators in order, and stop at the first nonzero pairing.
 pairing_matrix keeps the integer rows of degrees 2d <= dim, whose transpose
 is degree dim - d; its dense ``entries`` are built only when read.
@@ -64,7 +64,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import DomainError, StableGraph, check_stable_type
-from .product import _by_graph, leg_psi, product_walk
+from .product import _by_graph, _common, leg_psi, product_walk
 from .strata import DecoratedStratum, TautClass, fundamental_stratum, \
     generators, single
 
@@ -259,17 +259,25 @@ def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
                 for _, (_, nums, den) in _pairings((s,), (t,))), _ZERO)
 
 
+def _combine(rows: list[tuple[int, IntRow]], coeffs: Sequence[Fraction],
+             width: int) -> tuple[list[int], int]:
+    """sum_i coeffs[i] IntRow_i over the (i, IntRow) rows: width integers
+    over one denominator."""
+    weights, den = _common((coeffs[i], d) for i, (_, _, d) in rows)
+    out = [0] * width
+    for w, (_, (cols, nums, _)) in zip(weights, rows):
+        for j, num in zip(cols, nums):
+            out[j] += w * num
+    return out, den
+
+
 def class_pairing_vector(x: TautClass,
                          cogens: Sequence[DecoratedStratum]) -> tuple[Fraction, ...]:
     """Pairing of a class against a list of complementary-degree generators:
-    the coefficient-weighted rows of one block."""
-    coeffs = tuple(x.terms.values())
-    out = [_ZERO] * len(cogens)
-    for i, (cols, nums, den) in _pairings(tuple(x.terms), tuple(cogens)):
-        c = coeffs[i] / den
-        for j, num in zip(cols, nums):
-            out[j] += c * num
-    return tuple(out)
+    the coefficient-weighted rows of one block, summed in integers."""
+    sums, den = _combine(list(_pairings(tuple(x.terms), tuple(cogens))),
+                         tuple(x.terms.values()), len(cogens))
+    return tuple([Fraction(v, den) for v in sums])
 
 
 def pair_classes(x: TautClass, y: TautClass) -> Fraction:
@@ -415,16 +423,24 @@ def _span_solution(x: TautClass, strata: Sequence[DecoratedStratum]
                    ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
     """Solve sum_j lambda_j <strata[j], c> = <x, c> over the complementary
     generators c, from one block of the strata and x's terms: a row files
-    its column c into equation c, at j for strata[j], or weighted by its
-    coefficient at the right side's column k.  The solution is checked."""
-    k, coeffs = len(strata), tuple(x.terms.values())
+    its column c into equation c, at j for strata[j]; x's rows, weighted by
+    its coefficients, are summed in integers into the right side's column
+    k.  The solution is checked."""
+    k = len(strata)
     cogens = generators(x.g, x.n, 3 * x.g - 3 + x.n - x.degree)
     eqs: list[dict[int, Fraction]] = [{} for _ in cogens]
-    for i, (cols, nums, den) in _pairings((*strata, *x.terms), cogens):
-        j, w = (i, Fraction(1, den)) if i < k else (k, coeffs[i - k] / den)
-        for c, num in zip(cols, nums):
-            eqs[c][j] = eqs[c].get(j, _ZERO) + w * num
-    rows = [_cleared({j: e[j] for j in sorted(e) if e[j]}) for e in eqs]
+    terms = []  # x's rows, by position in x
+    for i, (cols, nums, d) in _pairings((*strata, *x.terms), cogens):
+        if i < k:
+            for c, num in zip(cols, nums):
+                eqs[c][i] = Fraction(num, d)
+        else:
+            terms.append((i - k, (cols, nums, d)))
+    rhs, den = _combine(terms, tuple(x.terms.values()), len(cogens))
+    for e, v in zip(eqs, rhs):
+        if v:
+            e[k] = Fraction(v, den)
+    rows = [_cleared(dict(sorted(e.items()))) for e in eqs]
     sol, residual = _solve(rows, k)
     if sol is not None and any(sum((sol[j] * v for j, v in r.items() if j < k),
                                    _ZERO) != r.get(k, 0) for r in rows):

@@ -12,33 +12,34 @@ vertex sums hit k(2g(v)-2+n(v))).  For each edge-power vector the weighting
 sum, averaged by r^{-h1}, is a polynomial in r above the threshold
 C = 1/2 sum_v |t_v| over the vertex targets t_v (proof at _weighting_ct);
 its constant term enters the coefficient.  The vertex equations of each
-(graph, data) pair are solved once, in one pass over a spanning tree
-(_edge_forms): every edge weight becomes a form in the h1 free weights.
-Each sample enumerates all r^{h1} free-weight vectors through that table in
-integer arithmetic (closed_weighting_value), and the constant term is
-interpolated from samples at r = C+1, C+2, ...
+(graph, data) pair are solved once over a spanning tree (_edge_forms).  A
+bridge's weight is a constant, so its factor is exact; per modulus r =
+C+1, C+2, ... one integer _value_table of the edges on a cycle serves every
+edge-power vector of the graph, and the constant terms are interpolated
+in integer Lagrange form.
 
-pixton_class adds each graph's terms with _add_graph_terms; delta_factor
-adds only those of the one-vertex graphs, with A = 0 and k = 0.  The
-degree-1 part on trees must reproduce twice Hain's divisor, whose boundary
-divisors are the one-edge trees of enumerate_stable_graphs(g, n, 1); that
-pin plus the vanishing of the degree-(g+1) cycle modulo the pairing fix
-every normalization choice here.
+pixton_class, pixton_mixed and delta_factor (the one-vertex graphs, A = 0,
+k = 0) pass over the graphs once, adding each graph's terms in all their
+degrees with _add_graph_terms.  The degree-1 part on trees must reproduce
+twice Hain's divisor, whose boundary divisors are the one-edge trees of
+enumerate_stable_graphs(g, n, 1); that pin plus the vanishing of the
+degree-(g+1) cycle modulo the pairing fix every normalization choice here.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Sequence
+from math import comb, factorial, lcm, prod
+from typing import Iterable, Sequence
 
 from .graphs import DomainError, StableGraph, check_stable_type, \
     enumerate_stable_graphs, read_int
-from .strata import MixedClass, TautClass, compositions, fundamental_stratum, \
-    make_stratum, single, unit
+from .strata import MixedClass, TautClass, _intern, compositions, \
+    fundamental_stratum, make_stratum, single, unit
 from .product import multiply_mixed
 
 
@@ -138,39 +139,39 @@ def _edge_forms(G: StableGraph, data: RamificationData) -> tuple:
     return sum(abs(t) for t in targets) // 2, len(free), tuple(forms)
 
 
+def _value_table(G: StableGraph, data: RamificationData, r: int) -> Counter:
+    """Counts of the vectors (y_e(r-y_e)) over the edges e on a cycle as the
+    free weights x run over [0, r)^{h1}, y_e = (c_e + sum_j s_j x_j) mod r
+    (_edge_forms): the one enumeration of (G, data, r), in integers."""
+    _, nfree, forms = _edge_forms(G, data)
+    values = [y * (r - y) for y in range(r)]
+    return Counter(tuple([values[(c + sum([s * xs[j] for j, s in eps])) % r]
+                          for c, eps in forms if eps])
+                   for xs in itertools.product(range(r), repeat=nfree))
+
+
+def _table_sum(table: Counter, powers: Sequence[int]) -> int:
+    """sum over the table of count * prod_e value_e^{power_e}."""
+    return sum([n * prod(map(pow, key, powers)) for key, n in table.items()])
+
+
 def closed_weighting_value(G: StableGraph, data: RamificationData,
                            mvec: Sequence[int], r: int) -> Fraction:
     """r^{-h1} times the sum of prod_e (w(h)w(h'))^{m_e+1} over the r^{h1}
-    weightings mod r of G, for edge powers mvec and a modulus r above the
-    threshold C.
-
-    Everything about G and the data is read from the table of _edge_forms:
-    the free weights x in [0, r)^{h1} give y_e = (c_e + sum_j s_j x_j) mod r
-    on the even half-edge of each edge.  Since w(h') = r - w(h) mod r, the
-    edge contributes (y_e(r-y_e))^{m_e+1}.  A bridge has no free term, so
-    its factor is one constant per sample.  The sum runs over Python ints,
-    divided once at the end.
-    """
+    weightings mod r of G, for edge powers mvec and r above the threshold C:
+    the _value_table at r times ((c_e mod r)(r - c_e mod r))^{m_e+1} per
+    bridge."""
     threshold, nfree, forms = _edge_forms(G, data)
     if r <= threshold:
         raise DomainError("modulus r=%d not above the threshold %d"
                           % (r, threshold))
     if len(mvec) != len(forms):
         raise DomainError("edge power vector length mismatch")
-    bridges = 1
-    edges = []
-    for (c, eps), m in zip(forms, mvec):
-        if eps:
-            edges.append((c, eps, [(y * (r - y)) ** (m + 1) for y in range(r)]))
-        else:
-            bridges *= ((c % r) * (r - c % r)) ** (m + 1)
-    total = 0
-    for xs in itertools.product(range(r), repeat=nfree):
-        term = bridges
-        for c, eps, values in edges:
-            term *= values[(c + sum(s * xs[j] for j, s in eps)) % r]
-        total += term
-    return Fraction(total, r ** nfree)
+    bridges = prod([((c % r) * (r - c % r)) ** (m + 1)
+                    for (c, eps), m in zip(forms, mvec) if not eps])
+    powers = [m + 1 for (_, eps), m in zip(forms, mvec) if eps]
+    return Fraction(bridges * _table_sum(_value_table(G, data, r), powers),
+                    r ** nfree)
 
 
 # ---------------------------------------------------------------------------
@@ -190,97 +191,122 @@ def interpolate_constant_term(samples: Sequence[tuple[int, Fraction]],
     if len(pts) < degree_bound + 1:
         raise DomainError("need at least %d samples, got %d"
                           % (degree_bound + 1, len(pts)))
-    fit = pts[:degree_bound + 1]
-    # Newton divided differences
-    xs = [x for x, _ in fit]
-    coef = [y for _, y in fit]
-    for level in range(1, len(fit)):
-        for i in range(len(fit) - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    # Lagrange form: y_i / prod_{j != i} (x_i - x_j) = scaled_i / den
+    xs, ys = zip(*pts[:degree_bound + 1])
+    nodes = [prod([xi - xj for xj in xs if xj != xi]) * y.denominator
+             for xi, y in zip(xs, ys)]
+    den = lcm(*nodes)
+    scaled = [y.numerator * (den // w) for w, y in zip(nodes, ys)]
 
-    def eval_at(x: int) -> Fraction:
-        acc = coef[-1]
-        for i in range(len(fit) - 2, -1, -1):
-            acc = acc * (x - xs[i]) + coef[i]
-        return acc
+    def at(x: int) -> int:  # the interpolant at x, times den
+        return sum([a * prod([x - xj for xj in xs if xj != xi])
+                    for a, xi in zip(scaled, xs)])
 
     for x, y in pts[degree_bound + 1:]:
-        got = eval_at(x)
-        if got != y:
+        if at(x) * y.denominator != y.numerator * den:
             raise ArithmeticError("surplus sample at r=%d gives %s, "
-                                  "interpolant predicts %s" % (x, y, got))
-    return eval_at(0)
+                                  "interpolant predicts %s"
+                                  % (x, y, Fraction(at(x), den)))
+    return Fraction(at(0), den)
 
 
-@functools.cache
 def _weighting_ct(G: StableGraph, data: RamificationData,
                   mvec: tuple[int, ...]) -> Fraction:
     """r-constant term of the weighting sum S(r) for fixed edge powers mvec.
 
-    With D = 2 sum_e (m_e+1) and C = _edge_forms(G, data)[0], the
-    average Q(r) = r^{-h1} S(r) (closed_weighting_value) is sampled at
-    r = C+1, ..., C+D+2: the first D+1 samples fit, the last one checks.
-    Degree: each of the r^{h1} terms is at most (r^2/4)^{D/2}.  Threshold:
-    loops add Faulhaber sums, polynomial for all r >= 1.  Take the other y_e
-    in [0, r] (y(r-y) vanishes at both ends); for each wrap vector k the
-    weightings are the lattice points of {0 <= y <= r, By = t + rk}, with B
-    the incidence matrix of G.  B is totally unimodular, so a weighted sum
-    over these points is one polynomial per chamber of (t + rk, r) (vector
-    partition functions: Sturmfels 1995; Beck-Robins).  Each wall is a cut
-    sum_{v in S} t_v = -Nr with N an integer, and N != 0 needs r <= C: for
-    r > C no wall is crossed and S is a polynomial, hence so is Q, which
-    JPPZ (arXiv:1602.04705) make polynomial for large r.  Cost: every vertex
-    has 2g(v)-2+n(v) > 0, so C <= sum_i |A_i|.
+    With C = _edge_forms(G, data)[0], a bridge's form is a cut sum c_e, so
+    for r > C its weight is |c_e| or r - |c_e| and its factor the
+    polynomial (|c_e|(r - |c_e|))^{m_e+1}, (-c_e^2)^{m_e+1} at r = 0.  The
+    rest, N(r), averages prod (y_e(r-y_e))^{m_e+1} over the edges on a
+    cycle: 1 on a tree, else sampled at r = C+1, ..., C+D+2, D = 2 sum
+    (m_e+1) over those edges, D+1 samples to fit and one to check.  Each of
+    the r^{h1} terms is at most (r^2/4)^{D/2}.  Loops add Faulhaber sums,
+    polynomial for r >= 1.  Take the other y_e in [0, r] (y(r-y) vanishes
+    at both ends); per wrap vector k the weightings are the lattice points
+    of {0 <= y <= r, By = t + rk}, B the incidence matrix of G.  B is
+    totally unimodular, so a weighted sum over them is one polynomial per
+    chamber of (t + rk, r) (vector partition functions: Sturmfels 1995;
+    Beck-Robins).  A wall is a cut sum_{v in S} t_v = -Nr, N an integer,
+    and N != 0 needs r <= C.  For r > C no wall is crossed, and the bridge
+    weights are fixed and interior: N, whose summand does not read them, is
+    one polynomial there (JPPZ, arXiv:1602.04705: for large r).  Every
+    vertex has 2g(v)-2+n(v) > 0, so C <= sum_i |A_i|.
     """
-    degree = 2 * sum(m + 1 for m in mvec)
-    start = _edge_forms(G, data)[0] + 1
-    samples = [(r, closed_weighting_value(G, data, mvec, r))
-               for r in range(start, start + degree + 2)]
-    return interpolate_constant_term(samples, degree)
+    return _weighting_cts(G, data, (mvec,))[mvec]
+
+
+def _weighting_cts(G: StableGraph, data: RamificationData,
+                   mvecs: Iterable[tuple[int, ...]]
+                   ) -> dict[tuple[int, ...], Fraction]:
+    """_weighting_ct per vector in mvecs, from one _value_table per modulus
+    r, read by every vector whose window holds r and then dropped."""
+    C, nfree, forms = _edge_forms(G, data)
+    out, windows = {}, []  # windows: (mvec, bridge value, powers, samples)
+    for mvec in mvecs:
+        bridges = prod([(-c * c) ** (m + 1)
+                        for (c, eps), m in zip(forms, mvec) if not eps])
+        powers = [m + 1 for (_, eps), m in zip(forms, mvec) if eps]
+        if bridges and powers:
+            windows.append((mvec, bridges, powers, []))
+        else:
+            out[mvec] = Fraction(bridges)
+    top = max([2 * sum(powers) for _, _, powers, _ in windows], default=-2)
+    for r in range(C + 1, C + top + 3):
+        table = _value_table(G, data, r)
+        for _, _, powers, samples in windows:
+            if r <= C + 2 * sum(powers) + 2:
+                samples.append((r, Fraction(_table_sum(table, powers),
+                                            r ** nfree)))
+    for mvec, bridges, powers, samples in windows:
+        out[mvec] = bridges * interpolate_constant_term(samples,
+                                                        2 * sum(powers))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the cycles
 
 
-def _add_graph_terms(out: TautClass, G: StableGraph,
-                     data: RamificationData, d: int) -> None:
-    """Add to out the degree-d cycle's terms on G: each split of the d - |E|
-    free degrees over the legs with A_i != 0, the vertices (k != 0) and the
-    edges, times the constant term of its weighting sum."""
-    A = data.A
-    E = G.num_edges
+def _add_graph_terms(parts: dict[int, TautClass], G: StableGraph,
+                     data: RamificationData) -> None:
+    """Add to each parts[d], d >= |E|, the degree-d cycle's terms on the
+    canonical G: each split of the d - |E| free degrees over the legs with
+    A_i != 0, the vertices (k != 0) and the edges, times the constant term
+    of its weighting sum, all from one _weighting_cts."""
+    A, E = data.A, G.num_edges
     active_legs = [m for m in G.markings() if A[m - 1] != 0]
-    nverts = G.num_vertices if data.k != 0 else 0
-    for comp in compositions(d - E, len(active_legs) + nverts + E):
-        p = comp[:len(active_legs)]
-        q = comp[len(active_legs):len(active_legs) + nverts]
-        mvec = comp[len(active_legs) + nverts:]
-        coeff = _weighting_ct(G, data, tuple(mvec))
-        if not coeff:
+    head = len(active_legs) + (G.num_vertices if data.k != 0 else 0)
+    splits = [comp for d in parts if d >= E
+              for comp in compositions(d - E, head + E)]
+    cts = _weighting_cts(G, data, dict.fromkeys(c[head:] for c in splits))
+    for comp in splits:
+        mvec, qs = comp[head:], comp[len(active_legs):head]
+        if not cts[mvec]:
             continue
-        pl: dict[int, int] = {}
-        for m, pw in zip(active_legs, p):
-            if pw:
-                coeff *= Fraction(A[m - 1] ** (2 * pw), factorial(pw))
-                pl[m] = pw
-        kp: dict[int, tuple[int, ...]] = {}
-        for v, qv in enumerate(q):
-            if qv:
-                coeff *= Fraction((-data.k * data.k) ** qv, factorial(qv))
-                kp[v] = (1,) * qv
-        for m in mvec:
-            coeff *= Fraction((-1) ** m, factorial(m + 1))
+        pl = tuple([(m, p) for m, p in zip(active_legs, comp) if p])
+        kp = tuple([(v, (1,) * q) for v, q in enumerate(qs) if q])
+        coeff = cts[mvec] * Fraction(
+            prod([A[m - 1] ** (2 * p) for m, p in pl])
+            * (-data.k * data.k) ** sum(qs) * (-1) ** sum(mvec),
+            prod(map(factorial, comp[:head]))
+            * prod([factorial(m + 1) for m in mvec]))
+        part = parts[E + sum(comp)]
         for split in itertools.product(*[range(m + 1) for m in mvec]):
-            mult = 1
-            ph: dict[int, int] = {}
-            for ei, (m, mh) in enumerate(zip(mvec, split)):
-                mult *= comb(m, mh)
-                if mh:
-                    ph[2 * ei] = mh
-                if m - mh:
-                    ph[2 * ei + 1] = m - mh
-            out.iadd_term(make_stratum(G, pl, ph, kp), coeff * mult)
+            ph = tuple([(h, e) for ei, (m, mh) in enumerate(zip(mvec, split))
+                        for h, e in ((2 * ei, mh), (2 * ei + 1, m - mh)) if e])
+            part.iadd_term(_intern((G, pl, ph, kp)),
+                           coeff * prod(map(comb, mvec, split)))
+
+
+def _parts(data: RamificationData, degrees: Sequence[int],
+           one_vertex: bool = False) -> dict[int, TautClass]:
+    """The cycle's parts in degrees (each at most the dimension), from one
+    pass over the graphs (only the one-vertex graphs if one_vertex)."""
+    parts = {d: TautClass(data.g, data.n, d) for d in degrees}
+    for G in enumerate_stable_graphs(data.g, data.n, max(degrees)):
+        if G.num_vertices == 1 or not one_vertex:
+            _add_graph_terms(parts, G, data)
+    return parts
 
 
 @functools.cache
@@ -292,17 +318,14 @@ def pixton_class(data: RamificationData, d: int) -> TautClass:
     """
     if d < 0:
         raise DomainError("negative degree")
-    out = TautClass(data.g, data.n, d)
-    if d <= data.dim:
-        for G in enumerate_stable_graphs(data.g, data.n, d):
-            _add_graph_terms(out, G, data, d)
-    return out
+    if d > data.dim:
+        return TautClass(data.g, data.n, d)
+    return _parts(data, (d,))[d]
 
 
 def pixton_mixed(data: RamificationData) -> MixedClass:
-    """All degrees of the cycle, up to the dimension."""
-    return MixedClass(data.g, data.n, {d: pixton_class(data, d)
-                                       for d in range(data.dim + 1)})
+    """All degrees of the cycle, up to the dimension, in one graph pass."""
+    return MixedClass(data.g, data.n, _parts(data, range(data.dim + 1)))
 
 
 def hain_divisor(data: RamificationData) -> TautClass:
@@ -341,35 +364,21 @@ def delta_factor(g: int, n: int) -> MixedClass:
     no kappa decorations and no psi on legs (psi on loop half-edges kept).
     Independent of A, so built from A = 0, k = 0, which give neither."""
     data = RamificationData(g, n, 0, (0,) * n)
-    out = MixedClass(g, n)
-    for d in range(data.dim + 1):
-        part = TautClass(g, n, d)
-        for G in enumerate_stable_graphs(g, n, d):
-            if G.num_vertices == 1:
-                _add_graph_terms(part, G, data, d)
-        out.set_part(part)
-    return out
+    return MixedClass(g, n, _parts(data, range(data.dim + 1), True))
 
 
 def exp_class(M: MixedClass) -> MixedClass:
     """exp of a mixed class, truncated at the dimension.  The degree-0 part
     must be zero or the fundamental class; exp applies to the positive part."""
     deg0 = M.part(0)
-    if not deg0.is_zero():
-        fund = single(M.g, M.n, fundamental_stratum(M.g, M.n))
-        if deg0 != fund:
-            raise DomainError("exp needs degree-0 part zero or fundamental")
-    pos = MixedClass(M.g, M.n)
-    for dd in M.degrees():
-        if dd >= 1:
-            pos.set_part(M.part(dd))
-    out = unit(M.g, M.n)
-    powk = unit(M.g, M.n)
-    fact = 1
-    for j in range(1, M.dim + 1):
-        powk = multiply_mixed(powk, pos)
-        fact *= j
-        if not powk.degrees():
+    if not deg0.is_zero() and \
+            deg0 != single(M.g, M.n, fundamental_stratum(M.g, M.n)):
+        raise DomainError("exp needs degree-0 part zero or fundamental")
+    pos = MixedClass(M.g, M.n, {d: M.part(d) for d in M.degrees() if d >= 1})
+    out = power = unit(M.g, M.n)
+    for j in range(1, M.dim + 1):  # power = pos^j / j!
+        power = multiply_mixed(power, pos).scale(Fraction(1, j))
+        if not power.degrees():
             break
-        out = out.add(powk.scale(Fraction(1, fact)))
+        out = out.add(power)
     return out

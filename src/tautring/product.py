@@ -63,14 +63,16 @@ entry whose two factors' leg psi alone overfill a vertex of G is dropped
 before its side groups meet.  Every entry with a factor on the graph with
 no edges, as row or as column, comes from one walker, ``pulled``, the only
 caller of ``pullback``.  ``multiply`` consumes the walk over the terms of
-two classes (``multiply_strata`` is one entry), the pairings of
+two classes (``multiply_strata`` is one entry) in integers, the pairings of
 ``integrate`` integrate its monomials in place; no product is memoised.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from fractions import Fraction
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     DomainError,
@@ -80,8 +82,7 @@ from .graphs import (
     enumerate_stable_graphs,
     shared,
 )
-from .strata import DecoratedStratum, MixedClass, TautClass, make_stratum, \
-    single
+from .strata import DecoratedStratum, MixedClass, TautClass, _intern, single
 
 # A contraction structure of G onto a target graph GA:
 #   (kept edges K as a bitmask over E(G), half-edge transport as a tuple
@@ -382,28 +383,38 @@ def leg_psi(sa: DecoratedStratum, sb: DecoratedStratum) -> dict[int, int]:
     return pl
 
 
+def _common(pairs: Iterable[tuple[Fraction, int]]) -> tuple[list[int], int]:
+    """Integers n_i and one denominator D with n_i / D = c_i / d_i for the
+    pairs (c_i, d_i), D the lcm of the d_i times c_i's denominator."""
+    pairs = list(pairs)
+    den = lcm(*[c.denominator * d for c, d in pairs])
+    return [c.numerator * (den // (c.denominator * d)) for c, d in pairs], den
+
+
 def multiply(x: TautClass, y: TautClass) -> TautClass:
     """Product of two classes, from one ``product_walk`` over their terms:
-    per entry and degeneration the int signs are added per stratum, then
-    scaled once by c_s c_t / (|Aut A| |Aut B|)."""
+    a_s b_t sign is added per (interned) stratum in integers, a_s / D_x =
+    c_s / |Aut A| and b_t / D_y = c_t / |Aut B|, then divided by D_x D_y."""
     if (x.g, x.n) != (y.g, y.n):
         raise DomainError("cannot multiply classes on different moduli spaces")
     out = TautClass(x.g, x.n, x.degree + y.degree)
     if out.degree > 3 * x.g - 3 + x.n:
         return out
     rows, cols = tuple(x.terms), tuple(y.terms)
+    (a, den_a), (b, den_b) = [
+        _common((c, s.graph.inverse_aut.denominator)
+                for s, c in z.terms.items()) for z in (x, y)]
+    sums: dict[DecoratedStratum, int] = {}
     for _, entries in product_walk(rows, cols):
         for i, j, G, monomials in entries:
-            s, t = rows[i], cols[j]
-            signs: dict[DecoratedStratum, int] = {}
-            pl = leg_psi(s, t)
+            pl = tuple(sorted(leg_psi(rows[i], cols[j]).items()))
+            w = a[i] * b[j]
             for ph, kp, sign in monomials:
-                st = make_stratum(G, pl, ph, kp)
-                signs[st] = signs.get(st, 0) + sign
-            c = (x.terms[s] * y.terms[t]
-                 * s.graph.inverse_aut * t.graph.inverse_aut)
-            for st, sign in signs.items():
-                out.iadd_term(st, c * sign)
+                st = _intern((G, pl, tuple(sorted(ph.items())), tuple(sorted(
+                    [(v, tuple(sorted(p))) for v, p in kp.items()]))))
+                sums[st] = sums.get(st, 0) + w * sign
+    for st, total in sums.items():
+        out.iadd_term(st, Fraction(total, den_a * den_b))
     return out
 
 

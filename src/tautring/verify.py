@@ -137,7 +137,8 @@ def in_span_mod_pairing(x: TautClass,
                         strata: list[DecoratedStratum]) -> CheckReport:
     """Solve <x - sum lambda_s s, c> = 0 over all complementary generators c
     as integer equations read from one pairing block; pass returns the
-    coefficients, fail an unsatisfiable echelon row."""
+    coefficients, one per label (a stratum listed twice gets the sum of its
+    copies'), fail an unsatisfiable echelon row."""
     t0 = time.monotonic()
     name = "in-span-mod-pairing"
     params = {"g": x.g, "n": x.n, "degree": x.degree,
@@ -159,8 +160,11 @@ def in_span_mod_pairing(x: TautClass,
             "note": "unsatisfiable echelon row of the augmented system "
                     "(zero coefficients, nonzero right side)",
         }), t0)
+    coefficients: dict[str, Fraction] = {}
+    for s, c in zip(strata, sol):  # a repeated stratum's copies add up
+        coefficients[s.label()] = coefficients.get(s.label(), 0) + c
     return _timed(CheckReport(name, params, PASS_MOD, {
-        "coefficients": {s.label(): c for s, c in zip(strata, sol)},
+        "coefficients": coefficients,
     }), t0)
 
 

@@ -304,8 +304,7 @@ def test_inconsistent_residues_exit_three(capsys, monkeypatch):
         return [targets[0] + 1] + targets[1:]
 
     def clear():
-        for cached in (pixton._edge_forms, pixton._weighting_ct,
-                       pixton.pixton_class):
+        for cached in (pixton._edge_forms, pixton.pixton_class):
             cached.cache_clear()
 
     monkeypatch.setattr("tautring.pixton._vertex_targets", shifted)
@@ -322,17 +321,19 @@ def test_inconsistent_residues_exit_three(capsys, monkeypatch):
 def test_surplus_mismatch_exits_three(capsys, monkeypatch):
     # samples above the proven threshold always fit, so a surplus sample off
     # the interpolant is a defect (exit 3), never bad input (exit 2)
-    exact = pixton.closed_weighting_value
+    exact = pixton._value_table
 
-    def corrupt(G, data, mvec, r):
-        value = exact(G, data, mvec, r)
-        fit_end = pixton._edge_forms(G, data)[0] + \
-            2 * sum(m + 1 for m in mvec) + 1
-        return value + 1 if r > fit_end else value
+    def corrupt(G, data, r):
+        table = exact(G, data, r)
+        C, _, forms = pixton._edge_forms(G, data)
+        # in degree 1 every edge power is 0: the fit ends at C + 2 E' + 1,
+        # E' the edges on a cycle
+        if r > C + 2 * sum(1 for _, eps in forms if eps) + 1:
+            table[(1,) * len(next(iter(table)))] += 1
+        return table
 
-    monkeypatch.setattr("tautring.pixton.closed_weighting_value", corrupt)
+    monkeypatch.setattr("tautring.pixton._value_table", corrupt)
     pixton.pixton_class.cache_clear()
-    pixton._weighting_ct.cache_clear()
     assert main(["pixton", "--g", "1", "--n", "2", "--k", "0",
                  "--A", "1,-1", "--deg", "1"]) == 3
     err = capsys.readouterr().err

@@ -595,3 +595,51 @@ def test_solve_linear_system_matches_gauss_jordan():
             assert not any(res[:n]) and res[n]
             inconsistent += 1
     assert consistent > 20 and inconsistent > 20
+
+
+def test_integer_sums_match_per_term_fraction_sums():
+    # coefficients over large pairwise coprime denominators: the products,
+    # pairing vectors and span right sides summed in integers over one
+    # denominator must equal their term-by-term Fraction sums
+    from tautring.product import multiply
+    from tautring.verify import in_span_mod_pairing
+
+    primes = [p for p in range(10 ** 6, 10 ** 6 + 4000)
+              if all(p % q for q in range(2, 1001))]
+    rng = random.Random(2930)
+
+    def random_class(g, n, d):
+        x = TautClass(g, n, d)
+        for s in generators(g, n, d):
+            if rng.random() < 0.5:
+                x.iadd_term(s, Fraction(rng.choice([-7, -2, 1, 3, 5]),
+                                        primes.pop()))
+        return x
+
+    checked = 0
+    for g, n, dx, dy in [(0, 5, 1, 1), (1, 3, 1, 1), (1, 3, 1, 2),
+                         (2, 1, 1, 2), (2, 1, 2, 2)]:
+        dim = 3 * g - 3 + n
+        x, y = random_class(g, n, dx), random_class(g, n, dy)
+        ref = TautClass(g, n, dx + dy)
+        for s, a in x.terms.items():
+            for t, b in y.terms.items():
+                for st, c in multiply_strata(s, t).terms.items():
+                    ref.iadd_term(st, a * b * c)
+        assert multiply(x, y) == ref, (g, n, dx, dy)
+        cogens = generators(g, n, dim - dx)
+        vector = tuple(sum((a * pair_strata(s, c) for s, a in x.terms.items()),
+                           Fraction(0)) for c in cogens)
+        assert class_pairing_vector(x, cogens) == vector
+        # a span of x's own strata and two more always holds x; its
+        # coefficients must solve the equations built term by term
+        span = list(dict.fromkeys([*rng.sample(generators(g, n, dx), 2),
+                                   *x.terms]))
+        rep = in_span_mod_pairing(x, span)
+        assert rep.passed
+        coeffs = rep.witness["coefficients"]
+        for c, value in zip(cogens, vector):
+            assert sum((coeffs[s.label()] * pair_strata(s, c) for s in span),
+                       Fraction(0)) == value
+        checked += bool(ref.terms) + any(vector)
+    assert checked == 10

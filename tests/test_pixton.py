@@ -274,6 +274,58 @@ def test_weighting_sums_polynomial_above_threshold():
         closed_weighting_value(G, data, mvec, C)
 
 
+def _bridges(G):
+    """The edges whose removal disconnects G, by a walk without each."""
+    out = []
+    for e in range(G.num_edges):
+        seen, todo = {0}, [0]
+        while todo:
+            u = todo.pop()
+            for f, (a, b) in enumerate(G.edges):
+                if f != e and u in (a, b) and (b if u == a else a) not in seen:
+                    seen.add(b if u == a else a)
+                    todo.append(b if u == a else a)
+        if len(seen) < G.num_vertices:
+            out.append(e)
+    return out
+
+
+def test_bridge_factors_match_full_window_fit(monkeypatch):
+    # on every graph with a bridge, the constant term from the exact bridge
+    # values and the interpolated cycle part must equal the plain fit of
+    # the full sums over r = C+1..C+D+2, D = 2 sum_e (m_e+1) over all edges;
+    # a tree takes no sample
+    rng = random.Random(2929)
+    sampled = []
+    monkeypatch.setattr(pixton, "_value_table",
+                        lambda G, data, r, exact=pixton._value_table:
+                        sampled.append(G) or exact(G, data, r))
+    kinds = set()
+    for g, n in [(2, 1), (2, 2), (1, 3), (0, 5)]:
+        for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
+            bridges = _bridges(G)
+            if not bridges:
+                continue
+            k = rng.randint(0, 2)
+            A = [rng.randint(-3, 3) for _ in range(n - 1)]
+            A.append(k * (2 * g - 2 + n) - sum(A))
+            data = RamificationData(g, n, k, tuple(A))
+            mvec = tuple(rng.randint(0, 1) for _ in range(G.num_edges))
+            C, _, forms = _edge_forms(G, data)
+            assert bridges == [e for e, (_, eps) in enumerate(forms) if not eps]
+            sampled.clear()
+            got = _weighting_ct(G, data, mvec)
+            assert not (G.h1 == 0 and sampled), G
+            D = 2 * sum(m + 1 for m in mvec)
+            fit = interpolate_constant_term(
+                [(r, closed_weighting_value(G, data, mvec, r))
+                 for r in range(C + 1, C + D + 3)], D)
+            assert got == fit, (G, data, mvec)
+            zero = any(forms[e][0] == 0 for e in bridges)
+            kinds.add((G.h1 > 0, zero))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_edge_forms_biject_onto_weightings():
     # the r^{h1} free-weight vectors must give distinct weightings, each
     # meeting the vertex congruences: sums alone cannot catch a form with
@@ -310,24 +362,25 @@ def test_edge_forms_biject_onto_weightings():
 
 
 def test_edge_forms_built_once_per_pair(monkeypatch):
-    # every sample and edge-power vector of one (graph, data) pair reads the
-    # same table: one build per pair
+    # every modulus and edge-power vector of one (graph, data) pair reads the
+    # same table: one build per pair.  The cycle in all degrees enumerates
+    # one value table per (graph, data, r), and none on a tree
     pixton_class.cache_clear()
-    _weighting_ct.cache_clear()
     _edge_forms.cache_clear()
-    pairs = set()
-    sample = pixton.closed_weighting_value
+    tables = []
+    sample = pixton._value_table
 
-    def spy(G, data, mvec, r):
-        pairs.add((G, data))
-        return sample(G, data, mvec, r)
+    def spy(G, data, r):
+        tables.append((G, data, r))
+        return sample(G, data, r)
 
-    monkeypatch.setattr(pixton, "closed_weighting_value", spy)
+    monkeypatch.setattr(pixton, "_value_table", spy)
     pixton_mixed(RamificationData(2, 1, 1, (3,)))
+    graphs = enumerate_stable_graphs(2, 1, 4)
     info = _edge_forms.cache_info()
-    assert len(pairs) == len(enumerate_stable_graphs(2, 1, 4))
-    assert info.misses == info.currsize == len(pairs)
-    assert info.hits > 10 * info.misses
+    assert info.misses == info.currsize == len(graphs)
+    assert info.hits == len(tables) == len(set(tables))
+    assert {G for G, _, _ in tables} == {G for G in graphs if G.h1}
 
 
 def test_pixton_mixed_payloads_pinned():
