@@ -17,27 +17,27 @@ equation, else a tau_1 by the dilaton equation (Witten 1991); only when every
 index is >= 2 does the DVV (KdV/Virasoro) recursion on the largest index
 run.  psi_integral is the kappa-free case of kappa_psi_integral.
 
-Every integral goes through one primitive, the block ``_pairings(rows,
-cols)``, which integrates product monomials in place, with no product class
-built.  It consumes the ``product_walk`` of ``product``, the same walk
-``multiply`` consumes: the strata grouped by graph, one walk of each row
-graph's degenerations for the common degenerations with every column graph,
-side groups once per degeneration and row stratum, and nothing retained
-past a row graph.  A factor on the graph with no edges is pulled back onto
-the other factor's graph there, with no degeneration walked.  An entry adds
-the signed counts of its monomials per per-vertex kernel key, integrates
-each key once and sums in integers.  Once its row graph is walked, each
-row is yielded as an ``IntRow``: its nonzero columns, their integer
-numerators and their least common denominator, with no Fraction made.  The
-pairing is symmetric, so a block with rows == cols (a middle-degree
-pairing matrix, 2d = dim) computes the entries with i <= j and holds each
-mirror for its row.  class_pairing_vector (and a span certificate's right
-side) sums a block's coefficient-weighted rows in integers over one
-denominator; pair_strata and pair_classes are one block each, evaluate the
-one-column block against the fundamental class; no pairing is memoised.  The verdict searches of ``verify`` pair a class with blocks of
-1, 2, 4, ... cogenerators in order, and stop at the first nonzero pairing.
-pairing_matrix keeps the integer rows of degrees 2d <= dim, whose transpose
-is degree dim - d; its dense ``entries`` are built only when read.
+Every integral goes through one primitive, the block ``_pairings(rows, cols)``,
+which integrates product monomials in place, with no product class built.  It
+consumes the ``product_walk`` of ``product``, the same walk ``multiply``
+consumes: the strata grouped by graph, one walk of each row graph's
+degenerations for the common degenerations with every column graph, side groups
+once per degeneration and row stratum, and nothing retained past a row graph.
+A factor on the graph with no edges is pulled back onto the other factor's
+graph there, with no degeneration walked.  An entry adds the signed counts of
+its monomials per per-vertex kernel key, integrates each key once and sums in
+integers.  Once its row graph is walked, each row is yielded as an ``IntRow``:
+its nonzero columns, their integer numerators and their least common
+denominator, with no Fraction made.  The pairing is symmetric, so a block with
+rows == cols (a middle-degree pairing matrix, 2d = dim) computes the entries
+with i <= j and holds each mirror for its row.  class_pairing_vector sums a
+block's coefficient-weighted rows over one integer denominator; pair_strata,
+pair_classes and a span certificate are one block each, and evaluate the
+one-column block against the fundamental class; no pairing is memoised.  The
+verdict searches of ``verify`` pair a class with blocks of 1, 2, 4, ...
+cogenerators in order, and stop at the first nonzero pairing.  pairing_matrix
+keeps the integer rows of degrees 2d <= dim, whose transpose is degree dim - d;
+its dense ``entries`` are built only when read.
 
 Linear algebra is exact and fraction-free, through one elimination,
 ``fraction_free_echelon``, over sparse integer rows: each row's nonzero

@@ -282,9 +282,10 @@ def _bridges(G):
         while todo:
             u = todo.pop()
             for f, (a, b) in enumerate(G.edges):
-                if f != e and u in (a, b) and (b if u == a else a) not in seen:
-                    seen.add(b if u == a else a)
-                    todo.append(b if u == a else a)
+                w = b if u == a else a
+                if f != e and u in (a, b) and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
         if len(seen) < G.num_vertices:
             out.append(e)
     return out
@@ -297,9 +298,13 @@ def test_bridge_factors_match_full_window_fit(monkeypatch):
     # a tree takes no sample
     rng = random.Random(2929)
     sampled = []
-    monkeypatch.setattr(pixton, "_value_table",
-                        lambda G, data, r, exact=pixton._value_table:
-                        sampled.append(G) or exact(G, data, r))
+    exact = pixton._value_table
+
+    def spy(G, data, r):
+        sampled.append(G)
+        return exact(G, data, r)
+
+    monkeypatch.setattr(pixton, "_value_table", spy)
     kinds = set()
     for g, n in [(2, 1), (2, 2), (1, 3), (0, 5)]:
         for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
