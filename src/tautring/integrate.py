@@ -30,14 +30,15 @@ integers.  Once its row graph is walked, each row is yielded as an ``IntRow``:
 its nonzero columns, their integer numerators and their least common
 denominator, with no Fraction made.  The pairing is symmetric, so a block with
 rows == cols (a middle-degree pairing matrix, 2d = dim) computes the entries
-with i <= j and holds each mirror for its row.  class_pairing_vector sums a
-block's coefficient-weighted rows over one integer denominator; pair_strata,
-pair_classes and a span certificate are one block each, and evaluate the
-one-column block against the fundamental class; no pairing is memoised.  The
-verdict searches of ``verify`` pair a class with blocks of 1, 2, 4, ...
-cogenerators in order, and stop at the first nonzero pairing.  pairing_matrix
-keeps the integer rows of degrees 2d <= dim, whose transpose is degree dim - d;
-its dense ``entries`` are built only when read.
+with i <= j and holds each mirror for its row.  A class x is paired through
+one block, ``_cogenerator_rows``: the complementary generators c as rows,
+each distinct stratum of a span and of x's support as a column, and per row
+the span's pairings and <x, c> summed in integers over one denominator.
+class_pairing_vector, span certificates and the verdict searches of
+``verify`` read these rows; evaluate pairs x with the fundamental class;
+pair_strata and pair_classes are one block each; no pairing is memoised.
+pairing_matrix keeps the integer rows of degrees 2d <= dim, whose transpose is
+degree dim - d; its dense ``entries`` are built only when read.
 
 Linear algebra is exact and fraction-free, through one elimination,
 ``fraction_free_echelon``, over sparse integer rows: each row's nonzero
@@ -183,7 +184,7 @@ def stratum_integral(s: DecoratedStratum) -> Fraction:
 
 def evaluate(x: TautClass) -> Fraction:
     """Integral of a top-degree class, its pairing with the fundamental
-    class: a one-column block.  Zero when the degree is not top."""
+    class: a one-row block.  Zero when the degree is not top."""
     return class_pairing_vector(x, (fundamental_stratum(x.g, x.n),))[0]
 
 
@@ -259,25 +260,35 @@ def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
                 for _, (_, nums, den) in _pairings((s,), (t,))), _ZERO)
 
 
-def _combine(rows: list[tuple[int, IntRow]], coeffs: Sequence[Fraction],
-             width: int) -> tuple[list[int], int]:
-    """sum_i coeffs[i] IntRow_i over the (i, IntRow) rows: width integers
-    over one denominator."""
-    weights, den = _common((coeffs[i], d) for i, (_, _, d) in rows)
-    out = [0] * width
-    for w, (_, (cols, nums, _)) in zip(weights, rows):
-        for j, num in zip(cols, nums):
-            out[j] += w * num
-    return out, den
+def _cogenerator_rows(x: TautClass, cogens: Sequence[DecoratedStratum],
+                      strata: Sequence[DecoratedStratum] = ()
+                      ) -> Iterator[tuple[int, dict[int, Fraction], Fraction]]:
+    """The rows of one block: cogens as rows, the distinct strata of strata
+    and of x's support as columns.  Per c = cogens[i] pairing nonzero with
+    a column, (i, span, <x, c>): span maps each position j of strata to a
+    nonzero <strata[j], c>, and <x, c> is summed in integers over one
+    denominator.  The rows come graph by graph, so in list order when each
+    graph's cogenerators are contiguous in cogens."""
+    cols = tuple(dict.fromkeys((*strata, *x.terms)))
+    at = {s: j for j, s in enumerate(cols)}
+    span = [at[s] for s in strata]
+    weights, den_x = _common((c, 1) for c in x.terms.values())
+    weight = {at[s]: w for s, w in zip(x.terms, weights)}
+    for i, (js, nums, den) in _pairings(tuple(cogens), cols):
+        row = dict(zip(js, nums))
+        total = sum([weight[j] * v for j, v in row.items() if j in weight])
+        yield i, {p: Fraction(row[j], den) for p, j in enumerate(span)
+                  if j in row}, Fraction(total, den_x * den)
 
 
 def class_pairing_vector(x: TautClass,
                          cogens: Sequence[DecoratedStratum]) -> tuple[Fraction, ...]:
-    """Pairing of a class against a list of complementary-degree generators:
-    the coefficient-weighted rows of one block, summed in integers."""
-    sums, den = _combine(list(_pairings(tuple(x.terms), tuple(cogens))),
-                         tuple(x.terms.values()), len(cogens))
-    return tuple([Fraction(v, den) for v in sums])
+    """Pairing of a class against a list of complementary-degree generators,
+    read from the ``_cogenerator_rows`` of one block."""
+    out = [_ZERO] * len(cogens)
+    for i, _, value in _cogenerator_rows(x, cogens):
+        out[i] = value
+    return tuple(out)
 
 
 def pair_classes(x: TautClass, y: TautClass) -> Fraction:
@@ -422,25 +433,12 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
 def _span_solution(x: TautClass, strata: Sequence[DecoratedStratum]
                    ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
     """Solve sum_j lambda_j <strata[j], c> = <x, c> over the complementary
-    generators c, from one block of the strata and x's terms: a row files
-    its column c into equation c, at j for strata[j]; x's rows, weighted by
-    its coefficients, are summed in integers into the right side's column
-    k.  The solution is checked."""
+    generators c, one equation per ``_cogenerator_rows`` row in generator
+    order, <x, c> at column k.  The solution is checked."""
     k = len(strata)
     cogens = generators(x.g, x.n, 3 * x.g - 3 + x.n - x.degree)
-    eqs: list[dict[int, Fraction]] = [{} for _ in cogens]
-    terms = []  # x's rows, by position in x
-    for i, (cols, nums, d) in _pairings((*strata, *x.terms), cogens):
-        if i < k:
-            for c, num in zip(cols, nums):
-                eqs[c][i] = Fraction(num, d)
-        else:
-            terms.append((i - k, (cols, nums, d)))
-    rhs, den = _combine(terms, tuple(x.terms.values()), len(cogens))
-    for e, v in zip(eqs, rhs):
-        if v:
-            e[k] = Fraction(v, den)
-    rows = [_cleared(dict(sorted(e.items()))) for e in eqs]
+    rows = [_cleared({**eq, k: value} if value else eq)
+            for _, eq, value in _cogenerator_rows(x, cogens, strata)]
     sol, residual = _solve(rows, k)
     if sol is not None and any(sum((sol[j] * v for j, v in r.items() if j < k),
                                    _ZERO) != r.get(k, 0) for r in rows):

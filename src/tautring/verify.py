@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import DomainError, make_graph
-from .integrate import _span_solution, class_pairing_vector, matrix_rank
+from .integrate import (_cogenerator_rows, _span_solution,
+                        class_pairing_vector, matrix_rank)
 from .pixton import (
     RamificationData,
     delta_factor,
@@ -99,18 +100,14 @@ def _timed(report: CheckReport, t0: float) -> CheckReport:
 
 
 def _separating(x: TautClass, cogens: list[DecoratedStratum]) -> dict | None:
-    """The first cogenerator pairing nonzero with x, with that pairing.  x is
-    paired with blocks of 1, 2, 4, ... cogenerators in order: a search
-    stops soon after its first nonzero pairing, and one that meets none
-    shares the per-graph work of a few large blocks."""
-    start, size = 0, 1
-    while start < len(cogens):
-        block = cogens[start:start + size]
-        for c, value in zip(block, class_pairing_vector(x, block)):
-            if value:
-                return {"generator": c.label(), "pairing": value}
-        start += size
-        size *= 2
+    """The first cogenerator pairing nonzero with x, with that pairing, from
+    x's ``_cogenerator_rows``; the walk stops at its row graph.  The rows
+    come graph by graph, so this is the first in list order only because
+    each graph's cogenerators are contiguous in cogens: it is given only
+    ``generators`` and section 7's filtered copy of it."""
+    for i, _, value in _cogenerator_rows(x, cogens):
+        if value:
+            return {"generator": cogens[i].label(), "pairing": value}
     return None
 
 

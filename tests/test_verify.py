@@ -175,10 +175,11 @@ def test_gplus1_monomial_count_pinned(monkeypatch):
 
 
 def test_verdict_searches_match_ungrouped_oracle():
-    # is_zero_mod_pairing pairs a class with blocks of 1, 2, 4, ...
-    # cogenerators, pair_classes with one block: the witness must still be
-    # the first cogenerator whose oracle pairing is nonzero, with that
-    # value, and pair_classes the coefficient-weighted oracle sum
+    # is_zero_mod_pairing reads a class's cogenerator rows graph by graph
+    # and stops at the first nonzero one, pair_classes pairs with one
+    # block: the witness must still be the first cogenerator whose oracle
+    # pairing is nonzero, with that value, and pair_classes the
+    # coefficient-weighted oracle sum
     rng = random.Random(1515)
     oracle = {}
 
@@ -308,3 +309,40 @@ def test_span_certificates_match_ungrouped_oracle():
     digest = hashlib.sha256("\n".join(payloads).encode()).hexdigest()
     assert digest == \
         "1d33643c835daa5465bf715ac1f767545ee49ea59ef20c21f89dfbda8bf3d990"
+
+
+def test_span_block_has_one_column_per_distinct_stratum(monkeypatch):
+    # a span certificate is one block with the complementary generators as
+    # rows and one column per distinct stratum of the span and the class:
+    # a stratum listed twice in the span, or also in the class, is one
+    # column.  Its coefficients must solve every oracle equation
+    from tautring import integrate
+
+    blocks = []
+    real = integrate._pairings
+
+    def spy(rows, cols):
+        blocks.append((rows, cols))
+        return real(rows, cols)
+
+    monkeypatch.setattr(integrate, "_pairings", spy)
+    g, n, d = 1, 3, 1
+    gens, cogens = generators(g, n, d), generators(g, n, 3 * g - 3 + n - d)
+    x = TautClass(g, n, d)
+    for k, s in enumerate(gens[1:4]):
+        x.iadd_term(s, Fraction(2 * k - 3, k + 2))
+    span = [gens[4], gens[1], gens[0], *x.terms, gens[4]]
+    rep = in_span_mod_pairing(x, span)
+    assert len(blocks) == 1
+    rows, cols = blocks[0]
+    assert rows == cogens
+    assert len(cols) == len(set(cols)) == 5
+    assert set(cols) == set(span) | set(x.terms)
+    assert rep.passed
+    coeffs = rep.witness["coefficients"]
+    assert set(coeffs) == {s.label() for s in span}
+    for c in cogens:
+        rhs = sum((w * ungrouped_pairing(s, c) for s, w in x.terms.items()),
+                  Fraction(0))
+        assert sum((coeffs[s.label()] * ungrouped_pairing(s, c)
+                    for s in dict.fromkeys(span)), Fraction(0)) == rhs
