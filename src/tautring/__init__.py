@@ -14,7 +14,6 @@ from .graphs import (
     contract,
     decode_graph,
     enumerate_stable_graphs,
-    isomorphisms,
     make_graph,
 )
 from .strata import (
@@ -88,7 +87,6 @@ __all__ = [
     "hain_divisor",
     "in_span_mod_pairing",
     "is_zero_mod_pairing",
-    "isomorphisms",
     "kappa_psi_integral",
     "make_graph",
     "make_stratum",

@@ -33,7 +33,6 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 
@@ -133,9 +132,9 @@ class StableGraph:
                              for g, l, x in zip(self.genera, self.legs, hes)]))
 
     @functools.cached_property
-    def inverse_aut(self) -> Fraction:
-        """1 / |Aut G|."""
-        return Fraction(1, automorphism_count(self))
+    def aut_order(self) -> int:
+        """|Aut G|."""
+        return automorphism_count(self)
 
     # -- validation ---------------------------------------------------------
 
@@ -159,29 +158,12 @@ class StableGraph:
         for (a, b) in self.edges:
             if not (0 <= a <= b < V):
                 raise DomainError("edge endpoints out of range or unsorted")
-        if not self.is_connected():
+        # contracting every edge leaves one vertex per component
+        if contract(self, frozenset(range(self.num_edges)))[0].num_vertices > 1:
             raise DomainError("graph not connected")
         for v, (gv, legs, hes, _) in enumerate(self.vertex_data):
             if 2 * gv - 2 + len(legs) + len(hes) <= 0:
                 raise DomainError("unstable vertex %d" % v)
-
-    def is_connected(self) -> bool:
-        V = self.num_vertices
-        if V == 1:
-            return True
-        adj: list[set[int]] = [set() for _ in range(V)]
-        for (a, b) in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == V
 
     # -- classification -----------------------------------------------------
 

@@ -26,19 +26,20 @@ once per degeneration and row stratum, and nothing retained past a row graph.
 A factor on the graph with no edges is pulled back onto the other factor's
 graph there, with no degeneration walked.  An entry adds the signed counts of
 its monomials per per-vertex kernel key, integrates each key once and sums in
-integers.  Once its row graph is walked, each row is yielded as an ``IntRow``:
-its nonzero columns, their integer numerators and their least common
-denominator, with no Fraction made.  The pairing is symmetric, so a block with
-rows == cols (a middle-degree pairing matrix, 2d = dim) computes the entries
-with i <= j and holds each mirror for its row.  A class x is paired through
-one block, ``_cogenerator_rows``: the complementary generators c as rows,
-each distinct stratum of a span and of x's support as a column, and per row
-the span's pairings and <x, c> summed in integers over one denominator.
-class_pairing_vector, span certificates and the verdict searches of
-``verify`` read these rows; evaluate pairs x with the fundamental class;
-pair_strata and pair_classes are one block each; no pairing is memoised.
-pairing_matrix keeps the integer rows of degrees 2d <= dim, whose transpose is
-degree dim - d; its dense ``entries`` are built only when read.
+integers; off complementary degree a vertex is off its dimension, where the
+kernel is zero, so no degree filter is needed.  Once its row graph is walked,
+each row is yielded as an ``IntRow``: its nonzero columns, their integer
+numerators and their least common denominator, with no Fraction made.  The
+pairing is symmetric, so a block with rows == cols (a middle-degree pairing
+matrix, 2d = dim) computes the entries with i <= j and holds each mirror for
+its row.  A class x is paired through one block, ``_cogenerator_rows``: the
+complementary generators c as rows, each distinct stratum of a span and of x's
+support as a column, and per row the span's pairings and <x, c> summed in
+integers over one denominator.  class_pairing_vector, span certificates and the
+verdict searches of ``verify`` read these rows; evaluate pairs x with the
+fundamental class; pair_strata and pair_classes are one block each; no pairing
+is memoised.  pairing_matrix keeps the integer rows of degrees 2d <= dim, whose
+transpose is degree dim - d; its dense ``entries`` are built only when read.
 
 Linear algebra is exact and fraction-free, through one elimination,
 ``fraction_free_echelon``, over sparse integer rows: each row's nonzero
@@ -204,12 +205,10 @@ def _pairings(rows: Sequence[DecoratedStratum], cols: Sequence[DecoratedStratum]
     mirrored: dict[int, dict[int, list[int]]] = {}  # i -> j -> [num, den]
     row_ids = _by_graph(rows)
     for GA, entries in product_walk(rows, cols, symmetric):
-        dim = 3 * GA.genus() - 3 + GA.num_legs
         totals: dict[int, dict[int, list[int]]] = {}
         for i, j, G, monomials in entries:
-            s, t = rows[i], cols[j]
-            if s.degree + t.degree == dim:  # else zero
-                _add_monomials(totals.setdefault(i, {}), j, G, s, t, monomials)
+            _add_monomials(totals.setdefault(i, {}), j, G, rows[i], cols[j],
+                           monomials)
         for i in row_ids[GA]:
             row = {j: v for j, v in totals.pop(i, {}).items() if v[0]}
             if symmetric:
@@ -241,8 +240,7 @@ def _add_monomials(totals: dict, entry: int, G: StableGraph,
         signs[key] = signs.get(key, 0) + sign
     for keys, c in signs.items():
         if c:
-            num, den = c, (G.inverse_aut.denominator * s.graph.inverse_aut
-                           .denominator * t.graph.inverse_aut.denominator)
+            num, den = c, G.aut_order * s.graph.aut_order * t.graph.aut_order
             for key in keys:
                 p, q = _integral(*key).as_integer_ratio()
                 num *= p

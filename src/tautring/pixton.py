@@ -10,7 +10,7 @@ with at most d edges.  Decorations come from the exponential factors
 where w ranges over weightings mod r (legs carry A_i, edge halves sum to 0,
 vertex sums hit k(2g(v)-2+n(v))).  For each edge-power vector the weighting
 sum, averaged by r^{-h1}, is a polynomial in r above the threshold
-C = 1/2 sum_v |t_v| over the vertex targets t_v (proof at _weighting_ct);
+C = 1/2 sum_v |t_v| over the vertex targets t_v (proof at _weighting_cts);
 its constant term enters the coefficient.  The vertex equations of each
 (graph, data) pair are solved once over a spanning tree (_edge_forms).  A
 bridge's weight is a constant, so its factor is exact; per modulus r =
@@ -210,9 +210,12 @@ def interpolate_constant_term(samples: Sequence[tuple[int, Fraction]],
     return Fraction(at(0), den)
 
 
-def _weighting_ct(G: StableGraph, data: RamificationData,
-                  mvec: tuple[int, ...]) -> Fraction:
-    """r-constant term of the weighting sum S(r) for fixed edge powers mvec.
+def _weighting_cts(G: StableGraph, data: RamificationData,
+                   mvecs: Iterable[tuple[int, ...]]
+                   ) -> dict[tuple[int, ...], Fraction]:
+    """The r-constant term of the weighting sum S(r) per edge-power vector
+    mvec in mvecs, from one _value_table per modulus r, read by every vector
+    whose window holds r and then dropped.
 
     With C = _edge_forms(G, data)[0], a bridge's form is a cut sum c_e, so
     for r > C its weight is |c_e| or r - |c_e| and its factor the
@@ -232,14 +235,6 @@ def _weighting_ct(G: StableGraph, data: RamificationData,
     one polynomial there (JPPZ, arXiv:1602.04705: for large r).  Every
     vertex has 2g(v)-2+n(v) > 0, so C <= sum_i |A_i|.
     """
-    return _weighting_cts(G, data, (mvec,))[mvec]
-
-
-def _weighting_cts(G: StableGraph, data: RamificationData,
-                   mvecs: Iterable[tuple[int, ...]]
-                   ) -> dict[tuple[int, ...], Fraction]:
-    """_weighting_ct per vector in mvecs, from one _value_table per modulus
-    r, read by every vector whose window holds r and then dropped."""
     C, nfree, forms = _edge_forms(G, data)
     out, windows = {}, []  # windows: (mvec, bridge value, powers, samples)
     for mvec in mvecs:

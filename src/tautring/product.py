@@ -267,7 +267,7 @@ def pullback(smooth: DecoratedStratum, st: DecoratedStratum,
     gives an image of the same monomials."""
     G = st.graph
     ph, kappa = dict(st.psi_he), dict(st.kappa)
-    weight = G.inverse_aut.denominator
+    weight = G.aut_order
     if not smooth.kappa:
         return [(ph, kappa, weight)]
     everywhere = tuple(zip(range(G.num_vertices), range(G.num_vertices)))
@@ -402,7 +402,7 @@ def multiply(x: TautClass, y: TautClass) -> TautClass:
         return out
     rows, cols = tuple(x.terms), tuple(y.terms)
     (a, den_a), (b, den_b) = [
-        _common((c, s.graph.inverse_aut.denominator)
+        _common((c, s.graph.aut_order)
                 for s, c in z.terms.items()) for z in (x, y)]
     sums: dict[DecoratedStratum, int] = {}
     for _, entries in product_walk(rows, cols):

@@ -263,6 +263,23 @@ def test_malformed_payload_shapes_exit_two(capsys, tmp_path):
         + ')#","coeff":"1"}]}',
         '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#((' + '1' * 5000
         + ',0),(0,0))","coeff":"1"}]}',
+        # graph encodings that decode_graph refuses: no '#', a bad vertex, a
+        # bad edge, non-canonical slots, unsorted legs, a repeated marking,
+        # an edge endpoint out of range and a disconnected graph
+        '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)","coeff":"1"}]}',
+        '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1;1)#","coeff":"1"}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(0|1)#((0,0))",'
+        '"coeff":"1"}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(0|1)#((0,1),(0,0))",'
+        '"coeff":"1"}]}',
+        '{"g":0,"n":3,"degree":0,"terms":[{"graph":"(0|2,1,3)#",'
+        '"coeff":"1"}]}',
+        '{"g":0,"n":3,"degree":0,"terms":[{"graph":"(0|1,1,2)#",'
+        '"coeff":"1"}]}',
+        '{"g":1,"n":1,"degree":1,"terms":[{"graph":"(0|1)#((0,0),(1,0))",'
+        '"coeff":"1"}]}',
+        '{"g":1,"n":4,"degree":0,"terms":[{"graph":"(0|1,2,3);(1|4)#",'
+        '"coeff":"1"}]}',
         # only the forms to_payload writes are coefficients
         '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#","coeff":"1.5"}]}',
         '{"g":1,"n":1,"degree":0,"terms":[{"graph":"(1|1)#","coeff":" 1"}]}',

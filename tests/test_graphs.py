@@ -199,6 +199,22 @@ def test_contract_loop_and_separating_edge():
         contract(B, frozenset({5}))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(1|1)", "missing '#'"),
+    ("(1;1)#", "bad vertex"),
+    ("(0|1)#((0,0))", "bad edge"),
+    ("(0|1)#((0,1),(0,0))", "non-canonical slot"),
+    ("(0|2,1,3)#", "sorted"),
+    ("(0|1,1,2)#", "repeated marking"),
+    ("(0|1)#((0,0),(1,0))", "out of range"),
+    # every vertex stable, so only the component count refuses it
+    ("(0|1,2,3);(1|4)#", "not connected"),
+])
+def test_decode_refusals(text, message):
+    with pytest.raises(DomainError, match=message):
+        decode_graph(text)
+
+
 def test_encode_decode_round_trip():
     for g, n, c in [(0, 4, 1), (1, 2, 2), (2, 1, 3)]:
         for G in enumerate_stable_graphs(g, n, c):

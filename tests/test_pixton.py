@@ -12,7 +12,7 @@ from tautring import pixton
 from tautring.pixton import (
     RamificationData,
     _edge_forms,
-    _weighting_ct,
+    _weighting_cts,
     closed_weighting_value,
     delta_factor,
     exp_class,
@@ -182,7 +182,7 @@ def test_weighting_constant_terms_match_closed_forms():
             if G.num_vertices == 1 and G.num_edges:
                 for mvec in itertools.product(range(3), repeat=G.num_edges):
                     loops += 1
-                    assert _weighting_ct(G, data, mvec) == \
+                    assert _weighting_cts(G, data, (mvec,))[mvec] == \
                         loop_constant_term(mvec), (G.encode(), mvec)
     rng = random.Random(2121)
     trees = 0
@@ -197,7 +197,7 @@ def test_weighting_constant_terms_match_closed_forms():
                 data = RamificationData(g, n, k, tuple(A))
                 mvec = tuple(rng.randint(0, 1) for _ in range(G.num_edges))
                 trees += 1
-                assert _weighting_ct(G, data, mvec) == \
+                assert _weighting_cts(G, data, (mvec,))[mvec] == \
                     tree_constant_term(G, data, mvec), (G.encode(), data, mvec)
     assert (loops, trees) == (69, 285)
 
@@ -233,7 +233,7 @@ def test_hain_divisor_matches_sum_over_subsets():
 
 
 def test_weighting_sums_polynomial_above_threshold():
-    # _weighting_ct fits degree 2 sum(m_e+1) from the threshold C + 1; a
+    # _weighting_cts fits degree 2 sum(m_e+1) from the threshold C + 1; a
     # disjoint window far above it, fitted with one spare degree, must give
     # the same constant term, and at C + 1 itself the sum must match the
     # per-edge brute force
@@ -264,7 +264,7 @@ def test_weighting_sums_polynomial_above_threshold():
         far = residue_bound(data) + degree + 3
         samples = [(r, closed_weighting_value(G, data, mvec, r))
                    for r in range(far, far + degree + 3)]
-        assert _weighting_ct(G, data, mvec) == \
+        assert _weighting_cts(G, data, (mvec,))[mvec] == \
             interpolate_constant_term(samples, degree + 1), (G, data, mvec)
         if G.h1 <= 2:
             assert closed_weighting_value(G, data, mvec, C + 1) == \
@@ -319,7 +319,7 @@ def test_bridge_factors_match_full_window_fit(monkeypatch):
             C, _, forms = _edge_forms(G, data)
             assert bridges == [e for e, (_, eps) in enumerate(forms) if not eps]
             sampled.clear()
-            got = _weighting_ct(G, data, mvec)
+            got = _weighting_cts(G, data, (mvec,))[mvec]
             assert not (G.h1 == 0 and sampled), G
             D = 2 * sum(m + 1 for m in mvec)
             fit = interpolate_constant_term(

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from tautring import verify
+from tautring.cli import main
 from tautring.graphs import DomainError, make_graph
 from tautring.integrate import pair_classes, pair_strata
 from tautring.pixton import RamificationData
 from tautring.product import multiply
-from tautring.strata import TautClass, generators, make_stratum, single
+from tautring.strata import MixedClass, TautClass, generators, \
+    make_stratum, single
 from tautring.verify import (
     CheckReport,
     check_exp_identities,
@@ -43,6 +46,10 @@ def test_nonzero_class_fails_with_witness():
 def test_degree_beyond_dimension_is_vacuous():
     rep = is_zero_mod_pairing(TautClass(1, 1, 5))
     assert rep.passed
+    rep = in_span_mod_pairing(TautClass(1, 1, 5), [])
+    assert rep.verdict == "pass-mod-pairing-kernel"
+    assert rep.witness == {"coefficients": {},
+                           "note": "degree exceeds the dimension"}
 
 
 def test_span_membership_with_verified_certificate():
@@ -126,6 +133,53 @@ def test_exp_identities_smallest_case():
     rep = check_exp_identities(RamificationData(1, 1, 0, (0,)))
     assert rep.passed
     assert rep.witness["degrees_checked"] == 2
+
+
+EXP12 = RamificationData(1, 2, 0, (1, -1))
+
+
+def test_exp_identities_fail_on_a_planted_quadratic_divisor(monkeypatch):
+    # three times twice Hain's divisor is not the compact-type part of P^1
+    real = verify.q_form
+    monkeypatch.setattr(verify, "q_form",
+                        lambda data: real(data).scale(Fraction(3)))
+    rep = check_exp_identities(EXP12)
+    assert rep.verdict == "fail"
+    assert rep.witness["identity"] == "ct-restriction"
+
+
+def _planted_loop_factor(monkeypatch):
+    # psi_1 added to the loop factor's degree-1 part: treelike, so no
+    # stratum off the treelike locus can absorb it
+    real = verify.delta_factor
+
+    def planted(g, n):
+        psi = make_stratum(smooth(g, n), {1: 1}, {}, {})
+        return real(g, n).add(MixedClass(g, n, {1: single(g, n, psi)}))
+
+    monkeypatch.setattr(verify, "delta_factor", planted)
+
+
+def test_exp_identities_fail_on_a_planted_loop_factor(monkeypatch):
+    assert check_exp_identities(EXP12).passed
+    _planted_loop_factor(monkeypatch)
+    rep = check_exp_identities(EXP12)
+    assert rep.verdict == "fail"
+    assert rep.witness["identity"] == "treelike-factorization"
+    assert rep.witness["degree"] == 1
+    residual = rep.witness["inner"]["residual_row"]
+    assert residual[-1] != 0 and not any(residual[:-1])
+
+
+def test_exp_identities_failure_exits_one(monkeypatch, capsys):
+    _planted_loop_factor(monkeypatch)
+    argv = ["check", "exp-identities", "--g", "1", "--n", "2", "--k", "0",
+            "--A", "1,-1", "--json"]
+    assert main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] is False
+    assert out["checks"][0]["witness"]["identity"] == \
+        "treelike-factorization"
 
 
 def test_gplus1_small_case():
