@@ -32,14 +32,15 @@ each row is yielded as an ``IntRow``: its nonzero columns, their integer
 numerators and their least common denominator, with no Fraction made.  The
 pairing is symmetric, so a block with rows == cols (a middle-degree pairing
 matrix, 2d = dim) computes the entries with i <= j and holds each mirror for
-its row.  A class x is paired through one block, ``_cogenerator_rows``: the
-complementary generators c as rows, each distinct stratum of a span and of x's
-support as a column, and per row the span's pairings and <x, c> summed in
-integers over one denominator.  class_pairing_vector, span certificates and the
-verdict searches of ``verify`` read these rows; evaluate pairs x with the
-fundamental class; pair_strata and pair_classes are one block each; no pairing
-is memoised.  pairing_matrix keeps the integer rows of degrees 2d <= dim, whose
-transpose is degree dim - d; its dense ``entries`` are built only when read.
+its row.  Classes are paired through one block, ``_cogenerator_rows``: the
+complementary generators c as rows, each distinct stratum of a span and of the
+classes' supports as a column, and per row the span's pairings and each <x, c>
+summed in integers over one denominator.  A bundle of ``verify`` reads each
+(space, degree) it decides from one such block, class_pairing_vector the
+one-class case; evaluate pairs x with the fundamental class; pair_strata and
+pair_classes are one block each; no pairing is memoised.  pairing_matrix keeps
+the integer rows of degrees 2d <= dim, whose transpose is degree dim - d; its
+dense ``entries`` are built only when read.
 
 Linear algebra is exact and fraction-free, through one elimination,
 ``fraction_free_echelon``, over sparse integer rows: each row's nonzero
@@ -50,7 +51,7 @@ sparse form, the one shape its callers read.  One rank route, ``_rank``,
 runs it on the distinct primitive vectors of the longer side of sparse
 integer rows (a wide matrix's columns merged from its rows one at a time).
 One solve core, ``_solve``, runs it on augmented rows and back-substitutes
-over the pivot rows' nonzeros, for dense systems and span certificates.
+over the pivot rows' nonzeros, for dense systems and ``_span_solution``.
 """
 
 from __future__ import annotations
@@ -258,33 +259,37 @@ def pair_strata(s: DecoratedStratum, t: DecoratedStratum) -> Fraction:
                 for _, (_, nums, den) in _pairings((s,), (t,))), _ZERO)
 
 
-def _cogenerator_rows(x: TautClass, cogens: Sequence[DecoratedStratum],
-                      strata: Sequence[DecoratedStratum] = ()
-                      ) -> Iterator[tuple[int, dict[int, Fraction], Fraction]]:
+def _cogenerator_rows(xs: Sequence[TautClass],
+                      cogens: Sequence[DecoratedStratum],
+                      strata: Sequence[DecoratedStratum] = ()) -> Iterator[
+                          tuple[int, dict, tuple[Fraction, ...]]]:
     """The rows of one block: cogens as rows, the distinct strata of strata
-    and of x's support as columns.  Per c = cogens[i] pairing nonzero with
-    a column, (i, span, <x, c>): span maps each position j of strata to a
-    nonzero <strata[j], c>, and <x, c> is summed in integers over one
-    denominator.  The rows come graph by graph, so in list order when each
-    graph's cogenerators are contiguous in cogens."""
-    cols = tuple(dict.fromkeys((*strata, *x.terms)))
+    and of the classes' supports as columns.  Per c = cogens[i] pairing
+    nonzero with a column, (i, span, values): span maps each position j of
+    strata to a nonzero <strata[j], c>, and values[k] = <xs[k], c> is summed
+    in integers over one denominator.  The rows come graph by graph, so in
+    list order for a ``generators`` tuple."""
+    cols = tuple(dict.fromkeys((*strata, *(s for x in xs for s in x.terms))))
     at = {s: j for j, s in enumerate(cols)}
     span = [at[s] for s in strata]
-    weights, den_x = _common((c, 1) for c in x.terms.values())
-    weight = {at[s]: w for s, w in zip(x.terms, weights)}
+    weights = []
+    for x in xs:
+        nums, den_x = _common((c, 1) for c in x.terms.values())
+        weights.append(({at[s]: w for s, w in zip(x.terms, nums)}, den_x))
     for i, (js, nums, den) in _pairings(tuple(cogens), cols):
         row = dict(zip(js, nums))
-        total = sum([weight[j] * v for j, v in row.items() if j in weight])
         yield i, {p: Fraction(row[j], den) for p, j in enumerate(span)
-                  if j in row}, Fraction(total, den_x * den)
+                  if j in row}, tuple([Fraction(sum([
+                      weight[j] * v for j, v in row.items() if j in weight]),
+                      den_x * den) for weight, den_x in weights])
 
 
 def class_pairing_vector(x: TautClass,
                          cogens: Sequence[DecoratedStratum]) -> tuple[Fraction, ...]:
     """Pairing of a class against a list of complementary-degree generators,
-    read from the ``_cogenerator_rows`` of one block."""
+    read from the one-class ``_cogenerator_rows`` of one block."""
     out = [_ZERO] * len(cogens)
-    for i, _, value in _cogenerator_rows(x, cogens):
+    for i, _, (value,) in _cogenerator_rows((x,), cogens):
         out[i] = value
     return tuple(out)
 
@@ -301,15 +306,10 @@ def pair_classes(x: TautClass, y: TautClass) -> Fraction:
 # exact linear algebra (fraction-free)
 
 
-def _sparse_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """The nonzero entries of a row by column, ``_cleared``."""
-    return _cleared({k: x for k, x in enumerate(row) if x})
-
-
-def _cleared(row: dict[int, Fraction]) -> dict[int, int]:
-    """Nonzero entries by ascending column, times their denominators' lcm."""
-    denom = lcm(*[x.denominator for x in row.values()])
-    return {k: x.numerator * (denom // x.denominator) for k, x in row.items()}
+def _sparse_row(row: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """Nonzero (column, value) entries over their ``_common`` denominator."""
+    row = {k: x for k, x in row if x}
+    return dict(zip(row, _common((x, 1) for x in row.values())[0]))
 
 
 def _width(rows: Sequence[Sequence]) -> int:
@@ -394,7 +394,8 @@ def _rank(rows: Sequence[tuple], ncols: int) -> int:
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank, the ``_rank`` of the cleared rows; refuses ragged rows."""
     ncols = _width(rows)
-    return _rank([(r, r.values()) for r in map(_sparse_row, rows)], ncols)
+    return _rank([(r, r.values()) for r in
+                  (_sparse_row(enumerate(row)) for row in rows)], ncols)
 
 
 def _solve(rows: Iterable[dict[int, int]], ncols: int
@@ -425,18 +426,14 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
     if len(rhs) != len(rows):
         raise DomainError("%d equations but %d right-hand sides"
                           % (len(rows), len(rhs)))
-    return _solve([_sparse_row([*r, b]) for r, b in zip(rows, rhs)], ncols)
+    return _solve([_sparse_row(enumerate([*r, b]))
+                   for r, b in zip(rows, rhs)], ncols)
 
 
-def _span_solution(x: TautClass, strata: Sequence[DecoratedStratum]
+def _span_solution(rows: Sequence[dict[int, int]], k: int
                    ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Solve sum_j lambda_j <strata[j], c> = <x, c> over the complementary
-    generators c, one equation per ``_cogenerator_rows`` row in generator
-    order, <x, c> at column k.  The solution is checked."""
-    k = len(strata)
-    cogens = generators(x.g, x.n, 3 * x.g - 3 + x.n - x.degree)
-    rows = [_cleared({**eq, k: value} if value else eq)
-            for _, eq, value in _cogenerator_rows(x, cogens, strata)]
+    """``_solve`` on span equations sum_j lambda_j a_j = b (integers a_j by
+    column j < k, b at column k), its solution checked against each."""
     sol, residual = _solve(rows, k)
     if sol is not None and any(sum((sol[j] * v for j, v in r.items() if j < k),
                                    _ZERO) != r.get(k, 0) for r in rows):

@@ -7,7 +7,8 @@ Equality verdicts are decided against all tautological generators of
 complementary degree, so a passing equality is "pass-mod-pairing-kernel":
 equal up to classes pairing to zero against everything tautological.
 Inequality and linear-independence verdicts are absolute.  Every fail
-carries a concrete witness.
+carries a concrete witness.  A bundle reads each (space, degree) it decides
+from one pairing block, ``integrate._cogenerator_rows``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 from .graphs import DomainError, make_graph
-from .integrate import (_cogenerator_rows, _span_solution,
-                        class_pairing_vector, matrix_rank)
+from .integrate import _cogenerator_rows, _span_solution, _sparse_row, \
+    matrix_rank
 from .pixton import (
     RamificationData,
     delta_factor,
@@ -97,16 +99,33 @@ def _timed(report: CheckReport, t0: float) -> CheckReport:
 # pairing-based decision procedures
 
 
-def _separating(x: TautClass, cogens: list[DecoratedStratum]) -> dict | None:
-    """The first cogenerator pairing nonzero with x, with that pairing, from
-    x's ``_cogenerator_rows``; the walk stops at its row graph.  The rows
-    come graph by graph, so this is the first in list order only because
-    each graph's cogenerators are contiguous in cogens: it is given only
-    ``generators`` and section 7's filtered copy of it."""
-    for i, _, value in _cogenerator_rows(x, cogens):
-        if value:
-            return {"generator": cogens[i].label(), "pairing": value}
+def _separating(rows: Iterable[tuple], k: int,
+               cogens: Sequence[DecoratedStratum],
+               keep: Callable[..., bool] = lambda c: True) -> dict | None:
+    """The first of the ``_cogenerator_rows`` rows whose cogenerator c
+    passes keep and pairs nonzero with class k, as c's label and that
+    pairing.  Rows are read lazily, so a walk stops at that row's graph.
+    cogens is a whole ``generators`` tuple, so the rows come in its order."""
+    for i, _, values in rows:
+        if values[k] and keep(cogens[i]):
+            return {"generator": cogens[i].label(), "pairing": values[k]}
     return None
+
+
+def _span_verdict(strata: Sequence[DecoratedStratum],
+                  equations: Sequence[dict[int, int]]) -> tuple[str, dict]:
+    """Solve the span equations of strata: pass with the coefficients, one
+    per label (a stratum listed twice gets the sum of its copies'), or fail
+    with an unsatisfiable echelon row."""
+    sol, residual = _span_solution(equations, len(strata))
+    if sol is None:
+        return FAIL, {"residual_row": residual,
+                      "note": "unsatisfiable echelon row of the augmented "
+                              "system (zero coefficients, nonzero right side)"}
+    coefficients: dict[str, Fraction] = {}
+    for s, c in zip(strata, sol):
+        coefficients[s.label()] = coefficients.get(s.label(), 0) + c
+    return PASS_MOD, {"coefficients": coefficients}
 
 
 def is_zero_mod_pairing(x: TautClass) -> CheckReport:
@@ -120,20 +139,15 @@ def is_zero_mod_pairing(x: TautClass) -> CheckReport:
             "note": "degree exceeds the dimension; the class group vanishes",
         }), t0)
     cogens = generators(x.g, x.n, dim - x.degree)
-    hit = _separating(x, cogens)
-    if hit is not None:
-        return _timed(CheckReport(name, params, FAIL, hit), t0)
-    return _timed(CheckReport(name, params, PASS_MOD, {
-        "generators_checked": len(cogens),
-    }), t0)
+    hit = _separating(_cogenerator_rows((x,), cogens), 0, cogens)
+    return _timed(CheckReport(name, params, PASS_MOD if hit is None else FAIL,
+                              hit or {"generators_checked": len(cogens)}), t0)
 
 
 def in_span_mod_pairing(x: TautClass,
                         strata: list[DecoratedStratum]) -> CheckReport:
     """Solve <x - sum lambda_s s, c> = 0 over all complementary generators c
-    as integer equations read from one pairing block; pass returns the
-    coefficients, one per label (a stratum listed twice gets the sum of its
-    copies'), fail an unsatisfiable echelon row."""
+    as integer equations read from one pairing block: ``_span_verdict``."""
     t0 = time.monotonic()
     name = "in-span-mod-pairing"
     params = {"g": x.g, "n": x.n, "degree": x.degree,
@@ -148,19 +162,11 @@ def in_span_mod_pairing(x: TautClass,
             "coefficients": {},
             "note": "degree exceeds the dimension",
         }), t0)
-    sol, residual = _span_solution(x, strata)
-    if sol is None:
-        return _timed(CheckReport(name, params, FAIL, {
-            "residual_row": residual,
-            "note": "unsatisfiable echelon row of the augmented system "
-                    "(zero coefficients, nonzero right side)",
-        }), t0)
-    coefficients: dict[str, Fraction] = {}
-    for s, c in zip(strata, sol):  # a repeated stratum's copies add up
-        coefficients[s.label()] = coefficients.get(s.label(), 0) + c
-    return _timed(CheckReport(name, params, PASS_MOD, {
-        "coefficients": coefficients,
-    }), t0)
+    cogens = generators(x.g, x.n, dim - x.degree)
+    verdict, witness = _span_verdict(strata, [
+        _sparse_row([*span.items(), (len(strata), value)])
+        for _, span, (value,) in _cogenerator_rows((x,), cogens, strata)])
+    return _timed(CheckReport(name, params, verdict, witness), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +234,36 @@ def check_exp_identities(data: RamificationData) -> CheckReport:
                     "the quadratic divisor",
         }), t0)
 
-    # identity, minuend, subtrahend, and the locus whose complement spans
     exp_p1 = exp_class(MixedClass(g, n, {1: p1}))
     target = multiply_mixed(exp_class(MixedClass(g, n, {1: qf})),
                             delta_factor(g, n))
-    for identity, lhs, rhs, locus in (
-            ("exp-vs-graded", exp_p1, full, "ct"),
-            ("treelike-factorization", full, target, "tl")):
-        for d in range(0, dim + 1):
-            inner = in_span_mod_pairing(lhs.part(d).sub(rhs.part(d)),
-                                        off_locus_strata(g, n, d, locus))
-            if not inner.passed:
-                return _timed(CheckReport("exp-identities", params, FAIL, {
-                    "identity": identity, "degree": d,
-                    "inner": inner.witness,
-                }), t0)
-
-    return _timed(CheckReport("exp-identities", params, PASS_MOD, {
-        "degrees_checked": dim + 1,
-    }), t0)
+    # one block per degree: the off-compact-type strata span exp-vs-graded,
+    # and those of them off the treelike locus span treelike-factorization
+    tl_failure = None  # reported after exp-vs-graded in every degree
+    for d in range(0, dim + 1):
+        ct = off_locus_strata(g, n, d, "ct")
+        tl = [p for p, s in enumerate(ct) if not s.graph.is_treelike()]
+        at = {p: q for q, p in enumerate(tl)}
+        classes = (exp_p1.part(d).sub(full.part(d)),
+                   full.part(d).sub(target.part(d)))
+        eqs_ct, eqs_tl = [], []
+        for _, span, (x, y) in _cogenerator_rows(
+                classes, generators(g, n, dim - d), ct):
+            eqs_ct.append(_sparse_row([*span.items(), (len(ct), x)]))
+            eqs_tl.append(_sparse_row([*((at[p], v) for p, v in span.items()
+                                         if p in at), (len(tl), y)]))
+        verdict, witness = _span_verdict(ct, eqs_ct)
+        if verdict == FAIL:
+            return _timed(CheckReport("exp-identities", params, FAIL, {
+                "identity": "exp-vs-graded", "degree": d, "inner": witness,
+            }), t0)
+        verdict, witness = _span_verdict([ct[p] for p in tl], eqs_tl)
+        if verdict == FAIL and tl_failure is None:
+            tl_failure = {"identity": "treelike-factorization", "degree": d,
+                          "inner": witness}
+    return _timed(CheckReport(
+        "exp-identities", params, FAIL if tl_failure else PASS_MOD,
+        tl_failure or {"degrees_checked": dim + 1}), t0)
 
 
 def check_gplus1(data: RamificationData) -> CheckReport:
@@ -268,92 +285,69 @@ SECTION7_A = (2, 4, -6)
 SECTION7_B = (-3, -1, 4)
 
 
-def _s7_divisor(a: tuple[int, int, int]) -> TautClass:
-    return _drc(RamificationData(1, 3, 0, a))
-
-
-def _s7_banana(i: int) -> DecoratedStratum:
-    """Two-edge graph separating marking i from the other two; both
-    vertices rational, so the stratum misses the treelike locus."""
-    rest = tuple(sorted({1, 2, 3} - {i}))
-    graph = make_graph([0, 0], [(i,), rest], [(0, 1), (0, 1)])
-    return make_stratum(graph, {}, {}, {})
-
-
-def _s7_irr() -> TautClass:
-    graph = make_graph([0], [(1, 2, 3)], [(0, 0)])
-    return single(1, 3, make_stratum(graph, {}, {}, {}))
-
-
 def check_section7() -> list[CheckReport]:
     """Five claims about the fixed data a=(2,4,-6), b=(-3,-1,4), k=0 on the
-    genus-1, 3-pointed space."""
-    reports: list[CheckReport] = []
+    genus-1, 3-pointed space, read from one block of the degree-1
+    generators against the degree-2 classes and the three banana strata.
+    Each runtime_ms counts from the start of the bundle."""
+    t0 = time.monotonic()
     g, n = 1, 3
     base_params = {"g": g, "n": n, "k": 0,
                    "a": list(SECTION7_A), "b": list(SECTION7_B)}
-    da = _s7_divisor(SECTION7_A)
-    db = _s7_divisor(SECTION7_B)
-    dab = _s7_divisor(tuple(x + y for x, y in zip(SECTION7_A, SECTION7_B)))
-    prod_b = multiply(da, db)
-    prod_ab = multiply(da, dab)
-    diff = prod_b.sub(prod_ab)
+    da, db, dab = (_drc(RamificationData(g, n, 0, a)) for a in (
+        SECTION7_A, SECTION7_B, tuple(map(sum, zip(SECTION7_A, SECTION7_B)))))
+    irr = single(g, n, make_stratum(make_graph([0], [(1, 2, 3)], [(0, 0)]),
+                                    {}, {}, {}))
+    # two-edge graphs separating marking i from the other two; both
+    # vertices rational, so the strata miss the treelike locus
+    bananas = [make_stratum(make_graph(
+        [0, 0], [(i,), tuple(sorted({1, 2, 3} - {i}))], [(0, 1), (0, 1)]),
+        {}, {}, {}) for i in (1, 2, 3)]
+    prod_b, prod_ab = multiply(da, db), multiply(da, dab)
+    classes = (prod_b.sub(prod_ab), multiply(da, irr),  # the rank vectors
+               multiply(irr, db.sub(dab)), multiply(irr, irr),
+               restrict(prod_b, "tl"), restrict(prod_ab, "tl"))
+    cogens = generators(g, n, 1)
+    rows = list(_cogenerator_rows(classes, cogens, bananas))
+    reports: list[CheckReport] = []
+
+    def report(name: str, verdict: str, witness: dict, **params) -> None:
+        reports.append(_timed(CheckReport(
+            name, dict(base_params, **params), verdict, witness), t0))
 
     # 1. the two products differ (not even equal modulo the pairing)
-    t0 = time.monotonic()
-    zr = is_zero_mod_pairing(diff)
-    if zr.verdict == FAIL:
-        reports.append(_timed(CheckReport(
-            "section7-products-differ", dict(base_params), PASS,
-            {"separating_generator": zr.witness["generator"],
-             "pairing_gap": zr.witness["pairing"]}), t0))
-    else:
-        reports.append(_timed(CheckReport(
-            "section7-products-differ", dict(base_params), FAIL,
-            {"note": "products agree modulo the pairing"}), t0))
+    hit = _separating(rows, 0, cogens)
+    report("section7-products-differ", FAIL if hit is None else PASS,
+           {"note": "products agree modulo the pairing"} if hit is None else
+           {"separating_generator": hit["generator"],
+            "pairing_gap": hit["pairing"]})
 
     # 2. the difference lies in the span of the three banana strata
-    t0 = time.monotonic()
-    span = in_span_mod_pairing(diff, [_s7_banana(i) for i in (1, 2, 3)])
-    reports.append(_timed(CheckReport(
-        "section7-banana-span", dict(base_params, **span.params),
-        span.verdict, span.witness), t0))
+    verdict, witness = _span_verdict(bananas, [_sparse_row(
+        [*span.items(), (3, values[0])]) for _, span, values in rows])
+    report("section7-banana-span", verdict, witness, degree=2,
+           span=[s.label() for s in bananas])
 
     # 3. both products restrict nontrivially to the treelike locus: each
     # pairs nonzero against some treelike complementary generator
-    t0 = time.monotonic()
-    dim = 3 * g - 3 + n
-    cogens = [c for c in generators(g, n, dim - 2) if c.graph.is_treelike()]
-    hits = {label: _separating(restrict(cls, "tl"), cogens)
-            for label, cls in (("a*b", prod_b), ("a*(a+b)", prod_ab))}
-    verdict = FAIL if None in hits.values() else PASS
-    wit = {label: hit or "treelike restriction pairs to zero"
-           for label, hit in hits.items()}
-    reports.append(_timed(CheckReport(
-        "section7-treelike-nontrivial", dict(base_params), verdict, wit), t0))
+    hits = {label: _separating(rows, k, cogens,
+                               lambda c: c.graph.is_treelike())
+            for label, k in (("a*b", 4), ("a*(a+b)", 5))}
+    report("section7-treelike-nontrivial",
+           FAIL if None in hits.values() else PASS,
+           {label: hit or "treelike restriction pairs to zero"
+            for label, hit in hits.items()})
 
     # 4. the self-intersection of the nonseparating boundary divisor
     # pairs to zero in degree 2
-    t0 = time.monotonic()
-    irr = _s7_irr()
-    zz = is_zero_mod_pairing(multiply(irr, irr))
-    reports.append(_timed(CheckReport(
-        "section7-irr-square-zero", dict(base_params), zz.verdict,
-        zz.witness), t0))
+    hit = _separating(rows, 3, cogens)
+    report("section7-irr-square-zero", PASS_MOD if hit is None else FAIL,
+           hit or {"generators_checked": len(cogens)})
 
     # 5. D_a*(D_b - D_{a+b}), D_a*irr, irr*(D_b - D_{a+b}) are linearly
     # independent as pairing vectors
-    t0 = time.monotonic()
-    i1 = diff
-    i2 = multiply(da, irr)
-    i3 = multiply(irr, db.sub(dab))
-    cogens2 = generators(g, n, dim - 2)
-    rank = matrix_rank([class_pairing_vector(v, cogens2)
-                        for v in (i1, i2, i3)])
-    verdict = PASS if rank == 3 else FAIL
-    reports.append(_timed(CheckReport(
-        "section7-rank-three", dict(base_params), verdict,
-        {"rank": rank,
-         "vectors": ["a*(b - (a+b))", "a*irr", "irr*(b - (a+b))"]}), t0))
+    rank = matrix_rank([values[:3] for _, _, values in rows])
+    report("section7-rank-three", PASS if rank == 3 else FAIL,
+           {"rank": rank,
+            "vectors": ["a*(b - (a+b))", "a*irr", "irr*(b - (a+b))"]})
     return reports
-

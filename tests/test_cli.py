@@ -335,6 +335,25 @@ def test_inconsistent_residues_exit_three(capsys, monkeypatch):
     assert "error: internal: ArithmeticError: inconsistent residue" in err
 
 
+def test_wrong_span_solution_exits_three(capsys, monkeypatch):
+    # every span solution is checked against its equations: a wrong one
+    # is a defect (exit 3), never a failed check (exit 1)
+    from tautring import integrate
+
+    exact = integrate._solve
+
+    def shifted(rows, ncols):
+        sol, residual = exact(rows, ncols)
+        return ([x + 1 for x in sol] if sol else sol), residual
+
+    monkeypatch.setattr(integrate, "_solve", shifted)
+    assert main(["check", "multiplicativity", "--g", "1", "--n", "2",
+                 "--A", "1,-1", "--B", "3,-3", "--locus", "tl"]) == 3
+    err = capsys.readouterr().err
+    assert "error: internal: ArithmeticError: solver verification failed" \
+        in err
+
+
 def test_surplus_mismatch_exits_three(capsys, monkeypatch):
     # samples above the proven threshold always fit, so a surplus sample off
     # the interpolant is a defect (exit 3), never bad input (exit 2)

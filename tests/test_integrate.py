@@ -133,6 +133,8 @@ def test_kappa_integrals():
     # off-dimension and unstable
     assert kappa_psi_integral(1, (1,), (1,)) == 0
     assert kappa_psi_integral(1, (), (1,)) == 0
+    with pytest.raises(DomainError, match="kappa indices"):
+        kappa_psi_integral(1, (0,), (0,))
 
 
 def _partitions(k, largest=None):
@@ -478,7 +480,7 @@ def test_matrix_rank_matches_plain_bareiss():
     for rows in cases:
         rank = bareiss_rank(rows)
         assert matrix_rank(rows) == fraction_free_echelon(
-            [_sparse_row(r) for r in rows])[0] == rank, \
+            [_sparse_row(enumerate(r)) for r in rows])[0] == rank, \
             rows
     # planted rank r: an m x r times an r x n integer product, rows scaled
     for m, n, r in [(4, 9, 2), (9, 4, 3), (6, 6, 4), (3, 10, 3), (10, 3, 1),

@@ -462,6 +462,19 @@ def test_pixton_mixed_collects_all_degrees():
         assert mix.part(d) == pixton_class(data, d)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: interpolate_constant_term([(1, 1)], -1), "nonnegative"),
+    (lambda: interpolate_constant_term([(1, 1), (1, 2)], 1), "distinct"),
+    (lambda: interpolate_constant_term([(1, 1), (2, 2)], 2),
+     "need at least 3 samples, got 2"),
+    (lambda: pixton_class(RamificationData(1, 2, 0, (1, -1)), -1),
+     "negative degree"),
+], ids=["bound", "repeated", "few", "degree"])
+def test_interpolation_and_degree_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_exp_class_rejects_nonunit_degree_zero():
     g, n = 1, 2
     bad = unit(g, n).scale(Fraction(2))

@@ -80,6 +80,8 @@ def test_type_mismatch_rejected():
     y = single(1, 2, fundamental_stratum(1, 2))
     with pytest.raises(DomainError):
         multiply(x, y)
+    with pytest.raises(DomainError, match="different moduli spaces"):
+        multiply_mixed(MixedClass(1, 1, {0: x}), MixedClass(1, 2, {0: y}))
 
 
 def test_commutativity_random():

@@ -175,6 +175,9 @@ def test_make_stratum_rejects_bad_decorations():
         make_stratum(sm, {}, {0: 1}, {})  # no half-edges on a smooth graph
     with pytest.raises(DomainError):
         make_stratum(sm, {1: -1}, {}, {})
+    loop = make_graph([0], [(1,)], [(0, 0)])
+    with pytest.raises(DomainError, match="negative psi exponent on half-edge 0"):
+        make_stratum(loop, {}, {0: -1}, {})
 
 
 def test_overweight_terms_are_pruned():
@@ -295,3 +298,14 @@ def test_restrict_and_off_locus():
 def test_unit_and_single_validate_type():
     with pytest.raises(DomainError):
         single(1, 1, fundamental_stratum(1, 2))
+    with pytest.raises(DomainError, match="negative codimension"):
+        generators(1, 1, -1)
+    # sums and terms of another space, type or degree are refused
+    x = TautClass(1, 2, 1)
+    for other in (TautClass(1, 1, 1), TautClass(2, 2, 1), TautClass(1, 2, 2)):
+        with pytest.raises(DomainError, match="different type/degree"):
+            x.add(other)
+    with pytest.raises(DomainError, match="stratum degree 0"):
+        x.iadd_term(fundamental_stratum(1, 2), Fraction(1))
+    with pytest.raises(DomainError, match="type mismatch"):
+        x.iadd_term(generators(1, 1, 1)[0], Fraction(1))

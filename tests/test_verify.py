@@ -171,6 +171,40 @@ def test_exp_identities_fail_on_a_planted_loop_factor(monkeypatch):
     assert residual[-1] != 0 and not any(residual[:-1])
 
 
+EXP13 = RamificationData(1, 3, 0, (1, 1, -2))
+
+
+def _planted_exp(monkeypatch):
+    # psi_1 psi_2 added to every exp in degree 2: treelike, so it spoils
+    # exp-vs-graded there
+    real = verify.exp_class
+
+    def planted(x):
+        psi12 = make_stratum(smooth(x.g, x.n), {1: 1, 2: 1}, {}, {})
+        return real(x).add(MixedClass(x.g, x.n, {2: single(x.g, x.n, psi12)}))
+
+    monkeypatch.setattr(verify, "exp_class", planted)
+
+
+@pytest.mark.parametrize("plants, identity, degree", [
+    ((_planted_exp,), "exp-vs-graded", 2),
+    ((_planted_loop_factor,), "treelike-factorization", 1),
+    ((_planted_exp, _planted_loop_factor), "exp-vs-graded", 2),
+], ids=["exp", "loop", "both"])
+def test_exp_identities_report_failures_identity_major(monkeypatch, plants,
+                                                       identity, degree):
+    # both identities of a degree are read from one block, yet the witness
+    # is exp-vs-graded in every degree first, then treelike-factorization
+    for plant in plants:
+        plant(monkeypatch)
+    rep = check_exp_identities(EXP13)
+    assert rep.verdict == "fail"
+    assert (rep.witness["identity"], rep.witness["degree"]) == \
+        (identity, degree)
+    residual = rep.witness["inner"]["residual_row"]
+    assert residual[-1] != 0 and not any(residual[:-1])
+
+
 def test_exp_identities_failure_exits_one(monkeypatch, capsys):
     _planted_loop_factor(monkeypatch)
     argv = ["check", "exp-identities", "--g", "1", "--n", "2", "--k", "0",
@@ -400,3 +434,25 @@ def test_span_block_has_one_column_per_distinct_stratum(monkeypatch):
                   Fraction(0))
         assert sum((coeffs[s.label()] * ungrouped_pairing(s, c)
                     for s in dict.fromkeys(span)), Fraction(0)) == rhs
+
+
+def test_one_pairing_block_per_bundle_degree(monkeypatch):
+    # section 7 reads its five claims from one block, and the exp
+    # identities read both span identities of a degree from one block:
+    # 1 block, and dim + 1 = 4 on (1,3).  One block per decision made 8
+    # and 8
+    from tautring import integrate
+
+    calls = [0]
+    real = integrate._pairings
+
+    def spy(rows, cols):
+        calls[0] += 1
+        return real(rows, cols)
+
+    monkeypatch.setattr(integrate, "_pairings", spy)
+    assert all(r.passed for r in check_section7())
+    assert calls[0] == 1
+    calls[0] = 0
+    assert check_exp_identities(EXP13).passed
+    assert calls[0] == 4
